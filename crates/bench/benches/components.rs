@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use delayavf::{prepare_golden, Injector};
+use delayavf::{prepare_golden, CollapsePlan, Injector};
 use delayavf_netlist::{EdgeId, Topology};
 use delayavf_rvcore::{build_core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
 use delayavf_sim::{settle, CycleSim, DeltaEventSim, EventSim, FaultSpec};
@@ -698,6 +698,7 @@ fn emit_timing_snapshot(
             scalar / full_width
         ));
     }
+    warm_json.push_str(&structural_json());
     let json = format!(
         "{{\n  \"bench\": \"step1_{}_alu_edges_over_{}_cycles\",\n  \"delta_ms\": {:.3},\n  \"full_event_ms\": {:.3},\n  \"speedup\": {:.2},\n  \"golden_waveform_builds\": {},\n  \"batch_ms\": {:.3},\n  \"batch_speedup_vs_delta\": {:.2},\n  \"timing_lane_utilization\": {:.3}{}\n}}\n",
         edges.len(),
@@ -713,6 +714,39 @@ fn emit_timing_snapshot(
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_timing.json");
     std::fs::write(path, json).expect("write BENCH_timing.json");
+}
+
+/// Cold builds of the campaign's structural tables on both core variants,
+/// best of three: the downstream-slack table (the first query on a freshly
+/// analysed model) and the collapse plan (over the already built table),
+/// plus the table's deterministic pair count.
+fn structural_json() -> String {
+    use std::time::Instant;
+    let mut json = String::new();
+    let ecc = CoreConfig {
+        ecc_regfile: true,
+        ..CoreConfig::default()
+    };
+    for (label, config) in [("plain", CoreConfig::default()), ("ecc", ecc)] {
+        let core = build_core(config);
+        let c = &core.circuit;
+        let topo = Topology::new(c);
+        let lib = TechLibrary::nangate45_like();
+        let (mut table_ms, mut plan_ms, mut pairs) = (f64::INFINITY, f64::INFINITY, 0);
+        for _rep in 0..3 {
+            let timing = TimingModel::analyze(c, &topo, &lib);
+            let t = Instant::now();
+            pairs = std::hint::black_box(timing.slack_table_pairs(c, &topo));
+            table_ms = table_ms.min(t.elapsed().as_secs_f64() * 1e3);
+            let t = Instant::now();
+            std::hint::black_box(CollapsePlan::build(c, &topo, &timing));
+            plan_ms = plan_ms.min(t.elapsed().as_secs_f64() * 1e3);
+        }
+        json.push_str(&format!(
+            ",\n  \"{label}_slack_table_build_ms\": {table_ms:.3},\n  \"{label}_collapse_plan_build_ms\": {plan_ms:.3},\n  \"{label}_slack_table_entries\": {pairs}"
+        ));
+    }
+    json
 }
 
 criterion_group! {

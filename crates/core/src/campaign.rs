@@ -2062,8 +2062,8 @@ fn edge_static_slack(
 ) -> u64 {
     let longest = timing
         .edge_slack_entries(circuit, topo, edge)
-        .last()
-        .map_or(0, |&(path, _)| path);
+        .longest()
+        .unwrap_or(0);
     timing.clock_period().saturating_sub(longest)
 }
 

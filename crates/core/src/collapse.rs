@@ -9,10 +9,10 @@
 //! [`CollapsePlan`] partitions edges into such chain classes before any
 //! simulation runs, using two independent structural certificates:
 //!
-//! 1. **Same-slack**: the two edges' CSR slack-table slices
-//!    ([`TimingModel::edge_slack_entries`]) must be *identical* — the
-//!    absolute longest-path lengths to every reachable flip-flop agree, so
-//!    the edges behave identically under every extra delay and guardband.
+//! 1. **Same-slack**: the two edges' downstream-slack views
+//!    ([`TimingModel::edge_slack_entries`]) must be *equal* — the absolute
+//!    longest-path lengths to every reachable flip-flop agree, so the edges
+//!    behave identically under every extra delay and guardband.
 //! 2. **Structural dominator**: the chain gate's output net must be
 //!    post-dominated ([`Topology::post_dominators`]) by exactly the sink
 //!    its single fanout feeds, certifying that no value change can bypass
@@ -28,7 +28,7 @@
 //! ([`delayavf_sim::Environment::deterministic_transcript`]) allows it.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet};
 
 use delayavf_netlist::{
     Circuit, Consumer, DffId, Driver, EdgeId, GateId, GateKind, NetId, Topology,
@@ -39,7 +39,10 @@ use delayavf_timing::TimingModel;
 /// the reachability tables used by the semi-formal masking check. Built
 /// once per [`crate::Injector`] (lazily, only when collapsing is enabled);
 /// depends solely on the circuit, topology and timing model, never on the
-/// golden trace — so every worker derives the identical plan.
+/// golden trace — so every worker derives the identical plan. Apart from
+/// the timing model's shared slack table, which it reads, the build is
+/// linear in the circuit: one pass over the edges and one reverse pass
+/// over the nets.
 pub struct CollapsePlan {
     /// Per edge: the representative of its equivalence class (itself for
     /// singleton classes). Chains are path-compressed, so a member points
@@ -104,7 +107,7 @@ impl CollapsePlan {
         }
 
         let output_net = output_net_table(c, topo);
-        let influences = influence_closure(c, topo, &output_net);
+        let influences = influence_closure(c, &output_net);
         CollapsePlan {
             rep,
             is_rep,
@@ -161,10 +164,10 @@ impl CollapsePlan {
 /// * the gate's output net has exactly one fanout edge `e2`, and the
 ///   post-dominator of the output net certifies that `e2`'s sink is the
 ///   only way forward (the structural-dominator half of the criterion);
-/// * the CSR slack-table slices of `e1` and `e2` are identical (the
-///   same-slack half): both edges reach the same flip-flops over the same
-///   absolute path lengths, so the static filter and reachable sets agree
-///   under every extra delay.
+/// * the downstream-slack views of `e1` and `e2` are equal (the same-slack
+///   half): both edges reach the same flip-flops over the same absolute
+///   path lengths, so the static filter and reachable sets agree under
+///   every extra delay.
 fn chain_next(
     c: &Circuit,
     topo: &Topology,
@@ -251,52 +254,31 @@ fn output_net_table(c: &Circuit, topo: &Topology) -> Vec<bool> {
 /// Per flip-flop: whether a flip can ever reach a primary output — the
 /// transitive closure of "my Q cone touches an output net or the D pin of
 /// an influencing flip-flop" over the sequential dependence graph.
-fn influence_closure(c: &Circuit, topo: &Topology, output_net: &[bool]) -> Vec<bool> {
-    let n = c.num_dffs();
-    let mut influences = vec![false; n];
-    // Reverse sequential adjacency: preds[d2] lists the flip-flops whose Q
-    // cone reaches d2's D pin within one cycle.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (did, dff) in c.dffs() {
-        let mut touches_output = false;
-        let mut seen: HashSet<NetId> = HashSet::new();
-        let mut nets: VecDeque<NetId> = VecDeque::new();
-        seen.insert(dff.q());
-        nets.push_back(dff.q());
-        while let Some(net) = nets.pop_front() {
-            touches_output |= output_net[net.index()];
-            for e in topo.fanouts(net) {
-                match e.consumer {
-                    Consumer::GatePin { gate, .. } => {
-                        let out = c.gate(gate).output();
-                        if seen.insert(out) {
-                            nets.push_back(out);
-                        }
-                    }
-                    Consumer::DffD(d2) => preds[d2.index()].push(did.index()),
-                    Consumer::OutputBit { .. } => touches_output = true,
-                }
+///
+/// Computed as one reverse reachability pass over nets, seeded with every
+/// output net: a gate output's inputs reach whatever it reaches, and a
+/// flip-flop's D net reaches whatever its Q net reaches one cycle later.
+/// Each net is visited once, so the cost is linear in nets plus edges.
+fn influence_closure(c: &Circuit, output_net: &[bool]) -> Vec<bool> {
+    let mut seen = output_net.to_vec();
+    let mut stack: Vec<NetId> = (0..c.num_nets())
+        .map(NetId::from_index)
+        .filter(|n| seen[n.index()])
+        .collect();
+    while let Some(net) = stack.pop() {
+        let mut visit = |n: NetId| {
+            if !seen[n.index()] {
+                seen[n.index()] = true;
+                stack.push(n);
             }
-        }
-        if touches_output {
-            influences[did.index()] = true;
-            queue.push_back(did.index());
-        }
-    }
-    for p in &mut preds {
-        p.sort_unstable();
-        p.dedup();
-    }
-    while let Some(d) = queue.pop_front() {
-        for &p in &preds[d] {
-            if !influences[p] {
-                influences[p] = true;
-                queue.push_back(p);
-            }
+        };
+        match c.net(net).driver() {
+            Driver::Gate(g) => c.gate(g).inputs().iter().copied().for_each(&mut visit),
+            Driver::Dff(d) => visit(c.dff(d).d()),
+            Driver::Input(_) | Driver::Const(_) => {}
         }
     }
-    influences
+    c.dffs().map(|(_, dff)| seen[dff.q().index()]).collect()
 }
 
 /// One cycle of the semi-formal masking check: exact zero-delay

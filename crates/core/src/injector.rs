@@ -135,12 +135,6 @@ pub struct Injector<'a, E: Environment + Clone> {
     failure_cache: HashMap<u64, HashMap<Vec<DffId>, FailureClass>>,
     /// For each input net: (port index, bit) to look values up in the trace.
     input_net_pos: HashMap<NetId, (usize, usize)>,
-    /// Cycle-invariant static-reach memo: `(edge, extra)` -> statically
-    /// reachable count (0 means the injection is statically filtered). Both
-    /// `path_through_edge` and the slack-table query depend only on the edge
-    /// and the extra delay, so campaigns sweeping many cycles per edge pay
-    /// for each `(edge, extra)` pair once per worker.
-    static_reach_cache: HashMap<(EdgeId, Picos), usize>,
     /// Whether the pre-simulation collapsing layer (equivalence classes,
     /// quiet-source certificate, semi-formal masking discharge) is enabled.
     collapse: bool,
@@ -466,7 +460,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             fanin_cache: HashMap::new(),
             failure_cache: HashMap::new(),
             input_net_pos,
-            static_reach_cache: HashMap::new(),
             collapse: true,
             plan: None,
             collapse_cache: HashMap::new(),
@@ -619,26 +612,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             "cycle {cycle} has no successor in the golden trace"
         );
 
-        // Pre-filter 1: some path through the edge must exceed the clock.
-        // Both the path query and the static-reach set are cycle-invariant,
-        // so the combined answer is memoized per (edge, extra).
-        let static_count = match self.static_reach_cache.get(&(edge, extra)) {
-            Some(&n) => n,
-            None => {
-                let path = self.timing.path_through_edge(self.circuit, self.topo, edge);
-                let n = if path + extra <= self.timing.clock_period() {
-                    0
-                } else {
-                    self.timing
-                        .statically_reachable(self.circuit, self.topo, edge, extra)
-                        .len()
-                };
-                self.static_reach_cache.insert((edge, extra), n);
-                n
-            }
-        };
+        let static_count = self.static_filter(edge, extra);
         if static_count == 0 {
-            self.stats.static_filtered += 1;
             return (0, Vec::new());
         }
 
@@ -729,6 +704,20 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             .collect()
     }
 
+    /// Pre-filter 1: the statically reachable count of an SDF, a binary
+    /// search in the timing model's slack table. Zero means no path through
+    /// the edge misses the clock, and the injection is counted as
+    /// statically filtered.
+    fn static_filter(&mut self, edge: EdgeId, extra: Picos) -> usize {
+        let n = self
+            .timing
+            .statically_reachable_count(self.circuit, self.topo, edge, extra);
+        if n == 0 {
+            self.stats.static_filtered += 1;
+        }
+        n
+    }
+
     /// The collapsing plan, built on first use.
     fn plan(&mut self) -> &CollapsePlan {
         if self.plan.is_none() {
@@ -812,34 +801,19 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             "cycle {cycle} has no successor in the golden trace"
         );
 
-        // Run the cycle-invariant static memo, the collapsing layer and
-        // the per-cycle toggle filter exactly as the scalar path does; only
-        // plain survivors occupy batch lanes (members and representatives
-        // are served through the scalar representative cache, so the
-        // per-class work is identical at every lane width).
+        // Run the static filter, the collapsing layer and the per-cycle
+        // toggle filter exactly as the scalar path does; only plain
+        // survivors occupy batch lanes (members and representatives are
+        // served through the scalar representative cache, so the per-class
+        // work is identical at every lane width).
         if self.collapse {
             self.refresh_collapse_cycle(cycle);
         }
         let mut results: Vec<(usize, Vec<DffId>)> = Vec::with_capacity(pairs.len());
         let mut survivors: Vec<usize> = Vec::new();
         for &(edge, extra) in pairs {
-            let static_count = match self.static_reach_cache.get(&(edge, extra)) {
-                Some(&n) => n,
-                None => {
-                    let path = self.timing.path_through_edge(self.circuit, self.topo, edge);
-                    let n = if path + extra <= self.timing.clock_period() {
-                        0
-                    } else {
-                        self.timing
-                            .statically_reachable(self.circuit, self.topo, edge, extra)
-                            .len()
-                    };
-                    self.static_reach_cache.insert((edge, extra), n);
-                    n
-                }
-            };
+            let static_count = self.static_filter(edge, extra);
             if static_count == 0 {
-                self.stats.static_filtered += 1;
                 results.push((0, Vec::new()));
                 continue;
             }

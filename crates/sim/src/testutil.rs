@@ -29,6 +29,30 @@ pub type GateSpec = (u8, u16, u16, u16);
 /// seeds for very short gate lists, which yields constant-driven state
 /// bits), and the register outputs are the primary outputs.
 pub fn random_circuit(n_inputs: usize, n_regs: usize, gates: &[GateSpec]) -> Circuit {
+    build_random(n_inputs, n_regs, gates, None)
+}
+
+/// Like [`random_circuit`], but the primary outputs are the pool nets that
+/// `outputs` selects (reduced modulo the final pool, so inputs, constants,
+/// register outputs and gate outputs are all candidates) instead of every
+/// register output. Some registers then reach an output only through other
+/// registers, across cycles of the register feedback loop, and some never
+/// do — the distinction the collapse layer's influence closure draws.
+pub fn random_observed_circuit(
+    n_inputs: usize,
+    n_regs: usize,
+    gates: &[GateSpec],
+    outputs: &[u16],
+) -> Circuit {
+    build_random(n_inputs, n_regs, gates, Some(outputs))
+}
+
+fn build_random(
+    n_inputs: usize,
+    n_regs: usize,
+    gates: &[GateSpec],
+    outputs: Option<&[u16]>,
+) -> Circuit {
     let mut b = CircuitBuilder::new();
     let inputs = b.input_word("in", n_inputs);
     let regs = b.reg_word("r", n_regs, 0);
@@ -62,7 +86,16 @@ pub fn random_circuit(n_inputs: usize, n_regs: usize, gates: &[GateSpec]) -> Cir
     // Feed registers from the most recently created nets.
     let d: Word = (0..n_regs).map(|i| nets[nets.len() - 1 - i]).collect();
     b.drive_word(&regs, &d);
-    b.output_word("o", &regs.q());
+    match outputs {
+        Some(sels) => {
+            let o: Word = sels
+                .iter()
+                .map(|&s| nets[usize::from(s) % nets.len()])
+                .collect();
+            b.output_word("o", &o);
+        }
+        None => b.output_word("o", &regs.q()),
+    }
     b.finish().expect("acyclic by construction")
 }
 

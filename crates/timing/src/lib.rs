@@ -49,7 +49,7 @@ mod model;
 mod paths;
 mod techlib;
 
-pub use model::TimingModel;
+pub use model::{EdgeSlack, TimingModel};
 pub use paths::PathHistogram;
 pub use techlib::{CellTiming, TechLibrary};
 

@@ -3,43 +3,174 @@
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use delayavf_netlist::{Circuit, Consumer, DffId, Driver, EdgeId, NetId, Topology};
 
 use crate::techlib::TechLibrary;
 use crate::Picos;
 
-/// Precomputed per-edge **downstream-slack table**: for every fanout edge,
-/// the length of the longest complete source-to-endpoint path through that
-/// edge ending at each downstream flip-flop (including the endpoint setup
-/// time), stored as a CSR of `(path_length, dff)` entries sorted by path
-/// length.
+/// Precomputed **downstream-slack table**, stored per *sink* rather than
+/// per edge: for every gate, the longest continuation from the origin of
+/// its output net to each downstream flip-flop's D pin (including the
+/// output net's own edge delay and the endpoint setup time), as a CSR of
+/// `(continuation, dff)` rows sorted by `(continuation, dff)`; plus one
+/// single-entry row `(setup, dff)` per flip-flop D pin.
+///
+/// An edge's entries are its sink's row shifted by the edge's pin time
+/// (`arrival + delay` of its source net), see [`EdgeSlack`]. Adding a
+/// constant keeps the order, so no per-edge copy or sort is ever made: the
+/// table holds one row per gate instead of one per edge, and edges into a
+/// primary-output bit have no row at all (outputs are not state elements).
 ///
 /// With the table in hand, the statically reachable set for `(edge, extra)`
 /// is a binary search: a flip-flop `f` is reachable iff its longest path
 /// through the edge plus `extra` exceeds the clock period, so the qualifying
-/// entries form a suffix of the edge's sorted slice. Path lengths are stored
-/// **absolute** (not as slack against a particular clock) so a guardbanded
+/// entries form a suffix of the edge's sorted row. Path lengths are
+/// **absolute** (not slack against a particular clock), so a guardbanded
 /// clone of the model ([`TimingModel::with_guardband`], which stretches only
-/// `clock_period`) can reuse the same table and stay exact.
-#[derive(Clone, Debug, Default)]
+/// `clock_period`) reuses the same table and stays exact.
+#[derive(Debug, Default)]
 struct SlackTable {
-    /// `offsets[e]..offsets[e + 1]` is edge `e`'s slice into `entries`.
-    offsets: Vec<u32>,
-    /// Per-edge `(longest path through edge ending at dff, dff)` pairs,
-    /// sorted ascending by path length (ties by flip-flop id).
+    /// Per row (gates by [`delayavf_netlist::GateId`] index, then flip-flop
+    /// D pins by [`DffId`] index): `entries[lo..hi]`.
+    rows: Vec<(u32, u32)>,
+    /// Row contents: `(continuation, dff)`, ascending.
     entries: Vec<(Picos, DffId)>,
 }
 
 impl SlackTable {
+    /// Builds the table in one backward pass over the gates (consumers
+    /// before producers). Each gate's row is the max-merge of its output's
+    /// fanout sinks: a D pin contributes `setup`, a gate pin that gate's
+    /// row, each lengthened by the output net's edge delay. The merge goes
+    /// through a dense per-flip-flop scratch stamped with the gate's epoch,
+    /// so the build is linear in the stored pairs plus their row sorts.
+    fn build(tm: &TimingModel, c: &Circuit, topo: &Topology) -> Self {
+        let num_gates = c.num_gates();
+        let mut rows = vec![(0u32, 0u32); num_gates + c.num_dffs()];
+        let mut entries: Vec<(Picos, DffId)> = Vec::new();
+        let mut best = vec![0 as Picos; c.num_dffs()];
+        let mut stamp = vec![0u32; c.num_dffs()];
+        let mut touched: Vec<DffId> = Vec::new();
+        let end = |len: usize| u32::try_from(len).expect("slack table fits u32");
+        for (epoch, &g) in (1u32..).zip(topo.eval_order().iter().rev()) {
+            let out = c.gate(g).output();
+            let d = tm.net_delay[out.index()];
+            touched.clear();
+            let mut offer = |f: DffId, t: Picos| {
+                let i = f.index();
+                if stamp[i] != epoch {
+                    stamp[i] = epoch;
+                    best[i] = t;
+                    touched.push(f);
+                } else if t > best[i] {
+                    best[i] = t;
+                }
+            };
+            for e in topo.fanouts(out) {
+                match e.consumer {
+                    Consumer::DffD(f) => offer(f, d + tm.setup),
+                    Consumer::GatePin { gate, .. } => {
+                        let (lo, hi) = rows[gate.index()];
+                        for &(cont, f) in &entries[lo as usize..hi as usize] {
+                            offer(f, d + cont);
+                        }
+                    }
+                    // Primary outputs are not state elements; they never
+                    // enter the statically reachable set.
+                    Consumer::OutputBit { .. } => {}
+                }
+            }
+            let lo = entries.len();
+            entries.extend(touched.iter().map(|&f| (best[f.index()], f)));
+            entries[lo..].sort_unstable();
+            rows[g.index()] = (end(lo), end(entries.len()));
+        }
+        for (f, _) in c.dffs() {
+            let lo = entries.len();
+            entries.push((tm.setup, f));
+            rows[num_gates + f.index()] = (end(lo), end(entries.len()));
+        }
+        SlackTable { rows, entries }
+    }
+
+    /// The row of an edge's sink `consumer`, unshifted.
     #[inline]
-    fn edge_entries(&self, edge: EdgeId) -> &[(Picos, DffId)] {
-        let lo = self.offsets[edge.index()] as usize;
-        let hi = self.offsets[edge.index() + 1] as usize;
-        &self.entries[lo..hi]
+    fn sink_row(&self, c: &Circuit, consumer: Consumer) -> &[(Picos, DffId)] {
+        let row = match consumer {
+            Consumer::GatePin { gate, .. } => gate.index(),
+            Consumer::DffD(f) => c.num_gates() + f.index(),
+            Consumer::OutputBit { .. } => return &[],
+        };
+        let (lo, hi) = self.rows[row];
+        &self.entries[lo as usize..hi as usize]
     }
 }
+
+/// One edge's downstream-slack entries: `(path_length, dff)` for every
+/// flip-flop reachable through the edge, where `path_length` is the longest
+/// complete source-to-endpoint path through the edge ending at that
+/// flip-flop, endpoint setup included. Entries ascend by path length (ties
+/// by flip-flop id).
+///
+/// A view of the sink's row in the slack table shifted by the edge's pin
+/// time, so it costs no allocation. Equality compares the shifted entries
+/// pointwise: two edges with equal views reach the same flip-flops over
+/// the same absolute path lengths, so they behave identically under
+/// **every** extra delay and every guardband.
+#[derive(Clone, Copy, Debug)]
+pub struct EdgeSlack<'a> {
+    base: Picos,
+    row: &'a [(Picos, DffId)],
+}
+
+impl<'a> EdgeSlack<'a> {
+    /// Number of reachable flip-flops (whatever the extra delay).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.row.len()
+    }
+
+    /// True when no flip-flop is reachable through the edge.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.row.is_empty()
+    }
+
+    /// The `(path_length, dff)` entries, ascending.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (Picos, DffId)> + 'a {
+        let base = self.base;
+        self.row.iter().map(move |&(cont, f)| (base + cont, f))
+    }
+
+    /// The longest path through the edge to any flip-flop.
+    #[inline]
+    pub fn longest(&self) -> Option<Picos> {
+        self.row.last().map(|&(cont, _)| self.base + cont)
+    }
+
+    /// Index of the first entry whose path plus `extra` exceeds `clock`:
+    /// the statically reachable flip-flops are the entries from here on.
+    #[inline]
+    fn first_reachable(&self, extra: Picos, clock: Picos) -> usize {
+        self.row
+            .partition_point(|&(cont, _)| (self.base + cont).saturating_add(extra) <= clock)
+    }
+}
+
+impl PartialEq for EdgeSlack<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.row.len() == other.row.len()
+            && self
+                .row
+                .iter()
+                .zip(other.row)
+                .all(|(&(a, f), &(b, g))| f == g && self.base + a == other.base + b)
+    }
+}
+
+impl Eq for EdgeSlack<'_> {}
 
 /// The result of static timing analysis: per-edge delays, arrival times,
 /// downstream max-path times, and the derived clock period.
@@ -64,9 +195,10 @@ pub struct TimingModel {
     topo_index: Vec<u32>,
     clock_period: Picos,
     setup: Picos,
-    /// Lazily built downstream-slack table (see [`SlackTable`]); shared by
-    /// guardbanded clones because it stores absolute path lengths.
-    slack: OnceLock<SlackTable>,
+    /// Lazily built downstream-slack table (see [`SlackTable`]). Clones,
+    /// guardbanded ones included, share one build through the `Arc`: the
+    /// table stores absolute path lengths, so it is clock-independent.
+    slack: Arc<OnceLock<SlackTable>>,
 }
 
 impl TimingModel {
@@ -146,7 +278,7 @@ impl TimingModel {
             topo_index,
             clock_period,
             setup,
-            slack: OnceLock::new(),
+            slack: Arc::default(),
         }
     }
 
@@ -160,7 +292,8 @@ impl TimingModel {
     /// Returns a copy of this model with the clock period stretched by
     /// `percent` beyond the critical path — a **timing guardband**, the
     /// circuit-level mitigation knob for small delay faults: extra slack
-    /// absorbs larger `d` before any path misses the latch deadline.
+    /// absorbs larger `d` before any path misses the latch deadline. The
+    /// copy shares this model's slack table, built or not.
     ///
     /// # Panics
     ///
@@ -265,9 +398,9 @@ impl TimingModel {
     /// the edge.
     ///
     /// Answered from the precomputed downstream-slack table (built lazily on
-    /// first use, shared by guardbanded clones): a binary search locates the
-    /// suffix of the edge's path-sorted slice with `path + extra` beyond the
-    /// clock period, replacing the per-query graph walk of
+    /// first use, shared by clones): a binary search locates the suffix of
+    /// the edge's path-sorted entries with `path + extra` beyond the clock
+    /// period, replacing the per-query graph walk of
     /// [`TimingModel::statically_reachable_walk`], which is kept as the
     /// reference oracle.
     pub fn statically_reachable(
@@ -277,103 +410,48 @@ impl TimingModel {
         edge: EdgeId,
         extra: Picos,
     ) -> Vec<DffId> {
-        let table = self.slack.get_or_init(|| self.build_slack_table(c, topo));
-        let s = table.edge_entries(edge);
-        let start = s.partition_point(|&(path, _)| path.saturating_add(extra) <= self.clock_period);
-        let mut reachable: Vec<DffId> = s[start..].iter().map(|&(_, f)| f).collect();
+        let s = self.edge_slack_entries(c, topo, edge);
+        let start = s.first_reachable(extra, self.clock_period);
+        let mut reachable: Vec<DffId> = s.row[start..].iter().map(|&(_, f)| f).collect();
         reachable.sort_unstable();
         reachable
     }
 
-    /// The raw downstream-slack slice of `edge`: `(path_length, dff)` pairs
-    /// for every flip-flop reachable through the edge, sorted ascending by
-    /// the length of the longest complete source-to-endpoint path (ties by
-    /// flip-flop id), with endpoint setup included. Path lengths are
-    /// absolute, so two edges with identical slices behave identically under
-    /// **every** extra delay and every guardband — the "same-slack" half of
-    /// the fault-collapsing criterion compares exactly these slices.
-    ///
-    /// Builds the table lazily, like [`TimingModel::statically_reachable`].
-    pub fn edge_slack_entries(
+    /// The size of [`TimingModel::statically_reachable`]'s set, from the
+    /// same binary search and without collecting it. Zero means the
+    /// injection is statically filtered.
+    pub fn statically_reachable_count(
         &self,
         c: &Circuit,
         topo: &Topology,
         edge: EdgeId,
-    ) -> &[(Picos, DffId)] {
-        self.slack
-            .get_or_init(|| self.build_slack_table(c, topo))
-            .edge_entries(edge)
+        extra: Picos,
+    ) -> usize {
+        let s = self.edge_slack_entries(c, topo, edge);
+        s.len() - s.first_reachable(extra, self.clock_period)
     }
 
-    /// Builds the [`SlackTable`]: one backward dynamic-programming pass
-    /// computing, per net, the longest continuation from the net's origin to
-    /// each downstream flip-flop D pin (including setup), then expands it
-    /// into per-edge absolute path lengths. Cost is linear in the total
-    /// number of `(net, downstream flip-flop)` pairs — paid once, versus a
-    /// graph walk per `(cycle, edge, extra)` query.
-    fn build_slack_table(&self, c: &Circuit, topo: &Topology) -> SlackTable {
-        let n = c.num_nets();
-        // down[net]: (dff, longest continuation from net origin to the dff's
-        // D pin, including the net's own edge delay and endpoint setup).
-        let mut down: Vec<Vec<(DffId, Picos)>> = vec![Vec::new(); n];
-        let fill = |down: &[Vec<(DffId, Picos)>], net: NetId| -> Vec<(DffId, Picos)> {
-            let d = self.net_delay[net.index()];
-            let mut best: HashMap<DffId, Picos> = HashMap::new();
-            for e in topo.fanouts(net) {
-                match e.consumer {
-                    Consumer::DffD(f) => {
-                        let t = d + self.setup;
-                        best.entry(f).and_modify(|b| *b = (*b).max(t)).or_insert(t);
-                    }
-                    Consumer::GatePin { gate, .. } => {
-                        let out = c.gate(gate).output();
-                        for &(f, cont) in &down[out.index()] {
-                            let t = d + cont;
-                            best.entry(f).and_modify(|b| *b = (*b).max(t)).or_insert(t);
-                        }
-                    }
-                    // Primary outputs are not state elements; they never
-                    // enter the statically reachable set.
-                    Consumer::OutputBit { .. } => {}
-                }
-            }
-            let mut v: Vec<(DffId, Picos)> = best.into_iter().collect();
-            v.sort_unstable();
-            v
-        };
-        // Gate outputs in reverse eval order (consumers before producers),
-        // then source nets (inputs, constants, flip-flop Q), whose fanout
-        // continuations are all gate outputs or direct endpoints.
-        for &g in topo.eval_order().iter().rev() {
-            let out = c.gate(g).output();
-            down[out.index()] = fill(&down, out);
+    /// The downstream-slack entries of `edge` (see [`EdgeSlack`]): the
+    /// "same-slack" half of the fault-collapsing criterion compares exactly
+    /// these views.
+    ///
+    /// Builds the table lazily, like [`TimingModel::statically_reachable`].
+    pub fn edge_slack_entries(&self, c: &Circuit, topo: &Topology, edge: EdgeId) -> EdgeSlack<'_> {
+        let e = topo.edge(edge);
+        let table = self.slack.get_or_init(|| SlackTable::build(self, c, topo));
+        EdgeSlack {
+            base: self.arrival[e.source.index()] + self.net_delay[e.source.index()],
+            row: table.sink_row(c, e.consumer),
         }
-        for (id, net) in c.nets() {
-            if !matches!(net.driver(), Driver::Gate(_)) {
-                down[id.index()] = fill(&down, id);
-            }
-        }
+    }
 
-        let num_edges = topo.edges().len();
-        let mut offsets = Vec::with_capacity(num_edges + 1);
-        let mut entries: Vec<(Picos, DffId)> = Vec::new();
-        offsets.push(0u32);
-        for i in 0..num_edges {
-            let e = topo.edge(EdgeId::from_index(i));
-            let base = self.arrival[e.source.index()] + self.net_delay[e.source.index()];
-            let lo = entries.len();
-            match e.consumer {
-                Consumer::DffD(f) => entries.push((base + self.setup, f)),
-                Consumer::GatePin { gate, .. } => {
-                    let out = c.gate(gate).output();
-                    entries.extend(down[out.index()].iter().map(|&(f, cont)| (base + cont, f)));
-                }
-                Consumer::OutputBit { .. } => {}
-            }
-            entries[lo..].sort_unstable();
-            offsets.push(u32::try_from(entries.len()).expect("slack table fits u32"));
-        }
-        SlackTable { offsets, entries }
+    /// Number of `(continuation, dff)` pairs the downstream-slack table
+    /// stores, building it if needed: its size, for the benchmark record.
+    pub fn slack_table_pairs(&self, c: &Circuit, topo: &Topology) -> usize {
+        self.slack
+            .get_or_init(|| SlackTable::build(self, c, topo))
+            .entries
+            .len()
     }
 
     /// Reference implementation of [`TimingModel::statically_reachable`]:
@@ -613,6 +691,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn clones_share_one_slack_table() {
+        // A guardbanded clone taken before the table exists must see the
+        // very table the original builds later, not a copy or a rebuild.
+        let (c, topo, tm, edges) = chain();
+        let relaxed = tm.with_guardband(10.0);
+        let e = edges[0];
+        let original = tm.edge_slack_entries(&c, &topo, e);
+        let clone = relaxed.edge_slack_entries(&c, &topo, e);
+        assert!(!original.is_empty());
+        assert!(std::ptr::eq(original.row, clone.row));
+        assert_eq!(original, clone);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Property tests for static timing analysis on random DAG circuits.
 
-use delayavf_netlist::{CircuitBuilder, Consumer, EdgeId, GateKind, NetId, Topology, Word};
-use delayavf_timing::{TechLibrary, TimingModel};
+use delayavf_netlist::{
+    Circuit, CircuitBuilder, Consumer, DffId, EdgeId, GateKind, NetId, Topology, Word,
+};
+use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use proptest::prelude::*;
 
 type GateSpec = (u8, u16, u16, u16);
@@ -36,6 +38,44 @@ fn random_fixture(gates: &[GateSpec]) -> (delayavf_netlist::Circuit, Topology, T
     let topo = Topology::new(&c);
     let timing = TimingModel::analyze(&c, &topo, &TechLibrary::nangate45_like());
     (c, topo, timing)
+}
+
+/// Test-side oracle for one edge's slack entries: a longest-path
+/// relaxation from the edge's pin time over its sink's fan-out cone, in
+/// evaluation order, sorted by `(path, dff)`.
+fn expand_edge(c: &Circuit, topo: &Topology, tm: &TimingModel, e: EdgeId) -> Vec<(Picos, DffId)> {
+    let edge = topo.edge(e);
+    let pin = tm.arrival(edge.source) + tm.net_delay(edge.source);
+    // Latest time at each net origin and at each D pin (setup included).
+    let mut at: Vec<Option<Picos>> = vec![None; c.num_nets()];
+    let mut dff: Vec<Option<Picos>> = vec![None; c.num_dffs()];
+    let mut reach = |consumer: Consumer, t: Picos, at: &mut Vec<Option<Picos>>| match consumer {
+        Consumer::GatePin { gate, .. } => {
+            let slot = &mut at[c.gate(gate).output().index()];
+            *slot = Some(slot.map_or(t, |s| s.max(t)));
+        }
+        Consumer::DffD(f) => {
+            let slot = &mut dff[f.index()];
+            *slot = Some(slot.map_or(t + tm.setup(), |s| s.max(t + tm.setup())));
+        }
+        Consumer::OutputBit { .. } => {}
+    };
+    reach(edge.consumer, pin, &mut at);
+    for &g in topo.eval_order() {
+        let out = c.gate(g).output();
+        if let Some(t) = at[out.index()] {
+            for fo in topo.fanouts(out) {
+                reach(fo.consumer, t + tm.net_delay(out), &mut at);
+            }
+        }
+    }
+    let mut v: Vec<(Picos, DffId)> = dff
+        .iter()
+        .enumerate()
+        .filter_map(|(i, t)| t.map(|t| (t, DffId::from_index(i))))
+        .collect();
+    v.sort_unstable();
+    v
 }
 
 proptest! {
@@ -122,13 +162,34 @@ proptest! {
                 ];
                 extras.push(u64::from(extra_sel) * clock / 4096);
                 for extra in extras {
+                    let walk = tm.statically_reachable_walk(&c, &topo, e, extra);
                     prop_assert_eq!(
                         tm.statically_reachable(&c, &topo, e, extra),
-                        tm.statically_reachable_walk(&c, &topo, e, extra),
+                        walk.clone(),
                         "edge {} extra {} clock {}", e, extra, tm.clock_period()
+                    );
+                    prop_assert_eq!(
+                        tm.statically_reachable_count(&c, &topo, e, extra),
+                        walk.len(),
+                        "count: edge {} extra {} clock {}", e, extra, tm.clock_period()
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_edge_view_matches_a_per_edge_expansion(
+        gates in prop::collection::vec(any::<GateSpec>(), 5..40),
+    ) {
+        let (c, topo, timing) = random_fixture(&gates);
+        for i in 0..topo.edges().len() {
+            let e = EdgeId::from_index(i);
+            let view = timing.edge_slack_entries(&c, &topo, e);
+            let expect = expand_edge(&c, &topo, &timing, e);
+            prop_assert_eq!(view.len(), expect.len(), "edge {}", e);
+            prop_assert_eq!(view.iter().collect::<Vec<_>>(), expect.clone(), "edge {}", e);
+            prop_assert_eq!(view.longest(), expect.last().map(|&(p, _)| p), "edge {}", e);
         }
     }
 
