@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use delayavf::{prepare_golden, CollapsePlan, Injector};
 use delayavf_netlist::{EdgeId, Topology};
 use delayavf_rvcore::{build_core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
-use delayavf_sim::{settle, CycleSim, DeltaEventSim, EventSim, FaultSpec};
+use delayavf_sim::{settle, CycleSim, DeltaEventSim, DiffSim, EventSim, FaultSpec, GoldenWave};
 use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
 
@@ -97,40 +97,24 @@ fn bench_event_sim(c: &mut Criterion) {
         })
     });
     // The incremental engine on the same injection, with the cycle's golden
-    // waveform already cached (the steady state inside a campaign, where one
+    // waveform already built (the steady state inside a campaign, where one
     // build is shared by every edge injected at the cycle).
+    let mut gold = GoldenWave::new(&f.core.circuit, &f.topo, &f.timing);
+    gold.ensure(cycle, &prev_values, &new_state, &inputs);
     let mut delta = DeltaEventSim::new(&f.core.circuit, &f.topo, &f.timing);
-    let _ = delta.latch_cycle(
-        cycle,
-        &prev_values,
-        &new_state,
-        &inputs,
-        FaultSpec { edge, extra },
-    );
     c.bench_function("delta_sim_faulty_cycle_warm", |b| {
         b.iter(|| {
-            let _ = delta.latch_cycle(
-                cycle,
-                &prev_values,
-                &new_state,
-                &inputs,
-                FaultSpec { edge, extra },
-            );
+            let _ = delta.latch_cycle(&gold, FaultSpec { edge, extra });
         })
     });
-    // Cold: invalidate the cache each iteration by alternating cycles, so
-    // every injection pays for a fresh golden-waveform build.
+    // Cold: rebuild the waveform each iteration by alternating cycle keys,
+    // so every injection pays for a fresh golden-waveform build.
     c.bench_function("delta_sim_faulty_cycle_cold", |b| {
         let mut flip = false;
         b.iter(|| {
             flip = !flip;
-            let _ = delta.latch_cycle(
-                u64::from(flip),
-                &prev_values,
-                &new_state,
-                &inputs,
-                FaultSpec { edge, extra },
-            );
+            gold.ensure(u64::from(flip), &prev_values, &new_state, &inputs);
+            let _ = delta.latch_cycle(&gold, FaultSpec { edge, extra });
         })
     });
 }
@@ -236,14 +220,18 @@ fn bench_early_exit_ablation(c: &mut Criterion) {
     }
 }
 
-fn bench_incremental_ablation(c: &mut Criterion) {
-    // Ablation: the incremental divergence-cone replay vs the exact
-    // full-replay baseline. Results are bit-for-bit identical; only the
-    // gates evaluated per replay cycle change.
+fn bench_replay_ablation(c: &mut Criterion) {
+    // Ablation at the simulator level: the divergence-cone replay
+    // (`DiffSim`) vs a full cycle-by-cycle replay (`CycleSim`) of the same
+    // eight single-bit strikes, each stepped for the same window from the
+    // golden checkpoint. Both compute the same states; only the gates
+    // evaluated per cycle change.
     let f = fix();
     let env = MemEnv::new(&f.core.circuit, DEFAULT_RAM_BYTES, &f.program);
     let golden = prepare_golden(&f.core.circuit, &f.topo, &env, 100_000, 6);
-    let cycle = golden.sampled_cycles[2];
+    let boundary = golden.sampled_cycles[2];
+    let cp = &golden.checkpoints[&boundary];
+    let window = (golden.trace.num_cycles() - boundary - 1).min(100);
     let dffs: Vec<_> = f
         .core
         .circuit
@@ -254,23 +242,31 @@ fn bench_incremental_ablation(c: &mut Criterion) {
         .copied()
         .take(8)
         .collect();
-    for (label, incremental) in [("incremental", true), ("full_replay", false)] {
-        c.bench_function(&format!("groupace_8_strikes_{label}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, &golden, 500);
-                    inj.set_incremental(incremental);
-                    inj
-                },
-                |mut inj| {
-                    for &d in &dffs {
-                        let _ = inj.bit_ace(cycle, d);
-                    }
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    let mut diff = DiffSim::new(&f.core.circuit, &f.topo);
+    c.bench_function("replay_8_strikes_diff_sim", |b| {
+        b.iter(|| {
+            for &d in &dffs {
+                let mut env = cp.env.clone();
+                diff.begin(boundary, &[d], &golden.trace);
+                for _ in 0..window {
+                    diff.step(&mut env, &golden.trace);
+                }
+            }
+        })
+    });
+    let mut full = CycleSim::new(&f.core.circuit, &f.topo);
+    c.bench_function("replay_8_strikes_cycle_sim", |b| {
+        b.iter(|| {
+            for &d in &dffs {
+                let mut env = cp.env.clone();
+                full.restore(cp.cycle, &cp.state, &cp.prev_outputs);
+                full.flip_dff(d);
+                for _ in 0..window {
+                    full.step(&mut env);
+                }
+            }
+        })
+    });
 }
 
 /// The 512 spatial double-strike sets the wide-lane batch ablation runs:
@@ -437,16 +433,41 @@ fn emit_batch_snapshot(
     std::fs::write(path, json).expect("write BENCH_batch.json");
 }
 
+/// One injection cycle's timing context: the cycle, the settled net values
+/// of the cycle before, the flip-flop values latched at its clock edge and
+/// its input words.
+type CycleContext = (u64, Vec<bool>, Vec<bool>, Vec<u64>);
+
+/// The timing contexts of every sampled cycle with a successor boundary.
+fn cycle_contexts(f: &Fix, golden: &delayavf::GoldenRun<MemEnv>) -> Vec<CycleContext> {
+    let nd = f.core.circuit.num_dffs();
+    let trace = &golden.trace;
+    golden
+        .sampled_cycles
+        .iter()
+        .filter(|&&cycle| cycle >= 1 && cycle + 1 < trace.num_cycles())
+        .map(|&cycle| {
+            let prev_values = settle(
+                &f.core.circuit,
+                &f.topo,
+                &trace.state_bits_at(cycle - 1, nd),
+                trace.inputs_at(cycle - 1),
+            );
+            let state = trace.state_bits_at(cycle, nd);
+            (cycle, prev_values, state, trace.inputs_at(cycle).to_vec())
+        })
+        .collect()
+}
+
 fn bench_delta_timing_ablation(c: &mut Criterion) {
-    // Ablation: the incremental timing-aware engine (shared golden-waveform
-    // cache + fault-cone delta events) vs the full event simulator on a
-    // timing-step-bound workload: step 1 only, many edges per cycle, a delay
-    // large enough that nothing is statically filtered. Results are
-    // bit-for-bit identical; only the wall clock changes.
+    // Ablation at the simulator level: the incremental timing-aware engine
+    // (one golden-waveform build per cycle + fault-cone delta events) vs
+    // the full event simulator, latching the same 32 ALU faults at one
+    // cycle with a delay large enough to matter. Both latch bit-identical
+    // values; only the wall clock changes.
     let f = fix();
     let env = MemEnv::new(&f.core.circuit, DEFAULT_RAM_BYTES, &f.program);
     let golden = prepare_golden(&f.core.circuit, &f.topo, &env, 100_000, 6);
-    let cycle = golden.sampled_cycles[2];
     let edges: Vec<EdgeId> = f
         .topo
         .structure_edges(&f.core.circuit, "alu")
@@ -455,24 +476,31 @@ fn bench_delta_timing_ablation(c: &mut Criterion) {
         .take(32)
         .collect();
     let extra = f.timing.clock_period() * 9 / 10;
-    for (label, delta) in [("delta", true), ("full_event", false)] {
-        c.bench_function(&format!("step1_32_alu_edges_{label}"), |b| {
-            b.iter_batched(
-                || {
-                    let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, &golden, 500);
-                    inj.set_delta_timing(delta);
-                    inj
-                },
-                |mut inj| {
-                    for &e in &edges {
-                        let _ = inj.dynamically_reachable(cycle, e, extra);
-                    }
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    emit_timing_snapshot(&f, &golden, &edges, extra);
+    let contexts = cycle_contexts(&f, &golden);
+    let (_, prev_values, state, inputs) = &contexts[1];
+    let mut gold = GoldenWave::new(&f.core.circuit, &f.topo, &f.timing);
+    let mut delta = DeltaEventSim::new(&f.core.circuit, &f.topo, &f.timing);
+    c.bench_function("step1_32_alu_edges_delta", |b| {
+        let mut flip = false;
+        b.iter(|| {
+            // A fresh build per iteration: the per-cycle cost of a sweep.
+            flip = !flip;
+            gold.ensure(u64::from(flip), prev_values, state, inputs);
+            for &edge in &edges {
+                let _ = delta.latch_cycle(&gold, FaultSpec { edge, extra });
+            }
+        })
+    });
+    let mut full = EventSim::new(&f.core.circuit, &f.topo, &f.timing);
+    c.bench_function("step1_32_alu_edges_full_event", |b| {
+        b.iter(|| {
+            for &edge in &edges {
+                let _ =
+                    full.latch_cycle(prev_values, state, inputs, Some(FaultSpec { edge, extra }));
+            }
+        })
+    });
+    emit_timing_snapshot(&f, &golden, &contexts, &edges, extra);
 }
 
 fn bench_timing_batch_ablation(c: &mut Criterion) {
@@ -549,51 +577,65 @@ fn bench_timing_batch_ablation(c: &mut Criterion) {
     }
 }
 
-/// Hand-timed snapshot of the timing step over every sampled cycle —
-/// full-event vs scalar delta vs 64-lane timing batch — written to
-/// `BENCH_timing.json` at the workspace root so the perf trajectory of the
-/// timing-aware engines is tracked in-tree (the vendored criterion stand-in
-/// does not persist measurements).
+/// Hand-timed snapshot of the timing step over every sampled cycle,
+/// written to `BENCH_timing.json` at the workspace root so the perf
+/// trajectory of the timing-aware engines is tracked in-tree (the vendored
+/// criterion stand-in does not persist measurements). The injector rows
+/// time its scalar step 1 (`delta_ms`) and its 64-lane batch
+/// (`batch_ms`); the ablation rows time the simulators alone on every
+/// fault: the delta engine with one golden-waveform build per cycle
+/// (`sim_delta_ms`) against the full event simulator (`full_event_ms`).
 fn emit_timing_snapshot(
     f: &Fix,
     golden: &delayavf::GoldenRun<MemEnv>,
+    contexts: &[CycleContext],
     edges: &[EdgeId],
     extra: u64,
 ) {
     use std::time::Instant;
-    let mut best = [f64::INFINITY; 3];
+    // Slots: injector scalar, full event sim, injector batch, delta sim.
+    let mut best = [f64::INFINITY; 4];
     let mut builds = 0u64;
     let mut util = 0.0;
     let pairs: Vec<(EdgeId, Picos)> = edges.iter().map(|&e| (e, extra)).collect();
-    // Slot 0: scalar delta. Slot 1: full event. Slot 2: 64-lane batch.
-    for (slot, delta) in [true, false].into_iter().enumerate() {
-        for _rep in 0..3 {
-            let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, golden, 500);
-            inj.set_delta_timing(delta);
-            let t = Instant::now();
-            for &cycle in &golden.sampled_cycles {
-                if cycle < 1 || cycle + 1 >= golden.trace.num_cycles() {
-                    continue;
-                }
-                for &e in edges {
-                    let _ = inj.dynamically_reachable(cycle, e, extra);
-                }
-            }
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            best[slot] = best[slot].min(ms);
-            if delta {
-                builds = inj.stats.golden_waveform_builds;
+    for _rep in 0..3 {
+        let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, golden, 500);
+        let t = Instant::now();
+        for (cycle, ..) in contexts {
+            for &e in edges {
+                let _ = inj.dynamically_reachable(*cycle, e, extra);
             }
         }
+        best[0] = best[0].min(t.elapsed().as_secs_f64() * 1e3);
+        builds = inj.stats.golden_waveform_builds;
+    }
+    let mut full = EventSim::new(&f.core.circuit, &f.topo, &f.timing);
+    let mut gold = GoldenWave::new(&f.core.circuit, &f.topo, &f.timing);
+    let mut delta = DeltaEventSim::new(&f.core.circuit, &f.topo, &f.timing);
+    for rep in 0..3u64 {
+        let t = Instant::now();
+        for (_, prev_values, state, inputs) in contexts {
+            for &edge in edges {
+                let _ =
+                    full.latch_cycle(prev_values, state, inputs, Some(FaultSpec { edge, extra }));
+            }
+        }
+        best[1] = best[1].min(t.elapsed().as_secs_f64() * 1e3);
+        let t = Instant::now();
+        for (cycle, prev_values, state, inputs) in contexts {
+            // Alternate the key per repetition so every cycle is rebuilt.
+            gold.ensure(cycle * 2 + (rep & 1), prev_values, state, inputs);
+            for &edge in edges {
+                let _ = delta.latch_cycle(&gold, FaultSpec { edge, extra });
+            }
+        }
+        best[3] = best[3].min(t.elapsed().as_secs_f64() * 1e3);
     }
     for _rep in 0..3 {
         let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, golden, 500);
         let t = Instant::now();
-        for &cycle in &golden.sampled_cycles {
-            if cycle < 1 || cycle + 1 >= golden.trace.num_cycles() {
-                continue;
-            }
-            let _ = inj.dynamically_reachable_batch(cycle, &pairs);
+        for (cycle, ..) in contexts {
+            let _ = inj.dynamically_reachable_batch(*cycle, &pairs);
         }
         let ms = t.elapsed().as_secs_f64() * 1e3;
         best[2] = best[2].min(ms);
@@ -700,12 +742,13 @@ fn emit_timing_snapshot(
     }
     warm_json.push_str(&structural_json());
     let json = format!(
-        "{{\n  \"bench\": \"step1_{}_alu_edges_over_{}_cycles\",\n  \"delta_ms\": {:.3},\n  \"full_event_ms\": {:.3},\n  \"speedup\": {:.2},\n  \"golden_waveform_builds\": {},\n  \"batch_ms\": {:.3},\n  \"batch_speedup_vs_delta\": {:.2},\n  \"timing_lane_utilization\": {:.3}{}\n}}\n",
+        "{{\n  \"bench\": \"step1_{}_alu_edges_over_{}_cycles\",\n  \"delta_ms\": {:.3},\n  \"sim_delta_ms\": {:.3},\n  \"full_event_ms\": {:.3},\n  \"speedup\": {:.2},\n  \"golden_waveform_builds\": {},\n  \"batch_ms\": {:.3},\n  \"batch_speedup_vs_delta\": {:.2},\n  \"timing_lane_utilization\": {:.3}{}\n}}\n",
         edges.len(),
         golden.sampled_cycles.len(),
         best[0],
+        best[3],
         best[1],
-        best[1] / best[0],
+        best[1] / best[3],
         builds,
         best[2],
         best[0] / best[2],
@@ -753,7 +796,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_build_and_sta, bench_cycle_sim, bench_event_sim, bench_static_reach,
-        bench_injection, bench_early_exit_ablation, bench_incremental_ablation,
+        bench_injection, bench_early_exit_ablation, bench_replay_ablation,
         bench_batch_ablation, bench_delta_timing_ablation, bench_timing_batch_ablation
 }
 criterion_main!(benches);

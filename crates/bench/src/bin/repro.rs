@@ -2,10 +2,10 @@
 //!
 //! ```text
 //! repro <experiment>... [--cycles N] [--edges N] [--dffs N] [--seed N]
-//!       [--tiny] [--due-slack N] [--threads N] [--no-incremental]
-//!       [--no-delta-timing] [--no-collapse] [--lanes N] [--timing-lanes N]
-//!       [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
-//!       [--telemetry FILE] [--ci-target X] [--strata N]
+//!       [--tiny] [--due-slack N] [--threads N] [--no-collapse]
+//!       [--lanes N] [--timing-lanes N] [--checkpoint-dir DIR]
+//!       [--checkpoint-every N] [--resume] [--telemetry FILE]
+//!       [--ci-target X] [--strata N]
 //!
 //! experiments: table1 table2 table3 fig6 fig7 fig8 fig9 fig10 multibit
 //!              guardband fastadder variance all (or --config <file>)
@@ -44,11 +44,6 @@ options:
   --due-slack N   DUE cycle budget (default 2000)
   --threads N     campaign worker threads; results are identical for
   (or -j N)       every N (default: one per available core)
-  --no-incremental  use the exact full-replay baseline instead of the
-                  incremental divergence-cone engine (identical results)
-  --no-delta-timing  use the exact full event-simulation baseline instead
-                  of the incremental timing-aware engine (golden-waveform
-                  cache + fault-cone deltas; identical results)
   --no-collapse   replay every injection site individually instead of
                   collapsing equivalence classes and formally discharging
                   provably masked/ACE flip groups (identical results)
@@ -134,8 +129,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&e),
             },
             "--tiny" => opts.scale = Scale::Tiny,
-            "--no-incremental" => opts.incremental = false,
-            "--no-delta-timing" => opts.delta_timing = false,
             "--no-collapse" => opts.collapse = false,
             "--checkpoint-dir" => {
                 let Some(dir) = it.next() else {

@@ -22,8 +22,6 @@
 //! due_slack = 2000
 //! orace = false                        # also compute OrDelayAVF
 //! threads = 0                          # campaign workers, 0 = one per core
-//! incremental = true                   # divergence-cone replay engine
-//! delta_timing = true                  # incremental timing-aware engine
 //! collapse = true                      # equivalence-class replay collapsing
 //! lanes = 512                          # bit-parallel replay lanes, 1-512
 //! timing_lanes = 512                   # timing-aware replay lanes, 1-512
@@ -73,13 +71,6 @@ pub struct ExperimentSpec {
     pub orace: bool,
     /// Campaign worker threads (`0` = one per available core).
     pub threads: usize,
-    /// Use the incremental divergence-cone replay engine (`false` runs the
-    /// exact full-replay baseline; results are identical either way).
-    pub incremental: bool,
-    /// Use the incremental timing-aware engine for step 1 (`false` runs the
-    /// exact full event-simulation baseline; results are identical either
-    /// way).
-    pub delta_timing: bool,
     /// Bit-parallel replay lanes per batch (1–512; widths above 64 ride
     /// the 256/512-bit wide-word carriers). AVF numbers are identical for
     /// every value; `1` runs the exact scalar baseline.
@@ -125,8 +116,6 @@ impl Default for ExperimentSpec {
             due_slack: 2_000,
             orace: false,
             threads: 0,
-            incremental: true,
-            delta_timing: true,
             lanes: MAX_LANES,
             timing_lanes: MAX_TIMING_LANES,
             collapse: true,
@@ -223,8 +212,6 @@ impl ExperimentSpec {
                 "threads" => {
                     spec.threads = value.parse().map_err(|e| bad(format!("threads: {e}")))?;
                 }
-                "incremental" => spec.incremental = parse_bool(value).map_err(bad)?,
-                "delta_timing" => spec.delta_timing = parse_bool(value).map_err(bad)?,
                 "collapse" => spec.collapse = parse_bool(value).map_err(bad)?,
                 "lanes" => {
                     let lanes: usize = value.parse().map_err(|e| bad(format!("lanes: {e}")))?;
@@ -284,13 +271,18 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Propagates observability setup failures and checkpoint mismatches.
+    /// Fails on a `structure` the core does not have (naming the available
+    /// ones), and propagates observability setup failures and checkpoint
+    /// mismatches.
     pub fn run(&self) -> Result<String, String> {
         let core = build_core(CoreConfig {
             ecc_regfile: self.ecc,
             fast_adder: self.fast_adder,
         });
         let topo = Topology::new(&core.circuit);
+        let structure_edges = topo
+            .structure_edges(&core.circuit, &self.structure)
+            .map_err(|e| e.to_string())?;
         let timing = TimingModel::analyze(&core.circuit, &topo, &TechLibrary::nangate45_like());
         let workload = self.benchmark.build(self.scale);
         let program = workload.assemble().expect("workload assembles");
@@ -303,20 +295,12 @@ impl ExperimentSpec {
             self.percent_cycles,
             self.seed,
         );
-        let edges = sample_edges(
-            &topo
-                .structure_edges(&core.circuit, &self.structure)
-                .expect("structure exists"),
-            self.edge_limit,
-            self.seed,
-        );
+        let edges = sample_edges(&structure_edges, self.edge_limit, self.seed);
         let config = CampaignConfig {
             delay_fractions: self.delay_fractions.clone(),
             compute_orace: self.orace,
             due_slack: self.due_slack,
             threads: self.threads,
-            incremental: self.incremental,
-            delta_timing: self.delta_timing,
             lanes: self.lanes,
             timing_lanes: self.timing_lanes,
             collapse: self.collapse,
@@ -428,8 +412,6 @@ mod tests {
             seed = 42
             orace = true
             threads = 3
-            incremental = false
-            delta_timing = off
             collapse = off
             lanes = 16
             timing_lanes = 128
@@ -450,8 +432,6 @@ mod tests {
         assert_eq!(spec.seed, 42);
         assert!(spec.orace);
         assert_eq!(spec.threads, 3);
-        assert!(!spec.incremental);
-        assert!(!spec.delta_timing);
         assert!(!spec.collapse);
         assert_eq!(spec.lanes, 16);
         assert_eq!(spec.timing_lanes, 128);
@@ -533,6 +513,28 @@ mod tests {
         );
         let ok = ExperimentSpec::parse("percent_sampled_cycles_delay = 100\n").unwrap();
         assert!((ok.percent_cycles - 100.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn removed_engine_knobs_are_unknown_keys() {
+        for line in ["incremental = true\n", "delta_timing = off\n"] {
+            assert!(
+                ExperimentSpec::parse(line)
+                    .unwrap_err()
+                    .contains("unknown key"),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_structures_are_errors_naming_the_available_ones() {
+        let spec = ExperimentSpec::parse("structure = bogus\nscale = tiny\n").unwrap();
+        let err = spec.run().unwrap_err();
+        assert!(err.contains("unknown structure `bogus`"), "{err}");
+        for name in ["alu", "decoder", "lsu", "regfile"] {
+            assert!(err.contains(name), "`{name}` missing from {err}");
+        }
     }
 
     #[test]

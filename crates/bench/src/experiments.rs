@@ -86,8 +86,6 @@ fn sweep(
         compute_orace: orace,
         due_slack: opts.due_slack,
         threads: opts.threads,
-        incremental: opts.incremental,
-        delta_timing: opts.delta_timing,
         lanes: opts.lanes,
         timing_lanes: opts.timing_lanes,
         collapse: opts.collapse,
@@ -505,7 +503,6 @@ pub fn guardband(h: &mut Harness, opts: &Opts) -> Result<Experiment, String> {
             &golden,
             opts.due_slack,
         );
-        inj.set_incremental(opts.incremental);
         let (mut injections, mut dynamic, mut ace) = (0usize, 0usize, 0usize);
         for &cycle in &golden.sampled_cycles {
             if cycle + 1 >= golden.trace.num_cycles() {
@@ -624,8 +621,6 @@ pub fn variance(h: &mut Harness, opts: &Opts) -> Result<Experiment, String> {
                 compute_orace: false,
                 due_slack: seeded.due_slack,
                 threads: seeded.threads,
-                incremental: seeded.incremental,
-                delta_timing: seeded.delta_timing,
                 lanes: seeded.lanes,
                 timing_lanes: seeded.timing_lanes,
                 collapse: seeded.collapse,

@@ -35,15 +35,6 @@ pub struct Opts {
     /// Campaign worker threads (`0` = one per available core). Results are
     /// identical for every value — see the determinism tests.
     pub threads: usize,
-    /// Use the incremental divergence-cone replay engine (the default).
-    /// Results are bit-for-bit identical either way; `false` runs the exact
-    /// full-replay baseline (the `--no-incremental` escape hatch).
-    pub incremental: bool,
-    /// Use the incremental timing-aware engine for step 1 (the default).
-    /// Results are bit-for-bit identical either way; `false` runs the exact
-    /// full event-simulation baseline (the `--no-delta-timing` escape
-    /// hatch).
-    pub delta_timing: bool,
     /// Bit-parallel replay lanes per batch (1–512; widths above 64 ride
     /// the 256/512-bit wide-word carriers). AVF numbers are identical for
     /// every value; `1` runs the exact scalar baseline (the `--lanes 1`
@@ -92,8 +83,6 @@ impl Default for Opts {
             scale: Scale::Paper,
             due_slack: 2_000,
             threads: 0,
-            incremental: true,
-            delta_timing: true,
             lanes: MAX_LANES,
             timing_lanes: MAX_TIMING_LANES,
             collapse: true,
@@ -112,8 +101,6 @@ impl Opts {
     /// options.
     pub fn replay_options(&self) -> delayavf::ReplayOptions {
         delayavf::ReplayOptions::new(self.due_slack, self.threads)
-            .with_incremental(self.incremental)
-            .with_delta_timing(self.delta_timing)
             .with_lanes(self.lanes)
             .with_timing_lanes(self.timing_lanes)
             .with_collapse(self.collapse)

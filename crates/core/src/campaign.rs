@@ -77,16 +77,6 @@ pub struct ReplayOptions {
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
-    /// Use the incremental divergence-cone replay engine (the default).
-    /// Results are bit-for-bit identical either way; `false` runs the
-    /// exact full-replay baseline (the `--no-incremental` escape hatch).
-    pub incremental: bool,
-    /// Use the incremental timing-aware engine — shared per-cycle
-    /// golden-waveform cache plus fault-cone delta event simulation — for
-    /// step 1 (the default). Results are bit-for-bit identical either way;
-    /// `false` runs the exact full event-simulation baseline (the
-    /// `--no-delta-timing` escape hatch).
-    pub delta_timing: bool,
     /// Lane width for bit-parallel batch replays (default
     /// [`delayavf_sim::MAX_LANES`]). Results are identical for every
     /// width; `1` disables batching and reproduces the sequential
@@ -126,8 +116,6 @@ impl Default for ReplayOptions {
         ReplayOptions {
             due_slack: 2_000,
             threads: 0,
-            incremental: true,
-            delta_timing: true,
             lanes: MAX_LANES,
             timing_lanes: MAX_TIMING_LANES,
             collapse: true,
@@ -139,8 +127,8 @@ impl Default for ReplayOptions {
 }
 
 impl ReplayOptions {
-    /// Options with the given DUE slack and thread count (incremental
-    /// replay on, as everywhere by default).
+    /// Options with the given DUE slack and thread count, every other knob
+    /// at its default.
     pub fn new(due_slack: u64, threads: usize) -> Self {
         ReplayOptions {
             due_slack,
@@ -152,18 +140,6 @@ impl ReplayOptions {
     /// Builder-style override of the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style toggle of the incremental replay engine.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.incremental = enabled;
-        self
-    }
-
-    /// Builder-style toggle of the incremental timing-aware engine.
-    pub fn with_delta_timing(mut self, enabled: bool) -> Self {
-        self.delta_timing = enabled;
         self
     }
 
@@ -223,12 +199,6 @@ pub struct CampaignConfig {
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
-    /// Use the incremental divergence-cone replay engine (the default);
-    /// see [`ReplayOptions::incremental`].
-    pub incremental: bool,
-    /// Use the incremental timing-aware engine for step 1 (the default);
-    /// see [`ReplayOptions::delta_timing`].
-    pub delta_timing: bool,
     /// Lane width for bit-parallel batch replays; see
     /// [`ReplayOptions::lanes`].
     pub lanes: usize,
@@ -253,8 +223,6 @@ impl Default for CampaignConfig {
             compute_orace: false,
             due_slack: 2_000,
             threads: 0,
-            incremental: true,
-            delta_timing: true,
             lanes: MAX_LANES,
             timing_lanes: MAX_TIMING_LANES,
             collapse: true,
@@ -278,18 +246,6 @@ impl CampaignConfig {
     /// available core).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style toggle of the incremental replay engine.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.incremental = enabled;
-        self
-    }
-
-    /// Builder-style toggle of the incremental timing-aware engine.
-    pub fn with_delta_timing(mut self, enabled: bool) -> Self {
-        self.delta_timing = enabled;
         self
     }
 
@@ -341,15 +297,11 @@ fn shard_injector<'g, E: Environment + Clone>(
     timing: &'g TimingModel,
     golden: &'g GoldenRun<E>,
     due_slack: u64,
-    incremental: bool,
-    delta_timing: bool,
     lanes: usize,
     timing_lanes: usize,
     collapse: bool,
 ) -> Injector<'g, E> {
     let mut injector = Injector::new(circuit, topo, timing, golden, due_slack);
-    injector.set_incremental(incremental);
-    injector.set_delta_timing(delta_timing);
     injector.set_lanes(lanes);
     injector.set_timing_lanes(timing_lanes);
     injector.set_collapse(collapse);
@@ -497,10 +449,10 @@ fn campaign_fingerprint<E: Environment + Clone>(
 }
 
 /// Digest of the engine knobs that shape the *counters* without changing
-/// results: `lanes`, `timing_lanes`, `incremental` and `delta_timing` all
-/// leave reports byte-identical but move work between counters, so a
-/// checkpoint written under one knob set cannot be merged under another
-/// without breaking the stats-identity guarantee. `threads` is
+/// results: `lanes`, `timing_lanes` and `collapse` all leave reports
+/// byte-identical but move work between counters, so a checkpoint written
+/// under one knob set cannot be merged under another without breaking the
+/// stats-identity guarantee. `threads` is
 /// deliberately absent — every counter is thread-count invariant, which is
 /// exactly what lets an interrupted 8-thread campaign resume on 2 threads.
 ///
@@ -510,12 +462,9 @@ fn campaign_fingerprint<E: Environment + Clone>(
 /// drift must be rejected. With adaptive sampling off the trio is inert
 /// and deliberately excluded — changing an unused `strata` default must
 /// not invalidate a uniform run's checkpoint.
-#[allow(clippy::too_many_arguments)]
 fn knob_hash(
     lanes: usize,
     timing_lanes: usize,
-    incremental: bool,
-    delta_timing: bool,
     collapse: bool,
     ci_target: Option<f64>,
     strata: usize,
@@ -524,8 +473,6 @@ fn knob_hash(
     let mut f = Fingerprint::new();
     f.write_usize(lanes);
     f.write_usize(timing_lanes);
-    f.write_bool(incremental);
-    f.write_bool(delta_timing);
     f.write_bool(collapse);
     match ci_target {
         None => f.write_bool(false),
@@ -772,68 +719,19 @@ fn decode_class(tok: char) -> Result<FailureClass, String> {
 }
 
 fn encode_stats(out: &mut String, s: &InjectorStats) {
-    let _ = write!(
-        out,
-        " stats {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-        s.static_filtered,
-        s.toggle_filtered,
-        s.event_sims,
-        s.replays,
-        s.replay_cache_hits,
-        s.replay_cycles,
-        s.gates_evaluated,
-        s.incremental_replays,
-        s.full_replay_fallbacks,
-        s.batched_replays,
-        s.lanes_occupied,
-        s.lane_slots,
-        s.golden_waveform_builds,
-        s.delta_events,
-        s.delta_early_exits,
-        s.full_event_fallbacks,
-        s.batched_timing_replays,
-        s.timing_lanes_occupied,
-        s.timing_lane_slots,
-        s.collapsed_edges,
-        s.class_representatives,
-        s.formally_discharged_ace,
-        s.formally_discharged_unace,
-        s.strata_active,
-        s.strata_retired_early,
-        s.adaptive_replays_saved
-    );
+    out.push_str(" stats");
+    for v in s.values() {
+        let _ = write!(out, " {v}");
+    }
 }
 
 fn decode_stats(t: &mut Tokens<'_>) -> Result<InjectorStats, String> {
     t.expect("stats")?;
-    Ok(InjectorStats {
-        static_filtered: t.next_u64("static_filtered")?,
-        toggle_filtered: t.next_u64("toggle_filtered")?,
-        event_sims: t.next_u64("event_sims")?,
-        replays: t.next_u64("replays")?,
-        replay_cache_hits: t.next_u64("replay_cache_hits")?,
-        replay_cycles: t.next_u64("replay_cycles")?,
-        gates_evaluated: t.next_u64("gates_evaluated")?,
-        incremental_replays: t.next_u64("incremental_replays")?,
-        full_replay_fallbacks: t.next_u64("full_replay_fallbacks")?,
-        batched_replays: t.next_u64("batched_replays")?,
-        lanes_occupied: t.next_u64("lanes_occupied")?,
-        lane_slots: t.next_u64("lane_slots")?,
-        golden_waveform_builds: t.next_u64("golden_waveform_builds")?,
-        delta_events: t.next_u64("delta_events")?,
-        delta_early_exits: t.next_u64("delta_early_exits")?,
-        full_event_fallbacks: t.next_u64("full_event_fallbacks")?,
-        batched_timing_replays: t.next_u64("batched_timing_replays")?,
-        timing_lanes_occupied: t.next_u64("timing_lanes_occupied")?,
-        timing_lane_slots: t.next_u64("timing_lane_slots")?,
-        collapsed_edges: t.next_u64("collapsed_edges")?,
-        class_representatives: t.next_u64("class_representatives")?,
-        formally_discharged_ace: t.next_u64("formally_discharged_ace")?,
-        formally_discharged_unace: t.next_u64("formally_discharged_unace")?,
-        strata_active: t.next_u64("strata_active")?,
-        strata_retired_early: t.next_u64("strata_retired_early")?,
-        adaptive_replays_saved: t.next_u64("adaptive_replays_saved")?,
-    })
+    let mut values = [0; InjectorStats::COUNT];
+    for (v, name) in values.iter_mut().zip(InjectorStats::NAMES) {
+        *v = t.next_u64(name)?;
+    }
+    Ok(InjectorStats::from_values(values))
 }
 
 fn encode_failures(out: &mut String, entries: &[(Vec<DffId>, FailureClass)]) {
@@ -1337,10 +1235,9 @@ pub fn delay_avf_campaign_with_stats<E: Environment + Clone>(
 /// periodically snapshots completed cycle units and/or resumes from a
 /// previous snapshot. Resumed runs produce byte-identical reports and
 /// identical merged stats to uninterrupted ones for any
-/// `threads × lanes × delta_timing` combination (the knob hash rejects
-/// resumes across `lanes`/`incremental`/`delta_timing` changes, which
-/// would silently break the *stats* identity; `threads` may change
-/// freely).
+/// `threads × lanes × timing_lanes` combination (the knob hash rejects
+/// resumes across `lanes`/`timing_lanes`/`collapse` changes, which would
+/// silently break the *stats* identity; `threads` may change freely).
 ///
 /// # Errors
 ///
@@ -1376,8 +1273,6 @@ pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     let knobs = knob_hash(
         config.lanes,
         config.timing_lanes,
-        config.incremental,
-        config.delta_timing,
         config.collapse,
         config.ci_target,
         config.strata,
@@ -1394,8 +1289,6 @@ pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
                 timing,
                 golden,
                 config.due_slack,
-                config.incremental,
-                config.delta_timing,
                 config.lanes,
                 config.timing_lanes,
                 config.collapse,
@@ -1516,8 +1409,6 @@ pub fn savf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -1534,8 +1425,6 @@ pub fn savf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
                 timing,
                 golden,
                 opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
                 opts.lanes,
                 opts.timing_lanes,
                 opts.collapse,
@@ -1654,8 +1543,6 @@ pub fn delay_avf_campaign_records_observed<E: Environment + Clone, S: TelemetryS
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -1672,8 +1559,6 @@ pub fn delay_avf_campaign_records_observed<E: Environment + Clone, S: TelemetryS
                 timing,
                 golden,
                 opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
                 opts.lanes,
                 opts.timing_lanes,
                 opts.collapse,
@@ -1808,8 +1693,6 @@ pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -1826,8 +1709,6 @@ pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
                 timing,
                 golden,
                 opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
                 opts.lanes,
                 opts.timing_lanes,
                 opts.collapse,
@@ -1949,8 +1830,6 @@ pub fn spatial_double_strike_campaign_observed<E: Environment + Clone, S: Teleme
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -1967,8 +1846,6 @@ pub fn spatial_double_strike_campaign_observed<E: Environment + Clone, S: Teleme
                 timing,
                 golden,
                 opts.due_slack,
-                opts.incremental,
-                opts.delta_timing,
                 opts.lanes,
                 opts.timing_lanes,
                 opts.collapse,
@@ -2145,8 +2022,6 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     let knobs = knob_hash(
         config.lanes,
         config.timing_lanes,
-        config.incremental,
-        config.delta_timing,
         config.collapse,
         config.ci_target,
         config.strata,
@@ -2190,8 +2065,6 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
                         timing,
                         golden,
                         config.due_slack,
-                        config.incremental,
-                        config.delta_timing,
                         config.lanes,
                         config.timing_lanes,
                         config.collapse,
@@ -2321,8 +2194,6 @@ fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -2348,8 +2219,6 @@ fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
                     timing,
                     golden,
                     opts.due_slack,
-                    opts.incremental,
-                    opts.delta_timing,
                     opts.lanes,
                     opts.timing_lanes,
                     opts.collapse,
@@ -2448,8 +2317,6 @@ fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -2489,8 +2356,6 @@ fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>
                         timing,
                         golden,
                         opts.due_slack,
-                        opts.incremental,
-                        opts.delta_timing,
                         opts.lanes,
                         opts.timing_lanes,
                         opts.collapse,
@@ -2625,8 +2490,6 @@ fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -2658,8 +2521,6 @@ fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
                         timing,
                         golden,
                         opts.due_slack,
-                        opts.incremental,
-                        opts.delta_timing,
                         opts.lanes,
                         opts.timing_lanes,
                         opts.collapse,
@@ -2756,8 +2617,6 @@ fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetryS
     let knobs = knob_hash(
         opts.lanes,
         opts.timing_lanes,
-        opts.incremental,
-        opts.delta_timing,
         opts.collapse,
         opts.ci_target,
         opts.strata,
@@ -2793,8 +2652,6 @@ fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetryS
                         timing,
                         golden,
                         opts.due_slack,
-                        opts.incremental,
-                        opts.delta_timing,
                         opts.lanes,
                         opts.timing_lanes,
                         opts.collapse,
@@ -2886,8 +2743,6 @@ mod tests {
             compute_orace: false,
             due_slack: 30,
             threads: 1,
-            incremental: true,
-            delta_timing: true,
             lanes: 64,
             timing_lanes: 64,
             collapse: true,
@@ -2922,8 +2777,6 @@ mod tests {
             compute_orace: true,
             due_slack: 30,
             threads: 1,
-            incremental: true,
-            delta_timing: true,
             lanes: 64,
             timing_lanes: 64,
             collapse: true,
@@ -3014,8 +2867,6 @@ mod tests {
             compute_orace: true,
             due_slack: 30,
             threads: 1,
-            incremental: true,
-            delta_timing: true,
             lanes: 64,
             timing_lanes: 64,
             collapse: true,

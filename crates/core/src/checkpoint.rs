@@ -12,14 +12,14 @@
 //! their serialized contributions: resuming replays the stored
 //! contributions for completed units and computes the rest, and the merged
 //! report is bit-for-bit the uninterrupted run's under any `threads ×
-//! lanes × delta_timing` combination.
+//! lanes × timing_lanes` combination.
 //!
 //! # File format
 //!
 //! A plain-text, line-oriented format (the workspace is offline; no serde):
 //!
 //! ```text
-//! delayavf-checkpoint v2 <kind>
+//! delayavf-checkpoint v3 <kind>
 //! fingerprint <hex16>
 //! knobs <hex16>
 //! unit <key> <payload tokens...>
@@ -29,9 +29,8 @@
 //! `kind` names the campaign flavor, `fingerprint` pins everything that
 //! determines the results (netlist + timing digest, golden trace, item
 //! list, fractions, DUE slack), and `knobs` pins the engine knobs that
-//! shape the *counters* without changing results (`lanes`, `incremental`,
-//! `delta_timing` — but **not** `threads`, which the stats are invariant
-//! to). Resuming against a file whose kind, fingerprint or knob hash
+//! shape the *counters* without changing results (`lanes`, `timing_lanes`,
+//! `collapse` — but **not** `threads`, which the stats are invariant to). Resuming against a file whose kind, fingerprint or knob hash
 //! differs fails with a pinned `checkpoint mismatch` error instead of
 //! silently merging foreign tallies.
 //!
@@ -49,7 +48,7 @@ use std::path::{Path, PathBuf};
 
 /// Checkpoint file format version; bumped on any layout change. A version
 /// mismatch on resume is rejected like any other stale checkpoint.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 2;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 3;
 
 const MAGIC: &str = "delayavf-checkpoint";
 
@@ -430,8 +429,8 @@ mod tests {
             "",
             "not a checkpoint\n",
             "delayavf-checkpoint v999 savf\nfingerprint 0\nknobs 0\n",
-            "delayavf-checkpoint v2 savf\nfingerprint zz\nknobs 0\n",
-            "delayavf-checkpoint v2 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
+            "delayavf-checkpoint v3 savf\nfingerprint zz\nknobs 0\n",
+            "delayavf-checkpoint v3 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
         ] {
             fs::write(&path, garbage).unwrap();
             let resume = CheckpointSpec::new(&path, 1, true);

@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use delayavf_netlist::{Circuit, DffId, EdgeId, NetId, Topology};
 use delayavf_sim::{
     pack_bits, settle, BatchDeltaSim, BatchSim, CycleSim, DeltaEventSim, DiffSim, Environment,
-    EventSim, FaultSpec, LaneMask, LaneWord, MAX_LANES, MAX_TIMING_LANES,
+    FaultSpec, GoldenWave, LaneMask, LaneWord, MAX_LANES, MAX_TIMING_LANES,
 };
 use delayavf_timing::{Picos, TimingModel};
 
@@ -22,7 +22,7 @@ const DISCHARGE_HORIZON: u64 = 64;
 
 /// Difference-cone size cap of the semi-formal masking discharge (deviating
 /// nets per propagated cycle); wider cones fall back to a real replay, where
-/// the incremental engine handles them better anyway.
+/// the divergence-cone engine handles them better anyway.
 const DISCHARGE_CONE_CAP: usize = 4096;
 
 /// Program-level classification of a fault's effect (paper §II-A: a
@@ -86,7 +86,7 @@ impl InjectionOutcome {
 /// same cycle.
 struct CycleData {
     cycle: u64,
-    /// Settled net values of cycle `cycle - 1` (the event simulator's
+    /// Settled net values of cycle `cycle - 1` (the timed waveform's
     /// initial condition).
     prev_values: Vec<bool>,
     /// Flip-flop values during `cycle`.
@@ -100,24 +100,30 @@ struct CycleData {
 /// One instance owns all scratch buffers and caches; campaigns drive it with
 /// [`Injector::inject`] per (edge, cycle, delay) triple. Injection cycles
 /// must come from the golden run's sampled set (each needs a checkpoint).
+///
+/// Each step has one production engine. Step 1 (timing-aware) runs on
+/// [`BatchDeltaSim`], with [`DeltaEventSim`] for scalar queries and retired
+/// lanes; both read the one [`GoldenWave`] the injector builds per cycle.
+/// Step 2 (timing-agnostic) runs on [`BatchSim`], handing stragglers to the
+/// divergence-cone [`DiffSim`]; [`CycleSim`] only finishes replays that
+/// outlive the golden trace.
 pub struct Injector<'a, E: Environment + Clone> {
     circuit: &'a Circuit,
     topo: &'a Topology,
     timing: &'a TimingModel,
     golden: &'a GoldenRun<E>,
-    event: EventSim<'a>,
+    /// The fault-free timed waveform of the current injection cycle, read by
+    /// the quiet-source certificate and both delta engines.
+    gold: GoldenWave<'a>,
     delta: DeltaEventSim<'a>,
     batch_delta: BatchDeltaSim<'a>,
+    /// Past-trace fallback of the replay engines.
     replay: CycleSim<'a>,
     diff: DiffSim<'a>,
     batch: BatchSim<'a>,
     due_slack: u64,
     early_exit: bool,
     toggle_filter: bool,
-    incremental: bool,
-    /// Whether step 1 runs on the incremental delta engine (golden-waveform
-    /// cache + fault-cone delta events) instead of the full event simulator.
-    delta_timing: bool,
     /// Lane width for bit-parallel batch replays (1 = scalar only).
     lanes: usize,
     /// Lane width for lane-packed timing-aware batch replays (1 = scalar
@@ -146,10 +152,6 @@ pub struct Injector<'a, E: Environment + Clone> {
     /// the injection cycle changes; every member query is served from here.
     collapse_cache: HashMap<(EdgeId, Picos), Vec<DffId>>,
     collapse_cycle: Option<u64>,
-    /// Per net: whether it transitions in the fault-free timed waveform of
-    /// `quiet_cycle` (the quiet-source certificate reads the complement).
-    quiet_changed: Vec<bool>,
-    quiet_cycle: Option<u64>,
     /// Settled golden net values per trace cycle, shared by every
     /// semi-formal discharge at `discharge_boundary`.
     discharge_settle: HashMap<u64, Vec<bool>>,
@@ -161,111 +163,155 @@ pub struct Injector<'a, E: Environment + Clone> {
     pub stats: InjectorStats,
 }
 
-/// Engine counters: how often each §V-C optimization fired.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InjectorStats {
+/// Defines [`InjectorStats`] from one ordered counter list: the struct with
+/// its public named fields, the field-wise [`InjectorStats::merge`] and
+/// [`InjectorStats::delta_since`], and the name/value tables that the
+/// checkpoint codec and the telemetry schema are generated from. The list
+/// order is the canonical (schema) order.
+macro_rules! injector_stats {
+    ($($(#[doc = $doc:literal])* $name:ident,)*) => {
+        /// Engine counters: how often each §V-C optimization fired.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct InjectorStats {
+            $($(#[doc = $doc])* pub $name: u64,)*
+        }
+
+        impl InjectorStats {
+            /// Number of counters.
+            pub(crate) const COUNT: usize = [$(stringify!($name)),*].len();
+
+            /// Counter names in canonical order: the field names, as the
+            /// checkpoint payloads and the telemetry `stats_delta` event
+            /// spell them.
+            pub(crate) const NAMES: [&'static str; Self::COUNT] = [$(stringify!($name)),*];
+
+            /// Counter values in [`InjectorStats::NAMES`] order.
+            pub(crate) fn values(&self) -> [u64; Self::COUNT] {
+                [$(self.$name),*]
+            }
+
+            /// The counters from values in [`InjectorStats::NAMES`] order.
+            pub(crate) fn from_values(values: [u64; Self::COUNT]) -> Self {
+                let [$($name),*] = values;
+                InjectorStats { $($name),* }
+            }
+
+            /// Adds another worker's counters into this one.
+            ///
+            /// The sharded campaign engine partitions work by whole cycles
+            /// and every cache key is scoped to a single latch boundary, so
+            /// cache hit/miss counts are partition-independent: the merged
+            /// totals are identical to a serial run's for any thread count.
+            pub fn merge(&mut self, other: &InjectorStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// The field-wise difference `self - baseline`. Counters only
+            /// ever grow, so a snapshot taken before a work unit subtracted
+            /// from one taken after yields exactly that unit's contribution
+            /// — the quantity the checkpoint and telemetry layers record.
+            pub fn delta_since(&self, baseline: &InjectorStats) -> InjectorStats {
+                InjectorStats { $($name: self.$name - baseline.$name,)* }
+            }
+        }
+    };
+}
+
+injector_stats! {
     /// Injections rejected because no path through the edge exceeds the
     /// clock period even with the fault.
-    pub static_filtered: u64,
+    static_filtered,
     /// Injections rejected because no fan-in source of the faulted edge
     /// toggles in the cycle.
-    pub toggle_filtered: u64,
+    toggle_filtered,
     /// Timing-aware (event-driven) simulations actually run.
-    pub event_sims: u64,
-    /// Timing-agnostic replays actually run (cache misses).
-    pub replays: u64,
+    event_sims,
+    /// Timing-agnostic replays actually run (cache misses): scalar
+    /// divergence-cone replays plus the scenarios retired through the batch
+    /// engine (`lanes_occupied`).
+    replays,
     /// Replay results served from the cache.
-    pub replay_cache_hits: u64,
-    /// Cycles stepped across all replays (incremental and full alike); the
-    /// incremental engine is bit-for-bit exact, so this count is identical
-    /// in both modes and `gates_evaluated` can be compared against
-    /// `replay_cycles * num_gates`, the work a full replay would do.
-    pub replay_cycles: u64,
-    /// Faulty-cone gate evaluations performed by the incremental replay
+    replay_cache_hits,
+    /// Cycles stepped across all replays; `gates_evaluated` can be compared
+    /// against `replay_cycles * num_gates`, the work a full replay would do.
+    replay_cycles,
+    /// Faulty-cone gate evaluations performed by the divergence-cone replay
     /// engine. The divergence cone of a replay is fully determined by its
     /// boundary and flips, so this counter is thread-count invariant like
     /// the rest. Golden-side work is not counted: each trace cycle's golden
     /// settle is computed once per injector and shared by every replay
-    /// crossing it, amortizing to one golden run. Zero when incremental
-    /// replay is disabled.
-    pub gates_evaluated: u64,
-    /// Replays served by the incremental divergence-cone engine.
-    pub incremental_replays: u64,
-    /// Incremental replays that ran past the end of the golden trace and
-    /// finished on the full simulator (no golden baseline to diff against).
-    pub full_replay_fallbacks: u64,
+    /// crossing it, amortizing to one golden run.
+    gates_evaluated,
+    /// Replays that ran past the end of the golden trace and finished on
+    /// the full cycle simulator (no golden baseline to diff against).
+    full_replay_fallbacks,
     /// Bit-parallel batch replays executed (each covers up to `lanes`
     /// scenarios). Zero when `lanes <= 1`. Depends on the configured lane
     /// width — fewer, fuller batches at higher widths — but not on the
     /// thread count for cycle-sharded campaigns.
-    pub batched_replays: u64,
+    batched_replays,
     /// Scenario lanes actually occupied across all batch replays: the
     /// number of distinct uncached scenarios retired through the batch
     /// engine. Invariant across lane widths > 1 (deduplication and cache
     /// checks happen before lane chunking) and across thread counts for
     /// cycle-sharded campaigns.
-    pub lanes_occupied: u64,
+    lanes_occupied,
     /// Total lane slots *scheduled* across all batch replays (the sum of
     /// chunk sizes, not `batched_replays * lanes` — a partially-filled
     /// final chunk contributes only the slots it actually carries); the
     /// denominator of [`InjectorStats::lane_utilization`]. Invariant across
     /// lane widths > 1 and thread counts, like `lanes_occupied`.
-    pub lane_slots: u64,
-    /// Fault-free timed waveforms simulated and cached by the incremental
-    /// timing-aware engine — one per distinct trace cycle that reached the
-    /// event-simulation stage. Campaigns iterate cycle-outer/edge-inner and
-    /// the sharded engine partitions by whole cycles, so this count is
-    /// thread-count invariant. Zero when delta timing is disabled.
-    pub golden_waveform_builds: u64,
-    /// Merged waveform time-steps processed by the delta engine across all
+    lane_slots,
+    /// Fault-free timed waveforms built: at most one per distinct trace
+    /// cycle that reached the quiet-source certificate or a timing-aware
+    /// simulation, shared by both. Campaigns iterate cycle-outer/edge-inner
+    /// and the sharded engine partitions by whole cycles, so this count is
+    /// thread-count invariant.
+    golden_waveform_builds,
+    /// Merged waveform time-steps processed by the delta engines across all
     /// gate re-evaluations in faulty cones. The divergence cone of an
     /// injection is fully determined by the struck edge and the golden
     /// waveforms, so this counter is thread-count invariant too.
-    pub delta_events: u64,
+    delta_events,
     /// Gates whose recomputed faulty output waveform reconverged with the
-    /// cached golden waveform, pruning their entire downstream cone from the
-    /// delta simulation.
-    pub delta_early_exits: u64,
-    /// Timing-aware simulations that ran on the full event simulator because
-    /// delta timing was disabled (the `--no-delta-timing` escape hatch).
-    /// Zero when delta timing is enabled.
-    pub full_event_fallbacks: u64,
+    /// golden waveform, pruning their entire downstream cone from the delta
+    /// simulation.
+    delta_early_exits,
     /// Lane-packed timing-aware batch replays executed (each covers up to
     /// `timing_lanes` `(edge, extra)` scenarios at one trace cycle). Zero
-    /// when `timing_lanes <= 1` or delta timing is disabled. Depends on the
-    /// configured timing lane width — fewer, fuller batches at higher widths
-    /// — but not on the thread count for cycle-sharded campaigns.
-    pub batched_timing_replays: u64,
+    /// when `timing_lanes <= 1`. Depends on the configured timing lane
+    /// width — fewer, fuller batches at higher widths — but not on the
+    /// thread count for cycle-sharded campaigns.
+    batched_timing_replays,
     /// Scenario lanes actually occupied across all timing-aware batch
     /// replays: the number of injections whose step-1 simulation rode a
     /// packed batch. Invariant across timing lane widths > 1 (the static and
     /// toggle pre-filters run before lane chunking) and across thread counts
     /// for cycle-sharded campaigns.
-    pub timing_lanes_occupied: u64,
+    timing_lanes_occupied,
     /// Total lane slots *scheduled* across all timing-aware batch replays
     /// (the sum of chunk sizes, not `batched_timing_replays *
     /// timing_lanes` — a partially-filled final chunk contributes only the
     /// slots it actually carries); the denominator of
     /// [`InjectorStats::timing_lane_utilization`]. Invariant across timing
     /// lane widths > 1 and thread counts, like `timing_lanes_occupied`.
-    pub timing_lane_slots: u64,
+    timing_lane_slots,
     /// Injections served without their own timing-aware simulation by the
     /// collapsing layer: queries on a member edge redirected to its
     /// equivalence-class representative, plus queries discharged by the
-    /// quiet-source certificate (the edge's source net has no transition in
-    /// the fault-free waveform of the cycle, so the faulty run is provably
-    /// identical). Collapse classes and quiescence are properties of the
-    /// plan and the golden trace alone, so the count is thread-count and
-    /// lane-width invariant for cycle-sharded campaigns. Zero when
-    /// collapsing is disabled.
-    pub collapsed_edges: u64,
+    /// quiet-source certificate (the edge's source net has an empty
+    /// transition list in the fault-free waveform of the cycle, so the
+    /// faulty run is provably identical). Collapse classes and quiescence
+    /// are properties of the plan and the golden trace alone, so the count
+    /// is thread-count and lane-width invariant for cycle-sharded
+    /// campaigns. Zero when collapsing is disabled.
+    collapsed_edges,
     /// Representative simulations actually run on behalf of an equivalence
-    /// class (one per distinct `(representative, extra)` pair per cycle),
-    /// plus fault-free golden waveform builds for the quiet-source
-    /// certificate (at most one per cycle). Thread-count and lane-width
-    /// invariant like [`InjectorStats::collapsed_edges`]. Zero when
-    /// collapsing is disabled.
-    pub class_representatives: u64,
+    /// class (one per distinct `(representative, extra)` pair per cycle).
+    /// Thread-count and lane-width invariant like
+    /// [`InjectorStats::collapsed_edges`]. Zero when collapsing is
+    /// disabled.
+    class_representatives,
     /// Flip groups the semi-formal masking check classified as a
     /// program-visible failure (SDC) without any replay: their exact
     /// propagated difference cone provably corrupts an observed output word
@@ -273,7 +319,7 @@ pub struct InjectorStats {
     /// `(boundary, flip set)` discharged, so the total is thread-count and
     /// lane-width invariant for cycle-sharded campaigns. Zero when
     /// collapsing is disabled.
-    pub formally_discharged_ace: u64,
+    formally_discharged_ace,
     /// Flip groups the semi-formal masking check classified as Masked
     /// without any replay: the flipped bits can never reach a primary
     /// output, or their exact propagated difference cone dies out (or runs
@@ -281,97 +327,25 @@ pub struct InjectorStats {
     /// per distinct `(boundary, flip set)` like
     /// [`InjectorStats::formally_discharged_ace`]. Zero when collapsing is
     /// disabled.
-    pub formally_discharged_unace: u64,
+    formally_discharged_unace,
     /// Strata with at least one injection site in the adaptive sampling
     /// plan. Stratification is a pure function of the golden trace and the
     /// static timing table, so the count is thread-count and lane-width
     /// invariant. Zero when adaptive sampling is off.
-    pub strata_active: u64,
+    strata_active,
     /// Strata the adaptive plan retired before exhausting their sites
     /// because every estimand's Wilson interval was already within the
     /// target half-width. Retirement decisions are pure functions of the
     /// merged round tallies, so the count is thread-count and lane-width
     /// invariant. Zero when adaptive sampling is off.
-    pub strata_retired_early: u64,
+    strata_retired_early,
     /// Injections the adaptive plan never ran: the unsampled site count
     /// times the per-site injection multiplier. Zero when adaptive
     /// sampling is off (the uniform path visits every site).
-    pub adaptive_replays_saved: u64,
+    adaptive_replays_saved,
 }
 
 impl InjectorStats {
-    /// Adds another worker's counters into this one.
-    ///
-    /// The sharded campaign engine partitions work by whole cycles and every
-    /// cache key is scoped to a single latch boundary, so cache hit/miss
-    /// counts are partition-independent: the merged totals are identical to
-    /// a serial run's for any thread count.
-    pub fn merge(&mut self, other: &InjectorStats) {
-        self.static_filtered += other.static_filtered;
-        self.toggle_filtered += other.toggle_filtered;
-        self.event_sims += other.event_sims;
-        self.replays += other.replays;
-        self.replay_cache_hits += other.replay_cache_hits;
-        self.replay_cycles += other.replay_cycles;
-        self.gates_evaluated += other.gates_evaluated;
-        self.incremental_replays += other.incremental_replays;
-        self.full_replay_fallbacks += other.full_replay_fallbacks;
-        self.batched_replays += other.batched_replays;
-        self.lanes_occupied += other.lanes_occupied;
-        self.lane_slots += other.lane_slots;
-        self.golden_waveform_builds += other.golden_waveform_builds;
-        self.delta_events += other.delta_events;
-        self.delta_early_exits += other.delta_early_exits;
-        self.full_event_fallbacks += other.full_event_fallbacks;
-        self.batched_timing_replays += other.batched_timing_replays;
-        self.timing_lanes_occupied += other.timing_lanes_occupied;
-        self.timing_lane_slots += other.timing_lane_slots;
-        self.collapsed_edges += other.collapsed_edges;
-        self.class_representatives += other.class_representatives;
-        self.formally_discharged_ace += other.formally_discharged_ace;
-        self.formally_discharged_unace += other.formally_discharged_unace;
-        self.strata_active += other.strata_active;
-        self.strata_retired_early += other.strata_retired_early;
-        self.adaptive_replays_saved += other.adaptive_replays_saved;
-    }
-
-    /// The field-wise difference `self - baseline`. Counters only ever
-    /// grow, so a snapshot taken before a work unit subtracted from one
-    /// taken after yields exactly that unit's contribution — the quantity
-    /// the checkpoint and telemetry layers record.
-    pub fn delta_since(&self, baseline: &InjectorStats) -> InjectorStats {
-        InjectorStats {
-            static_filtered: self.static_filtered - baseline.static_filtered,
-            toggle_filtered: self.toggle_filtered - baseline.toggle_filtered,
-            event_sims: self.event_sims - baseline.event_sims,
-            replays: self.replays - baseline.replays,
-            replay_cache_hits: self.replay_cache_hits - baseline.replay_cache_hits,
-            replay_cycles: self.replay_cycles - baseline.replay_cycles,
-            gates_evaluated: self.gates_evaluated - baseline.gates_evaluated,
-            incremental_replays: self.incremental_replays - baseline.incremental_replays,
-            full_replay_fallbacks: self.full_replay_fallbacks - baseline.full_replay_fallbacks,
-            batched_replays: self.batched_replays - baseline.batched_replays,
-            lanes_occupied: self.lanes_occupied - baseline.lanes_occupied,
-            lane_slots: self.lane_slots - baseline.lane_slots,
-            golden_waveform_builds: self.golden_waveform_builds - baseline.golden_waveform_builds,
-            delta_events: self.delta_events - baseline.delta_events,
-            delta_early_exits: self.delta_early_exits - baseline.delta_early_exits,
-            full_event_fallbacks: self.full_event_fallbacks - baseline.full_event_fallbacks,
-            batched_timing_replays: self.batched_timing_replays - baseline.batched_timing_replays,
-            timing_lanes_occupied: self.timing_lanes_occupied - baseline.timing_lanes_occupied,
-            timing_lane_slots: self.timing_lane_slots - baseline.timing_lane_slots,
-            collapsed_edges: self.collapsed_edges - baseline.collapsed_edges,
-            class_representatives: self.class_representatives - baseline.class_representatives,
-            formally_discharged_ace: self.formally_discharged_ace
-                - baseline.formally_discharged_ace,
-            formally_discharged_unace: self.formally_discharged_unace
-                - baseline.formally_discharged_unace,
-            strata_active: self.strata_active - baseline.strata_active,
-            strata_retired_early: self.strata_retired_early - baseline.strata_retired_early,
-            adaptive_replays_saved: self.adaptive_replays_saved - baseline.adaptive_replays_saved,
-        }
-    }
-
     /// Mean lane occupancy of the batch replays (`lanes_occupied /
     /// lane_slots`), in `[0, 1]`. Zero when no batch ran. Slots are counted
     /// as *scheduled* (chunk sizes), so a workload smaller than the
@@ -398,6 +372,18 @@ impl InjectorStats {
             self.timing_lanes_occupied as f64 / self.timing_lane_slots as f64
         }
     }
+}
+
+/// The flip-flops whose latched value differs from the golden next state:
+/// the dynamically reachable set (Definition 3).
+fn mismatches(latched: &[bool], next_state: &[bool]) -> Vec<DffId> {
+    latched
+        .iter()
+        .zip(next_state)
+        .enumerate()
+        .filter(|&(_, (a, b))| a != b)
+        .map(|(i, _)| DffId::from_index(i))
+        .collect()
 }
 
 /// Iterates the set bit positions of a lane mask, lowest first.
@@ -442,7 +428,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             topo,
             timing,
             golden,
-            event: EventSim::new(circuit, topo, timing),
+            gold: GoldenWave::new(circuit, topo, timing),
             delta: DeltaEventSim::new(circuit, topo, timing),
             batch_delta: BatchDeltaSim::new(circuit, topo, timing),
             replay: CycleSim::new(circuit, topo),
@@ -451,8 +437,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             due_slack,
             early_exit: true,
             toggle_filter: true,
-            incremental: true,
-            delta_timing: true,
             lanes: MAX_LANES,
             timing_lanes: MAX_TIMING_LANES,
             env_scratch: vec![0; circuit.input_ports().len()],
@@ -464,8 +448,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             plan: None,
             collapse_cache: HashMap::new(),
             collapse_cycle: None,
-            quiet_changed: Vec::new(),
-            quiet_cycle: None,
             discharge_settle: HashMap::new(),
             discharge_boundary: None,
             golden_class: None,
@@ -484,22 +466,12 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// timing-agnostic replay. With early exit off every replay runs to the
     /// end of the program and visibility is decided purely by the final
     /// output comparison — the exact but slow baseline the early exit is
-    /// benchmarked against (it never changes results, only cost). In
-    /// incremental mode the convergence test is "divergence set empty" (plus
-    /// fingerprint and pending-output equality) instead of a full packed
-    /// state comparison — the same predicate, computed for free.
+    /// benchmarked against (it never changes results, only cost). The
+    /// convergence test is "divergence set empty" (plus fingerprint and
+    /// pending-output equality) instead of a full packed state comparison —
+    /// the same predicate, computed for free.
     pub fn set_early_exit(&mut self, enabled: bool) {
         self.early_exit = enabled;
-    }
-
-    /// Disables (or re-enables) the incremental divergence-cone replay
-    /// engine. Incremental replay is bit-for-bit identical to the full
-    /// cycle-by-cycle baseline — a fidelity property the differential and
-    /// property test suites check — it only avoids re-evaluating gates
-    /// outside the fan-out cone of the diverged state. Disable it to run the
-    /// exact full-replay baseline (the `--no-incremental` escape hatch).
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.incremental = enabled;
     }
 
     /// Sets the lane width for bit-parallel batch replays. `1` disables
@@ -514,18 +486,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         } else {
             lanes.min(MAX_LANES)
         };
-    }
-
-    /// Disables (or re-enables) the incremental timing-aware engine
-    /// ([`DeltaEventSim`]): the shared per-cycle golden-waveform cache plus
-    /// fault-cone delta event simulation. Delta timing latches bit-identical
-    /// values to the full event simulator — a fidelity property the
-    /// differential and property test suites check — it only skips
-    /// re-simulating the fault-free bulk of each cycle's waveform. Disable
-    /// it to run the exact full-event baseline (the `--no-delta-timing`
-    /// escape hatch).
-    pub fn set_delta_timing(&mut self, enabled: bool) {
-        self.delta_timing = enabled;
     }
 
     /// Sets the lane width for lane-packed timing-aware batch replays. `1`
@@ -650,58 +610,53 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             self.stats.toggle_filtered += 1;
             return Vec::new();
         }
-
-        // Quiet-source certificate: the fault only delays deliveries of the
-        // source net's transitions at the sink pin, so if the fault-free
-        // waveform has no transition on the source this cycle the faulty
-        // run is identical and the dynamic set is provably empty. Always
-        // judged on the full event simulator's waveform, independent of the
-        // delta-timing knob, so the certificate is knob-invariant.
-        if self.collapse {
-            self.ensure_quiet_changed(cycle);
-            let source = self.topo.edge(edge).source;
-            if !self.quiet_changed[source.index()] {
-                self.stats.collapsed_edges += 1;
-                return Vec::new();
-            }
+        if self.collapse && self.quiet_source(cycle, edge) {
+            return Vec::new();
         }
+        // Timing-aware simulation of the one faulty cycle, as a delta
+        // against the cycle's golden waveform: only the fault's divergence
+        // cone is propagated.
+        self.ensure_golden_wave(cycle);
+        self.stats.event_sims += 1;
+        let (latched, outcome) = self
+            .delta
+            .latch_cycle(&self.gold, FaultSpec { edge, extra });
+        self.stats.delta_events += outcome.delta_events;
+        self.stats.delta_early_exits += outcome.reconverged;
+        let data = self.cycle_data.as_ref().expect("ensured with the waveform");
+        mismatches(latched, &data.next_state)
+    }
 
-        // Timing-aware simulation of the one faulty cycle. The delta engine
-        // shares one cached golden waveform across every injection at this
-        // cycle and only propagates the fault's divergence cone; the full
-        // event simulator re-simulates the whole cycle and serves as the
-        // exact baseline (`--no-delta-timing`).
+    /// Builds the fault-free timed waveform of `cycle` unless it is already
+    /// held: one build per cycle, shared by the quiet-source certificate and
+    /// both delta engines.
+    fn ensure_golden_wave(&mut self, cycle: u64) {
         self.ensure_cycle_data(cycle);
         let data = self.cycle_data.as_ref().expect("just ensured");
         let inputs = self.golden.trace.inputs_at(cycle);
-        self.stats.event_sims += 1;
-        let latched: &[bool] = if self.delta_timing {
-            let (latched, outcome) = self.delta.latch_cycle(
-                cycle,
-                &data.prev_values,
-                &data.new_state,
-                inputs,
-                FaultSpec { edge, extra },
-            );
-            self.stats.golden_waveform_builds += u64::from(outcome.built_golden);
-            self.stats.delta_events += outcome.delta_events;
-            self.stats.delta_early_exits += outcome.reconverged;
-            latched
-        } else {
-            self.stats.full_event_fallbacks += 1;
-            self.event.latch_cycle(
-                &data.prev_values,
-                &data.new_state,
-                inputs,
-                Some(FaultSpec { edge, extra }),
-            )
-        };
-        latched
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| v != data.next_state[i])
-            .map(|(i, _)| DffId::from_index(i))
-            .collect()
+        if self
+            .gold
+            .ensure(cycle, &data.prev_values, &data.new_state, inputs)
+        {
+            self.stats.golden_waveform_builds += 1;
+        }
+    }
+
+    /// The quiet-source certificate: the fault only delays deliveries of the
+    /// source net's transitions at the sink pin, so if the source has an
+    /// empty transition list in the fault-free waveform of `cycle`, the
+    /// faulty run is identical and the dynamic set is provably empty.
+    /// Counts each certified injection as collapsed.
+    fn quiet_source(&mut self, cycle: u64, edge: EdgeId) -> bool {
+        self.ensure_golden_wave(cycle);
+        let quiet = self
+            .gold
+            .transitions(self.topo.edge(edge).source)
+            .is_empty();
+        if quiet {
+            self.stats.collapsed_edges += 1;
+        }
+        quiet
     }
 
     /// Pre-filter 1: the statically reachable count of an SDF, a binary
@@ -748,25 +703,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         set
     }
 
-    /// Records which nets transition in the fault-free timed waveform of
-    /// `cycle` (for the quiet-source certificate), simulating it on the
-    /// full event simulator once per cycle.
-    fn ensure_quiet_changed(&mut self, cycle: u64) {
-        if self.quiet_cycle == Some(cycle) {
-            return;
-        }
-        self.ensure_cycle_data(cycle);
-        let data = self.cycle_data.as_ref().expect("just ensured");
-        let inputs = self.golden.trace.inputs_at(cycle);
-        self.stats.class_representatives += 1;
-        self.event
-            .latch_cycle(&data.prev_values, &data.new_state, inputs, None);
-        let changed = self.event.changed_nets();
-        self.quiet_changed.clear();
-        self.quiet_changed.extend_from_slice(changed);
-        self.quiet_cycle = Some(cycle);
-    }
-
     /// Step 1 for a whole cycle's worth of injections at once: the
     /// statically reachable count and dynamically reachable set of every
     /// `(edge, extra)` pair, in input order.
@@ -774,11 +710,10 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// Pairs surviving the static and toggle pre-filters are chunked into
     /// groups of up to `timing_lanes` and each group is propagated together
     /// by [`BatchDeltaSim`] over lane-packed transition words against the
-    /// one cached golden waveform. Lanes the batch engine cannot represent
-    /// retire to the scalar [`DeltaEventSim`]. With `timing_lanes <= 1` or
-    /// delta timing disabled this is exactly a loop over
-    /// [`Injector::dynamically_reachable`] — the byte-identical scalar
-    /// escape hatch.
+    /// cycle's golden waveform. Lanes the batch engine cannot represent
+    /// retire to the scalar [`DeltaEventSim`]. With `timing_lanes <= 1` this
+    /// is exactly a loop over [`Injector::dynamically_reachable`] — the
+    /// byte-identical scalar escape hatch.
     ///
     /// # Panics
     ///
@@ -789,7 +724,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         cycle: u64,
         pairs: &[(EdgeId, Picos)],
     ) -> Vec<(usize, Vec<DffId>)> {
-        if !self.delta_timing || self.timing_lanes <= 1 {
+        if self.timing_lanes <= 1 {
             return pairs
                 .iter()
                 .map(|&(edge, extra)| self.dynamically_reachable(cycle, edge, extra))
@@ -836,14 +771,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                 results.push((static_count, Vec::new()));
                 continue;
             }
-            if self.collapse {
-                self.ensure_quiet_changed(cycle);
-                let source = self.topo.edge(edge).source;
-                if !self.quiet_changed[source.index()] {
-                    self.stats.collapsed_edges += 1;
-                    results.push((static_count, Vec::new()));
-                    continue;
-                }
+            if self.collapse && self.quiet_source(cycle, edge) {
+                results.push((static_count, Vec::new()));
+                continue;
             }
             survivors.push(results.len());
             results.push((static_count, Vec::new()));
@@ -852,8 +782,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             return results;
         }
 
-        self.ensure_cycle_data(cycle);
-        let inputs = self.golden.trace.inputs_at(cycle);
+        self.ensure_golden_wave(cycle);
         // Carve lanes so no chunk carries the same edge at two *different*
         // extra delays — such pairs would be retired by the packed engine
         // and replayed scalar anyway, so routing them to separate chunks up
@@ -887,19 +816,12 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                     FaultSpec { edge, extra }
                 })
                 .collect();
-            let data = self.cycle_data.as_ref().expect("just ensured");
+            let data = self.cycle_data.as_ref().expect("ensured with the waveform");
             self.stats.event_sims += chunk.len() as u64;
             self.stats.batched_timing_replays += 1;
             self.stats.timing_lanes_occupied += chunk.len() as u64;
             self.stats.timing_lane_slots += chunk.len() as u64;
-            let outcome = self.batch_delta.latch_batch(
-                cycle,
-                &data.prev_values,
-                &data.new_state,
-                inputs,
-                &faults,
-            );
-            self.stats.golden_waveform_builds += u64::from(outcome.built_golden);
+            let outcome = self.batch_delta.latch_batch(&self.gold, &faults);
             self.stats.delta_events += outcome.delta_events;
             self.stats.delta_early_exits += outcome.reconverged;
             let mut sets = self
@@ -908,23 +830,11 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             for (lane, &ri) in chunk.iter().enumerate() {
                 if outcome.retired.contains(&lane) {
                     // Unbatchable scenario: replay it on the scalar delta
-                    // engine, which shares the cached golden waveform.
-                    let (latched, o) = self.delta.latch_cycle(
-                        cycle,
-                        &data.prev_values,
-                        &data.new_state,
-                        inputs,
-                        faults[lane],
-                    );
-                    self.stats.golden_waveform_builds += u64::from(o.built_golden);
+                    // engine, which reads the same golden waveform.
+                    let (latched, o) = self.delta.latch_cycle(&self.gold, faults[lane]);
                     self.stats.delta_events += o.delta_events;
                     self.stats.delta_early_exits += o.reconverged;
-                    results[ri].1 = latched
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, &v)| v != data.next_state[i])
-                        .map(|(i, _)| DffId::from_index(i))
-                        .collect();
+                    results[ri].1 = mismatches(latched, &data.next_state);
                 } else {
                     results[ri].1 = std::mem::take(&mut sets[lane]);
                 }
@@ -1008,11 +918,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             }
         }
         self.stats.replays += 1;
-        let class = if self.incremental {
-            self.replay_incremental(boundary, &flips)
-        } else {
-            self.replay_full(boundary, &flips)
-        };
+        let mut env = self.resolve_env(boundary);
+        self.diff.begin(boundary, &flips, &self.golden.trace);
+        let class = self.run_diff_loop(&mut env);
         self.failure_cache
             .entry(boundary)
             .or_default()
@@ -1180,10 +1088,10 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     }
 
     /// Clones and advances the golden environment to `boundary` without
-    /// touching any simulator state (the incremental path): the trace
-    /// already certifies the circuit side of any skipped golden cycle, so
-    /// the environment can be stepped directly on the recorded output words.
-    fn resolve_env_incremental(&mut self, boundary: u64) -> E {
+    /// touching any simulator state: the trace already certifies the
+    /// circuit side of any skipped golden cycle, so the environment can be
+    /// stepped directly on the recorded output words.
+    fn resolve_env(&mut self, boundary: u64) -> E {
         if let Some(cp) = self.golden.checkpoints.get(&boundary) {
             return cp.env.clone();
         }
@@ -1207,36 +1115,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         env
     }
 
-    /// Restores `self.replay` to the golden state at `boundary` and returns
-    /// the matching environment (the full-replay path).
-    fn resolve_env_full(&mut self, boundary: u64) -> E {
-        if let Some(cp) = self.golden.checkpoints.get(&boundary) {
-            self.replay.restore(cp.cycle, &cp.state, &cp.prev_outputs);
-            return cp.env.clone();
-        }
-        let cp = self
-            .golden
-            .checkpoints
-            .get(&(boundary - 1))
-            .unwrap_or_else(|| {
-                panic!(
-                    "no checkpoint at or before boundary {boundary}; inject only at sampled cycles"
-                )
-            });
-        self.replay.restore(cp.cycle, &cp.state, &cp.prev_outputs);
-        let mut env = cp.env.clone();
-        self.replay.step(&mut env);
-        debug_assert_eq!(
-            pack_bits(self.replay.state()),
-            self.golden.trace.state_at(boundary),
-            "replayed golden cycle reproduces the trace"
-        );
-        env
-    }
-
     /// The full cycle-by-cycle classification loop, starting from the
-    /// current state of `self.replay`. Used by the non-incremental baseline
-    /// and as the fallback once an incremental replay outlives the trace.
+    /// current state of `self.replay`: the fallback once a divergence-cone
+    /// replay outlives the trace.
     fn run_full_loop(&mut self, env: &mut E) -> FailureClass {
         let trace = &self.golden.trace;
         let limit = trace.num_cycles() + self.due_slack;
@@ -1263,32 +1144,12 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         }
     }
 
-    /// The exact full-replay baseline: restore, flip, simulate every cycle.
-    fn replay_full(&mut self, boundary: u64, flips: &[DffId]) -> FailureClass {
-        let mut env = self.resolve_env_full(boundary);
-        for &d in flips {
-            self.replay.flip_dff(d);
-        }
-        self.run_full_loop(&mut env)
-    }
-
-    /// Incremental divergence-cone replay: identical decision sequence to
-    /// [`Injector::run_full_loop`], but each cycle only re-evaluates the
-    /// fan-out cone of the state diverging from the golden trace. Once the
-    /// replay outlives the trace (no baseline to diff against) the
+    /// The divergence-cone classification loop, starting from the current
+    /// state of `self.diff` (primed by `begin` or `begin_with_outputs`).
+    /// Each cycle only re-evaluates the fan-out cone of the state diverging
+    /// from the golden trace, with the decision sequence of
+    /// [`Injector::run_full_loop`]; once the replay outlives the trace the
     /// materialized state is handed to the full simulator.
-    fn replay_incremental(&mut self, boundary: u64, flips: &[DffId]) -> FailureClass {
-        self.stats.incremental_replays += 1;
-        let mut env = self.resolve_env_incremental(boundary);
-        self.diff.begin(boundary, flips, &self.golden.trace);
-        self.run_diff_loop(&mut env)
-    }
-
-    /// The incremental classification loop, starting from the current state
-    /// of `self.diff` (primed by `begin` or `begin_with_outputs`). Identical
-    /// decision sequence to [`Injector::run_full_loop`]; once the replay
-    /// outlives the trace the materialized state is handed to the full
-    /// simulator.
     fn run_diff_loop(&mut self, env: &mut E) -> FailureClass {
         let trace = &self.golden.trace;
         let n = trace.num_cycles();
@@ -1401,7 +1262,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         // the recorded one (environments are deterministic in what they
         // observe), so the clone is advanced lazily along the trace and
         // cloned again per retiring lane.
-        let mut env = self.resolve_env_incremental(boundary);
+        let mut env = self.resolve_env(boundary);
         let mut env_at = boundary;
         while live.any() {
             let cyc = self.batch.cycle();
@@ -1487,9 +1348,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         }
     }
 
-    /// Finishes one lane retired from a batch: a scalar replay from
-    /// `boundary` with the lane's materialized divergence and pending output
-    /// words, against its own environment clone.
+    /// Finishes one lane retired from a batch: a scalar divergence-cone
+    /// replay from `boundary` with the lane's materialized divergence and
+    /// pending output words, against its own environment clone.
     fn finish_lane(
         &mut self,
         boundary: u64,
@@ -1497,19 +1358,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         outputs: &[u64],
         mut env: E,
     ) -> FailureClass {
-        let trace = &self.golden.trace;
-        if self.incremental {
-            self.diff
-                .begin_with_outputs(boundary, flips, outputs, trace);
-            self.run_diff_loop(&mut env)
-        } else {
-            let mut state = trace.state_bits_at(boundary, self.circuit.num_dffs());
-            for &d in flips {
-                state[d.index()] = !state[d.index()];
-            }
-            self.replay.restore(boundary, &state, outputs);
-            self.run_full_loop(&mut env)
-        }
+        self.diff
+            .begin_with_outputs(boundary, flips, outputs, &self.golden.trace);
+        self.run_diff_loop(&mut env)
     }
 
     /// True when at least one flip-flop or primary input in the fan-in cone

@@ -36,7 +36,7 @@ use crate::injector::InjectorStats;
 
 /// Version stamped into every emitted line as `"v"`; bumped whenever an
 /// event gains, loses or renames a field.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 4;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 5;
 
 /// Per-shard wall-clock totals of the three phases of a DelayAVF work
 /// unit, in microseconds. Only accumulated when the sink is enabled.
@@ -228,7 +228,7 @@ impl<W: Write + Send> JsonlTelemetry<W> {
             }
             TelemetryEvent::StatsDelta { shard, stats } => {
                 let _ = write!(s, "\"stats_delta\",\"shard\":{shard}");
-                for (name, value) in stats_fields(stats) {
+                for (name, value) in InjectorStats::NAMES.iter().zip(stats.values()) {
                     let _ = write!(s, ",\"{name}\":{value}");
                 }
             }
@@ -263,38 +263,6 @@ impl<W: Write + Send> TelemetrySink for JsonlTelemetry<W> {
             let _ = out.flush();
         }
     }
-}
-
-/// The twenty-six engine counters in their canonical (schema) order.
-fn stats_fields(stats: &InjectorStats) -> [(&'static str, u64); 26] {
-    [
-        ("static_filtered", stats.static_filtered),
-        ("toggle_filtered", stats.toggle_filtered),
-        ("event_sims", stats.event_sims),
-        ("replays", stats.replays),
-        ("replay_cache_hits", stats.replay_cache_hits),
-        ("replay_cycles", stats.replay_cycles),
-        ("gates_evaluated", stats.gates_evaluated),
-        ("incremental_replays", stats.incremental_replays),
-        ("full_replay_fallbacks", stats.full_replay_fallbacks),
-        ("batched_replays", stats.batched_replays),
-        ("lanes_occupied", stats.lanes_occupied),
-        ("lane_slots", stats.lane_slots),
-        ("golden_waveform_builds", stats.golden_waveform_builds),
-        ("delta_events", stats.delta_events),
-        ("delta_early_exits", stats.delta_early_exits),
-        ("full_event_fallbacks", stats.full_event_fallbacks),
-        ("batched_timing_replays", stats.batched_timing_replays),
-        ("timing_lanes_occupied", stats.timing_lanes_occupied),
-        ("timing_lane_slots", stats.timing_lane_slots),
-        ("collapsed_edges", stats.collapsed_edges),
-        ("class_representatives", stats.class_representatives),
-        ("formally_discharged_ace", stats.formally_discharged_ace),
-        ("formally_discharged_unace", stats.formally_discharged_unace),
-        ("strata_active", stats.strata_active),
-        ("strata_retired_early", stats.strata_retired_early),
-        ("adaptive_replays_saved", stats.adaptive_replays_saved),
-    ]
 }
 
 /// Renders a JSON-safe finite number (NaN/∞ degrade to 0, keeping every
@@ -482,35 +450,10 @@ pub fn validate_line(line: &str) -> Result<String, String> {
         }
         "shard_heartbeat" => &["shard", "done", "total", "units_per_sec", "eta_s"],
         "phase_timers" => &["shard", "golden_settle_us", "timing_step_us", "replay_us"],
-        "stats_delta" => &[
-            "shard",
-            "static_filtered",
-            "toggle_filtered",
-            "event_sims",
-            "replays",
-            "replay_cache_hits",
-            "replay_cycles",
-            "gates_evaluated",
-            "incremental_replays",
-            "full_replay_fallbacks",
-            "batched_replays",
-            "lanes_occupied",
-            "lane_slots",
-            "golden_waveform_builds",
-            "delta_events",
-            "delta_early_exits",
-            "full_event_fallbacks",
-            "batched_timing_replays",
-            "timing_lanes_occupied",
-            "timing_lane_slots",
-            "collapsed_edges",
-            "class_representatives",
-            "formally_discharged_ace",
-            "formally_discharged_unace",
-            "strata_active",
-            "strata_retired_early",
-            "adaptive_replays_saved",
-        ],
+        "stats_delta" => {
+            num("shard")?;
+            &InjectorStats::NAMES
+        }
         "checkpoint_flush" => &["completed_units"],
         "campaign_end" => {
             string("campaign")?;
@@ -617,11 +560,11 @@ mod tests {
         assert!(validate_line(r#"{"v":99,"t_ms":0,"event":"campaign_end"}"#)
             .unwrap_err()
             .contains("schema version"));
-        assert!(validate_line(r#"{"v":4,"t_ms":0,"event":"wat"}"#)
+        assert!(validate_line(r#"{"v":5,"t_ms":0,"event":"wat"}"#)
             .unwrap_err()
             .contains("unknown event"));
         assert!(
-            validate_line(r#"{"v":4,"t_ms":0,"event":"checkpoint_flush"}"#)
+            validate_line(r#"{"v":5,"t_ms":0,"event":"checkpoint_flush"}"#)
                 .unwrap_err()
                 .contains("completed_units")
         );

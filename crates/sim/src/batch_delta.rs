@@ -13,8 +13,8 @@
 //!
 //! Mechanics, mirroring the scalar engine step for step:
 //!
-//! * the golden waveform is built by exactly the shared
-//!   [`GoldenWave`](crate::delta) event loop and cached per trace cycle;
+//! * the golden waveform is the caller's [`GoldenWave`], the same build the
+//!   scalar engine reads;
 //! * each lane's fault seeds at its struck edge's sink. A struck gate pin
 //!   reads **two** streams: the common stream (the source's packed faulty
 //!   waveform, or golden when the source never diverged) masked to the
@@ -63,13 +63,10 @@ use crate::pack::{eval_lanes, LaneWord, W256, W512};
 /// The widest timing batch: 512 scenarios on the 8×`u64` wide-word path.
 pub const MAX_TIMING_LANES: usize = 512;
 
-/// Work, cache and retirement accounting for one
-/// [`BatchDeltaSim::latch_batch`] call.
+/// Work and retirement accounting for one [`BatchDeltaSim::latch_batch`]
+/// call.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchDeltaOutcome {
-    /// True when this call built the golden waveform for its cycle (a cache
-    /// miss: the previous call simulated a different trace cycle).
-    pub built_golden: bool,
     /// Merged waveform time-steps processed while evaluating union-cone
     /// gates (each step evaluates every lane at once).
     pub delta_events: u64,
@@ -238,7 +235,7 @@ impl<W: LaneWord> WaveCore<W> {
         &mut self,
         topo: &Topology,
         timing: &TimingModel,
-        gold: &GoldenWave,
+        gold: &GoldenWave<'_>,
         faults: &[FaultSpec],
         outcome: &mut BatchDeltaOutcome,
     ) {
@@ -322,7 +319,7 @@ impl<W: LaneWord> WaveCore<W> {
         &mut self,
         topo: &Topology,
         timing: &TimingModel,
-        gold: &GoldenWave,
+        gold: &GoldenWave<'_>,
         g: GateId,
         deadline: Picos,
     ) -> u64 {
@@ -450,7 +447,7 @@ impl<W: LaneWord> WaveCore<W> {
         &mut self,
         topo: &Topology,
         timing: &TimingModel,
-        gold: &GoldenWave,
+        gold: &GoldenWave<'_>,
         net: NetId,
         deadline: Picos,
     ) {
@@ -532,15 +529,14 @@ macro_rules! with_wave_ref {
 
 /// Lane-packed incremental timing-aware simulator: evaluates up to
 /// [`MAX_TIMING_LANES`] `(edge, extra)` delay-fault scenarios at one trace
-/// cycle simultaneously, as deltas against the shared cached golden
-/// waveform (see the module docs). One instance per worker thread, like
+/// cycle simultaneously, as deltas against the caller's golden waveform
+/// (see the module docs). One instance per worker thread, like
 /// [`DeltaEventSim`](crate::DeltaEventSim).
 #[derive(Clone, Debug)]
 pub struct BatchDeltaSim<'a> {
     circuit: &'a Circuit,
     topo: &'a Topology,
     timing: &'a TimingModel,
-    gold: GoldenWave,
     narrow: WaveCore<u64>,
     /// The 256-lane wide-word core, allocated on the first batch wider
     /// than 64 lanes.
@@ -559,7 +555,6 @@ impl<'a> BatchDeltaSim<'a> {
             circuit,
             topo,
             timing,
-            gold: GoldenWave::new(circuit, topo),
             narrow: WaveCore::new(circuit, topo),
             wide4: None,
             wide8: None,
@@ -568,49 +563,32 @@ impl<'a> BatchDeltaSim<'a> {
     }
 
     /// Simulates one faulty cycle for every scenario in `faults`
-    /// simultaneously; lane `L`'s latched values are bit-identical to
+    /// simultaneously against the golden waveform `gold`; lane `L`'s latched
+    /// values are bit-identical to
     /// [`DeltaEventSim::latch_cycle`](crate::DeltaEventSim::latch_cycle)
     /// with `faults[L]` — except for lanes listed in
     /// [`BatchDeltaOutcome::retired`], which carry golden values and must
     /// be replayed on the scalar engine by the caller.
     ///
-    /// `cycle` keys the golden-waveform cache exactly as in the scalar
-    /// engine: consecutive calls with the same cycle number reuse the
-    /// cached waveform and must pass the same `prev_values` / `new_state` /
-    /// `new_inputs`. Batches of at most 64 lanes run on `u64` words; wider
-    /// batches switch to the 4×`u64` ([`W256`]) or 8×`u64` ([`W512`])
-    /// wide-word path, whichever is the narrowest fit.
+    /// Batches of at most 64 lanes run on `u64` words; wider batches switch
+    /// to the 4×`u64` ([`W256`]) or 8×`u64` ([`W512`]) wide-word path,
+    /// whichever is the narrowest fit.
     ///
     /// # Panics
     ///
-    /// Panics if more than [`MAX_TIMING_LANES`] faults are given or slice
-    /// lengths do not match the circuit.
+    /// Panics if more than [`MAX_TIMING_LANES`] faults are given, or if
+    /// `gold` holds no cycle or belongs to another circuit.
     pub fn latch_batch(
         &mut self,
-        cycle: u64,
-        prev_values: &[bool],
-        new_state: &[bool],
-        new_inputs: &[u64],
+        gold: &GoldenWave<'_>,
         faults: &[FaultSpec],
     ) -> BatchDeltaOutcome {
         assert!(
             faults.len() <= MAX_TIMING_LANES,
             "too many lanes in a timing batch"
         );
-        assert_eq!(prev_values.len(), self.circuit.num_nets());
-        assert_eq!(new_state.len(), self.circuit.num_dffs());
-        let mut outcome = BatchDeltaOutcome {
-            built_golden: self.gold.ensure(
-                self.circuit,
-                self.topo,
-                self.timing,
-                cycle,
-                prev_values,
-                new_state,
-                new_inputs,
-            ),
-            ..BatchDeltaOutcome::default()
-        };
+        gold.assert_built(self.circuit);
+        let mut outcome = BatchDeltaOutcome::default();
         self.tier = if faults.len() <= <u64 as LaneWord>::LANES {
             TimingTier::Narrow
         } else if faults.len() <= W256::LANES {
@@ -627,7 +605,7 @@ impl<'a> BatchDeltaSim<'a> {
         with_wave!(self, core => core.latch_batch(
             self.topo,
             self.timing,
-            &self.gold,
+            gold,
             faults,
             &mut outcome,
         ));
@@ -726,6 +704,20 @@ mod tests {
         (c, topo, timing)
     }
 
+    /// The golden waveform of one figure-2 cycle.
+    fn golden<'a>(
+        c: &'a Circuit,
+        topo: &'a Topology,
+        timing: &'a TimingModel,
+        prev_values: &[bool],
+        state: &[bool],
+        inputs: &[u64],
+    ) -> GoldenWave<'a> {
+        let mut gold = GoldenWave::new(c, topo, timing);
+        gold.ensure(0, prev_values, state, inputs);
+        gold
+    }
+
     #[test]
     fn every_lane_matches_the_full_event_sim() {
         let (c, topo, timing) = figure2();
@@ -733,6 +725,7 @@ mod tests {
         let prev_values = settle(&c, &topo, &state, &[0, 1]);
         let inputs = [1u64, 1];
         let mut full = EventSim::new(&c, &topo, &timing);
+        let gold = golden(&c, &topo, &timing, &prev_values, &state, &inputs);
         let mut batch = BatchDeltaSim::new(&c, &topo, &timing);
         let clock = timing.clock_period();
         // One batch per extra: distinct edges batch without retirement.
@@ -743,7 +736,7 @@ mod tests {
                     extra,
                 })
                 .collect();
-            let outcome = batch.latch_batch(3, &prev_values, &state, &inputs, &faults);
+            let outcome = batch.latch_batch(&gold, &faults);
             assert!(outcome.retired.is_empty(), "distinct edges never retire");
             for (lane, &fault) in faults.iter().enumerate() {
                 let want = full.latch_cycle(&prev_values, &state, &inputs, Some(fault));
@@ -778,12 +771,13 @@ mod tests {
                 extra: clock,
             },
         ];
+        let gold = golden(&c, &topo, &timing, &prev_values, &state, &inputs);
         let mut batch = BatchDeltaSim::new(&c, &topo, &timing);
-        let outcome = batch.latch_batch(0, &prev_values, &state, &inputs, &faults);
+        let outcome = batch.latch_batch(&gold, &faults);
         assert_eq!(outcome.retired, vec![1], "the conflicting extra retires");
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         for lane in [0usize, 2] {
-            let (want, _) = delta.latch_cycle(0, &prev_values, &state, &inputs, faults[lane]);
+            let (want, _) = delta.latch_cycle(&gold, faults[lane]);
             assert_eq!(batch.lane_latched(lane), want, "surviving lane {lane}");
         }
     }
@@ -804,8 +798,9 @@ mod tests {
                 extra: clock,
             })
             .collect();
+        let gold = golden(&c, &topo, &timing, &prev_values, &state, &inputs);
         let mut batch = BatchDeltaSim::new(&c, &topo, &timing);
-        let outcome = batch.latch_batch(5, &prev_values, &state, &inputs, &faults);
+        let outcome = batch.latch_batch(&gold, &faults);
         assert!(outcome.retired.is_empty());
         assert_eq!(
             batch.tier,
@@ -833,8 +828,9 @@ mod tests {
                 extra: clock,
             })
             .collect();
+        let gold = golden(&c, &topo, &timing, &prev_values, &state, &inputs);
         let mut batch = BatchDeltaSim::new(&c, &topo, &timing);
-        let outcome = batch.latch_batch(5, &prev_values, &state, &inputs, &faults);
+        let outcome = batch.latch_batch(&gold, &faults);
         assert!(outcome.retired.is_empty());
         assert_eq!(
             batch.tier,
@@ -847,24 +843,5 @@ mod tests {
             let want = full.latch_cycle(&prev_values, &state, &inputs, Some(fault));
             assert_eq!(batch.lane_latched(lane), want, "widest lane {lane}");
         }
-    }
-
-    #[test]
-    fn golden_cache_is_shared_across_batches_at_one_cycle() {
-        let (c, topo, timing) = figure2();
-        let state = c.initial_state();
-        let prev_values = settle(&c, &topo, &state, &[0, 1]);
-        let inputs = [1u64, 1];
-        let faults = [FaultSpec {
-            edge: EdgeId::from_index(0),
-            extra: timing.clock_period(),
-        }];
-        let mut batch = BatchDeltaSim::new(&c, &topo, &timing);
-        let first = batch.latch_batch(7, &prev_values, &state, &inputs, &faults);
-        assert!(first.built_golden, "first batch at a cycle builds");
-        let second = batch.latch_batch(7, &prev_values, &state, &inputs, &faults);
-        assert!(!second.built_golden, "same cycle reuses the cache");
-        let third = batch.latch_batch(8, &prev_values, &state, &inputs, &faults);
-        assert!(third.built_golden, "a new cycle rebuilds");
     }
 }

@@ -7,16 +7,14 @@
 //! and a small delay fault can only perturb signals inside the struck edge's
 //! fanout cone. [`DeltaEventSim`] exploits both:
 //!
-//! 1. **Golden-waveform cache.** The fault-free timed waveform of a trace
-//!    cycle is simulated once (the same event loop as `EventSim`) and stored
-//!    as canonical per-net transition lists — strictly increasing times with
-//!    alternating values, i.e. exactly the value-over-time step function of
-//!    each net — plus the fault-free latched flip-flop values. The cache
-//!    holds one cycle (campaigns sweep edge-inner / cycle-outer, so a single
-//!    slot gives perfect reuse, mirroring the injector's `CycleData`). The
-//!    cache lives in [`GoldenWave`] so the lane-packed
-//!    [`BatchDeltaSim`](crate::BatchDeltaSim) shares the identical build
-//!    path.
+//! 1. **Golden waveform.** The fault-free timed waveform of a trace cycle
+//!    is simulated once (the same event loop as `EventSim`) and stored in a
+//!    [`GoldenWave`] as canonical per-net transition lists — strictly
+//!    increasing times with alternating values, i.e. exactly the
+//!    value-over-time step function of each net — plus the fault-free
+//!    latched flip-flop values. The caller owns the [`GoldenWave`] and
+//!    passes it to every injection at that cycle, so the lane-packed
+//!    [`BatchDeltaSim`](crate::BatchDeltaSim) reads the very same build.
 //! 2. **Delta simulation.** A faulty injection is evaluated as a difference
 //!    against the cached waveform, seeded at the struck edge's sink: the
 //!    struck gate's faulty output waveform is computed from its input pin
@@ -47,12 +45,9 @@ use delayavf_timing::{Picos, TimingModel};
 use crate::cycle::write_input_nets;
 use crate::event::FaultSpec;
 
-/// Work and cache accounting for one [`DeltaEventSim::latch_cycle`] call.
+/// Work accounting for one [`DeltaEventSim::latch_cycle`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeltaOutcome {
-    /// True when this call built the golden waveform for its cycle (a cache
-    /// miss: the previous call simulated a different trace cycle).
-    pub built_golden: bool,
     /// Merged waveform time-steps processed while evaluating delta-cone
     /// gates (the delta analogue of full event-simulation work).
     pub delta_events: u64,
@@ -106,17 +101,22 @@ pub(crate) fn value_at(tx: &[(Picos, bool)], base: bool, at: Option<Picos>) -> b
     }
 }
 
-/// The cached fault-free timed waveform of one trace cycle: canonical
-/// per-net transition lists, the settled base values they start from, and
-/// the fault-free latched flip-flop values.
+/// The fault-free timed waveform of one trace cycle: canonical per-net
+/// transition lists, the settled base values they start from, and the
+/// fault-free latched flip-flop values.
 ///
-/// Shared by [`DeltaEventSim`] and [`BatchDeltaSim`](crate::BatchDeltaSim):
-/// both engines evaluate faulty injections as deltas against exactly this
-/// waveform, built by exactly this event loop (the same one as
-/// [`EventSim::latch_cycle`](crate::EventSim::latch_cycle) with no fault).
+/// Both delta engines read it: [`DeltaEventSim`] and
+/// [`BatchDeltaSim`](crate::BatchDeltaSim) evaluate faulty injections as
+/// deltas against exactly this waveform, built by exactly this event loop
+/// (the same one as [`EventSim::latch_cycle`](crate::EventSim::latch_cycle)
+/// with no fault). The owner builds it once per trace cycle with
+/// [`GoldenWave::ensure`] and hands it to every injection at that cycle.
 #[derive(Clone, Debug)]
-pub(crate) struct GoldenWave {
-    /// Trace cycle the cache currently holds.
+pub struct GoldenWave<'a> {
+    circuit: &'a Circuit,
+    topo: &'a Topology,
+    timing: &'a TimingModel,
+    /// Trace cycle the waveform currently holds.
     cached_cycle: Option<u64>,
     /// Settled net values at the clock edge (the waveform base values).
     pub(crate) base: Vec<bool>,
@@ -132,10 +132,14 @@ pub(crate) struct GoldenWave {
     input_bits: Vec<bool>,
 }
 
-impl GoldenWave {
-    /// Creates an empty cache sized for `circuit`.
-    pub(crate) fn new(circuit: &Circuit, topo: &Topology) -> Self {
+impl<'a> GoldenWave<'a> {
+    /// Creates an empty waveform cache bound to one circuit and timing
+    /// model.
+    pub fn new(circuit: &'a Circuit, topo: &'a Topology, timing: &'a TimingModel) -> Self {
         GoldenWave {
+            circuit,
+            topo,
+            timing,
             cached_cycle: None,
             base: vec![false; circuit.num_nets()],
             tx: vec![Vec::new(); circuit.num_nets()],
@@ -148,16 +152,18 @@ impl GoldenWave {
         }
     }
 
-    /// Ensures the cache holds `cycle`, rebuilding if the previous call
-    /// simulated a different trace cycle. Returns true on a rebuild.
-    /// Consecutive calls with the same cycle number must pass the same
-    /// `prev_values` / `new_state` / `new_inputs`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn ensure(
+    /// Ensures the cache holds `cycle`, rebuilding if it holds a different
+    /// trace cycle (or none). Returns true on a rebuild. Consecutive calls
+    /// with the same cycle number must pass the same `prev_values` /
+    /// `new_state` / `new_inputs`: the settled net values of the previous
+    /// cycle, this cycle's flip-flop values and its input port words, as
+    /// for [`EventSim::latch_cycle`](crate::EventSim::latch_cycle).
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths do not match the circuit.
+    pub fn ensure(
         &mut self,
-        circuit: &Circuit,
-        topo: &Topology,
-        timing: &TimingModel,
         cycle: u64,
         prev_values: &[bool],
         new_state: &[bool],
@@ -166,24 +172,45 @@ impl GoldenWave {
         if self.cached_cycle == Some(cycle) {
             return false;
         }
-        self.build(circuit, topo, timing, prev_values, new_state, new_inputs);
+        assert_eq!(prev_values.len(), self.circuit.num_nets());
+        assert_eq!(new_state.len(), self.circuit.num_dffs());
+        self.build(prev_values, new_state, new_inputs);
         self.cached_cycle = Some(cycle);
         true
+    }
+
+    /// The canonical transition list of `net`: `(time, value)` pairs with
+    /// strictly increasing times and alternating values, starting from the
+    /// net's settled previous-cycle value. Same-instant glitches cancel, so
+    /// an empty list means the net's value never changes during the cycle
+    /// and a delay fault on any of its fanout edges is vacuous.
+    pub fn transitions(&self, net: NetId) -> &[(Picos, bool)] {
+        &self.tx[net.index()]
+    }
+
+    /// The fault-free latched value of every flip-flop (indexed by raw
+    /// `DffId`).
+    pub fn latched(&self) -> &[bool] {
+        &self.latch
+    }
+
+    /// Panics unless a cycle has been built: the delta engines read the
+    /// waveform and have nothing to diff against before that.
+    pub(crate) fn assert_built(&self, circuit: &Circuit) {
+        assert!(self.cached_cycle.is_some(), "golden waveform not built");
+        assert_eq!(
+            self.tx.len(),
+            circuit.num_nets(),
+            "waveform of another circuit"
+        );
     }
 
     /// Simulates the fault-free timed waveform of one cycle — the same event
     /// loop as [`EventSim::latch_cycle`](crate::EventSim::latch_cycle) with
     /// no fault — recording every net's canonical transition list and the
     /// fault-free latched values.
-    fn build(
-        &mut self,
-        circuit: &Circuit,
-        topo: &Topology,
-        timing: &TimingModel,
-        prev_values: &[bool],
-        new_state: &[bool],
-        new_inputs: &[u64],
-    ) {
+    fn build(&mut self, prev_values: &[bool], new_state: &[bool], new_inputs: &[u64]) {
+        let (circuit, topo, timing) = (self.circuit, self.topo, self.timing);
         let deadline = timing.clock_period().saturating_sub(timing.setup());
         for tx in &mut self.tx {
             tx.clear();
@@ -204,7 +231,7 @@ impl GoldenWave {
             if self.net_val[q.index()] != v {
                 self.net_val[q.index()] = v;
                 push_tx(&mut self.tx[q.index()], prev_values[q.index()], 0, v);
-                self.schedule_fanouts(topo, timing, q, 0, v);
+                self.schedule_fanouts(q, 0, v);
             }
         }
         self.input_bits.copy_from_slice(prev_values);
@@ -214,7 +241,7 @@ impl GoldenWave {
             if self.net_val[net.index()] != v {
                 self.net_val[net.index()] = v;
                 push_tx(&mut self.tx[net.index()], prev_values[net.index()], 0, v);
-                self.schedule_fanouts(topo, timing, net, 0, v);
+                self.schedule_fanouts(net, 0, v);
             }
         }
 
@@ -245,7 +272,7 @@ impl GoldenWave {
                         t,
                         out,
                     );
-                    self.schedule_fanouts(topo, timing, out_net, t, out);
+                    self.schedule_fanouts(out_net, t, out);
                 }
             }
         }
@@ -256,16 +283,9 @@ impl GoldenWave {
         }
     }
 
-    fn schedule_fanouts(
-        &mut self,
-        topo: &Topology,
-        timing: &TimingModel,
-        net: NetId,
-        t: Picos,
-        value: bool,
-    ) {
-        let delay = timing.net_delay(net);
-        for eid in topo.fanout_ids(net) {
+    fn schedule_fanouts(&mut self, net: NetId, t: Picos, value: bool) {
+        let delay = self.timing.net_delay(net);
+        for eid in self.topo.fanout_ids(net) {
             self.seq += 1;
             self.heap.push(Reverse((
                 t + delay,
@@ -284,8 +304,6 @@ pub struct DeltaEventSim<'a> {
     circuit: &'a Circuit,
     topo: &'a Topology,
     timing: &'a TimingModel,
-    /// The shared golden-waveform cache (one trace cycle).
-    gold: GoldenWave,
     // Epoch-stamped delta scratch (O(1) reset per injection).
     fault_tx: Vec<Wave>,
     fault_epoch: Vec<u64>,
@@ -308,7 +326,6 @@ impl<'a> DeltaEventSim<'a> {
             circuit,
             topo,
             timing,
-            gold: GoldenWave::new(circuit, topo),
             fault_tx: vec![Vec::new(); circuit.num_nets()],
             fault_epoch: vec![0; circuit.num_nets()],
             sched_epoch: vec![0; circuit.num_gates()],
@@ -320,46 +337,28 @@ impl<'a> DeltaEventSim<'a> {
         }
     }
 
-    /// Simulates one faulty cycle as a delta against the cycle's cached
-    /// golden waveform, returning the latched flip-flop values (identical to
+    /// Simulates one faulty cycle as a delta against the cycle's golden
+    /// waveform `gold`, returning the latched flip-flop values (identical to
     /// [`EventSim::latch_cycle`](crate::EventSim::latch_cycle) with
-    /// `Some(fault)`) and the work/cache accounting.
-    ///
-    /// `cycle` keys the golden-waveform cache: consecutive calls with the
-    /// same cycle number reuse the cached waveform and must pass the same
-    /// `prev_values` / `new_state` / `new_inputs`.
+    /// `Some(fault)` on the inputs `gold` was built from) and the work
+    /// accounting.
     ///
     /// # Panics
     ///
-    /// Panics if slice lengths do not match the circuit.
+    /// Panics if `gold` holds no cycle or belongs to another circuit.
     pub fn latch_cycle(
         &mut self,
-        cycle: u64,
-        prev_values: &[bool],
-        new_state: &[bool],
-        new_inputs: &[u64],
+        gold: &GoldenWave<'_>,
         fault: FaultSpec,
     ) -> (&[bool], DeltaOutcome) {
-        assert_eq!(prev_values.len(), self.circuit.num_nets());
-        assert_eq!(new_state.len(), self.circuit.num_dffs());
-        let mut outcome = DeltaOutcome {
-            built_golden: self.gold.ensure(
-                self.circuit,
-                self.topo,
-                self.timing,
-                cycle,
-                prev_values,
-                new_state,
-                new_inputs,
-            ),
-            ..DeltaOutcome::default()
-        };
+        gold.assert_built(self.circuit);
+        let mut outcome = DeltaOutcome::default();
         let deadline = self
             .timing
             .clock_period()
             .saturating_sub(self.timing.setup());
 
-        self.latch_out.copy_from_slice(&self.gold.latch);
+        self.latch_out.copy_from_slice(&gold.latch);
         self.epoch += 1;
         self.max_sched_level = self.buckets.len();
 
@@ -376,13 +375,13 @@ impl<'a> DeltaEventSim<'a> {
                     .saturating_add(fault.extra);
                 let at = deadline.checked_sub(delay);
                 let src = struck.source.index();
-                self.latch_out[f.index()] = value_at(&self.gold.tx[src], self.gold.base[src], at);
+                self.latch_out[f.index()] = value_at(&gold.tx[src], gold.base[src], at);
             }
             // Primary outputs are not latched state; nothing can diverge.
             Consumer::OutputBit { .. } => {}
             Consumer::GatePin { gate, .. } => {
                 self.schedule(gate);
-                self.sweep(fault, deadline, &mut outcome);
+                self.sweep(gold, fault, deadline, &mut outcome);
             }
         }
         (&self.latch_out, outcome)
@@ -413,17 +412,23 @@ impl<'a> DeltaEventSim<'a> {
     /// waveform is computed from its input pin streams, compared against the
     /// cached golden waveform (reconverged ⇒ pruned), and diverging outputs
     /// extend the frontier / patch latched flip-flops.
-    fn sweep(&mut self, fault: FaultSpec, deadline: Picos, outcome: &mut DeltaOutcome) {
+    fn sweep(
+        &mut self,
+        gold: &GoldenWave<'_>,
+        fault: FaultSpec,
+        deadline: Picos,
+        outcome: &mut DeltaOutcome,
+    ) {
         let mut level = 0;
         while level <= self.max_sched_level && level < self.buckets.len() {
             while let Some(g) = self.buckets[level].pop() {
-                outcome.delta_events += self.eval_gate_wave(g, fault, deadline);
+                outcome.delta_events += self.eval_gate_wave(gold, g, fault, deadline);
                 let out = self.circuit.gate(g).output();
-                if self.wave == self.gold.tx[out.index()] {
+                if self.wave == gold.tx[out.index()] {
                     outcome.reconverged += 1;
                     continue;
                 }
-                self.mark_diverged(out, deadline);
+                self.mark_diverged(gold, out, deadline);
             }
             level += 1;
         }
@@ -437,7 +442,13 @@ impl<'a> DeltaEventSim<'a> {
     /// source diverged, cached golden otherwise) shifted by the edge delay —
     /// plus the fault's `extra` on the struck edge — and truncated at the
     /// latch deadline, exactly as the full event loop applies pin events.
-    fn eval_gate_wave(&mut self, g: GateId, fault: FaultSpec, deadline: Picos) -> u64 {
+    fn eval_gate_wave(
+        &mut self,
+        gold: &GoldenWave<'_>,
+        g: GateId,
+        fault: FaultSpec,
+        deadline: Picos,
+    ) -> u64 {
         struct Stream<'w> {
             tx: &'w [(Picos, bool)],
             shift: Picos,
@@ -454,12 +465,12 @@ impl<'a> DeltaEventSim<'a> {
             .zip(gate.inputs().iter())
             .enumerate()
         {
-            ins[slot] = self.gold.base[src.index()];
+            ins[slot] = gold.base[src.index()];
             let extra = if eid == fault.edge { fault.extra } else { 0 };
             let tx: &[(Picos, bool)] = if self.fault_epoch[src.index()] == self.epoch {
                 &self.fault_tx[src.index()]
             } else {
-                &self.gold.tx[src.index()]
+                &gold.tx[src.index()]
             };
             streams[slot] = Some(Stream {
                 tx,
@@ -469,7 +480,7 @@ impl<'a> DeltaEventSim<'a> {
             });
         }
         let out = gate.output();
-        let mut out_val = self.gold.base[out.index()];
+        let mut out_val = gold.base[out.index()];
         let base_out = out_val;
         self.wave.clear();
         let mut steps = 0u64;
@@ -506,7 +517,7 @@ impl<'a> DeltaEventSim<'a> {
 
     /// Records `self.wave` as the faulty waveform of `net`, schedules its
     /// consumer gates and patches latched values of directly fed flip-flops.
-    fn mark_diverged(&mut self, net: NetId, deadline: Picos) {
+    fn mark_diverged(&mut self, gold: &GoldenWave<'_>, net: NetId, deadline: Picos) {
         let i = net.index();
         self.fault_epoch[i] = self.epoch;
         std::mem::swap(&mut self.fault_tx[i], &mut self.wave);
@@ -516,7 +527,7 @@ impl<'a> DeltaEventSim<'a> {
             match e.consumer {
                 Consumer::GatePin { gate, .. } => self.schedule(gate),
                 Consumer::DffD(f) => {
-                    self.latch_out[f.index()] = value_at(&self.fault_tx[i], self.gold.base[i], at);
+                    self.latch_out[f.index()] = value_at(&self.fault_tx[i], gold.base[i], at);
                 }
                 Consumer::OutputBit { .. } => {}
             }
@@ -558,38 +569,68 @@ mod tests {
         let prev_values = settle(&c, &topo, &state, &[0, 1]);
         let inputs = [1u64, 1];
         let mut full = EventSim::new(&c, &topo, &timing);
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        gold.ensure(3, &prev_values, &state, &inputs);
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let clock = timing.clock_period();
         for e in (0..topo.edges().len()).map(EdgeId::from_index) {
             for extra in [0, 1, clock / 2, clock, 2 * clock] {
                 let fault = FaultSpec { edge: e, extra };
                 let want = full.latch_cycle(&prev_values, &state, &inputs, Some(fault));
-                let (got, _) = delta.latch_cycle(3, &prev_values, &state, &inputs, fault);
+                let (got, _) = delta.latch_cycle(&gold, fault);
                 assert_eq!(got, want, "edge {e:?} extra {extra}");
             }
         }
     }
 
     #[test]
-    fn golden_cache_is_shared_across_injections_at_one_cycle() {
+    fn golden_wave_is_built_once_per_cycle() {
         let (c, topo, timing) = figure2();
         let state = c.initial_state();
         let prev_values = settle(&c, &topo, &state, &[0, 1]);
         let inputs = [1u64, 1];
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        assert!(
+            gold.ensure(7, &prev_values, &state, &inputs),
+            "first use builds"
+        );
+        assert!(
+            !gold.ensure(7, &prev_values, &state, &inputs),
+            "same cycle reuses the waveform"
+        );
+        assert!(
+            gold.ensure(8, &prev_values, &state, &inputs),
+            "a new cycle rebuilds"
+        );
+        let mut full = EventSim::new(&c, &topo, &timing);
+        let want = full.latch_cycle(&prev_values, &state, &inputs, None);
+        assert_eq!(
+            gold.latched(),
+            want,
+            "fault-free latch matches the event sim"
+        );
+        for net in (0..c.num_nets()).map(NetId::from_index) {
+            if full.changed_nets()[net.index()] {
+                continue;
+            }
+            assert!(
+                gold.transitions(net).is_empty(),
+                "a net the event sim never changed has no transitions"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "golden waveform not built")]
+    fn injecting_before_any_build_panics() {
+        let (c, topo, timing) = figure2();
+        let gold = GoldenWave::new(&c, &topo, &timing);
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let fault = FaultSpec {
             edge: EdgeId::from_index(0),
-            extra: timing.clock_period(),
+            extra: 0,
         };
-        let (_, first) = delta.latch_cycle(7, &prev_values, &state, &inputs, fault);
-        assert!(first.built_golden, "first injection at a cycle builds");
-        let (_, second) = delta.latch_cycle(7, &prev_values, &state, &inputs, fault);
-        assert!(
-            !second.built_golden,
-            "same cycle reuses the cached waveform"
-        );
-        let (_, third) = delta.latch_cycle(8, &prev_values, &state, &inputs, fault);
-        assert!(third.built_golden, "a new cycle rebuilds the cache");
+        let _ = delta.latch_cycle(&gold, fault);
     }
 
     #[test]
@@ -609,12 +650,14 @@ mod tests {
                     && matches!(edge.consumer, Consumer::GatePin { .. })
             })
             .unwrap();
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        gold.ensure(0, &prev_values, &state, &inputs);
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let fault = FaultSpec {
             edge: e,
             extra: timing.clock_period(),
         };
-        let (latched, outcome) = delta.latch_cycle(0, &prev_values, &state, &inputs, fault);
+        let (latched, outcome) = delta.latch_cycle(&gold, fault);
         assert_eq!(latched, &[false, true][..]);
         assert_eq!(outcome.reconverged, 1, "the masked AND gate is pruned");
     }

@@ -28,14 +28,14 @@
 //!   words retire to a scalar engine; the rest ride along for nearly free.
 //! * [`DeltaEventSim`] — an **incremental** variant of the timing-aware
 //!   engine: each trace cycle's fault-free timed waveform is simulated once
-//!   and cached as per-net transition lists, and every faulty injection at
-//!   that cycle is evaluated as a delta seeded at the struck edge's sink,
-//!   propagating only where the faulty waveform diverges from golden and
-//!   pruning gates whose output waveform reconverges.
+//!   into a [`GoldenWave`] of per-net transition lists, and every faulty
+//!   injection at that cycle is evaluated as a delta seeded at the struck
+//!   edge's sink, propagating only where the faulty waveform diverges from
+//!   golden and pruning gates whose output waveform reconverges.
 //! * [`BatchDeltaSim`] — the **lane-packed** timing-aware engine: up to
 //!   [`MAX_TIMING_LANES`] `(edge, extra)` scenarios at one trace cycle are
 //!   propagated together over packed word transition lists against the same
-//!   cached golden waveform, with a per-lane divergence frontier,
+//!   [`GoldenWave`], with a per-lane divergence frontier,
 //!   independent lane early-exit, and retirement of unbatchable lanes to
 //!   the scalar engine.
 //!
@@ -67,7 +67,7 @@ mod vcd;
 pub use batch::{BatchSim, LaneMask, MAX_LANES};
 pub use batch_delta::{BatchDeltaOutcome, BatchDeltaSim, MAX_TIMING_LANES};
 pub use cycle::{settle, CycleSim, RunSummary, StopReason};
-pub use delta::{DeltaEventSim, DeltaOutcome};
+pub use delta::{DeltaEventSim, DeltaOutcome, GoldenWave};
 pub use diff::DiffSim;
 pub use env::{ConstEnvironment, Environment};
 pub use event::{EventSim, FaultSpec};

@@ -2,10 +2,12 @@
 //! quiet-source certificate rests on, over random circuits from
 //! [`delayavf_sim::testutil`]:
 //!
-//! 1. an edge whose source net does not transition in the fault-free cycle
-//!    absorbs *any* extra delay without changing the latched state — on the
-//!    full event simulator and on the incremental delta engine alike, so
-//!    the certificate is independent of the engine knob;
+//! 1. an edge whose source net has an empty canonical transition list in
+//!    the cycle's [`GoldenWave`] — the test the injector applies — absorbs
+//!    *any* extra delay without changing the latched state, on the full
+//!    event simulator and on the incremental delta engine alike. Every net
+//!    the event simulator never changed passes that test, and so may nets
+//!    whose only activity is a same-instant glitch;
 //! 2. the contrapositive: whenever a delay fault changes what latches, the
 //!    faulted edge's source net transitioned in the fault-free cycle;
 //! 3. edges sourced by constant nets are quiet in every cycle, whatever
@@ -20,7 +22,7 @@ use delayavf::CollapsePlan;
 use delayavf_netlist::{Circuit, Consumer, Driver, EdgeId, Topology};
 use delayavf_rvcore::{build_core, CoreConfig};
 use delayavf_sim::testutil::{random_circuit, random_observed_circuit, GateSpec};
-use delayavf_sim::{settle, DeltaEventSim, EventSim, FaultSpec};
+use delayavf_sim::{settle, DeltaEventSim, EventSim, FaultSpec, GoldenWave};
 use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use proptest::prelude::*;
 
@@ -161,14 +163,21 @@ proptest! {
         let cy = cycle_context(&c, &topo, prev_in & 0xff, next_in & 0xff, state_bits);
 
         let mut full = EventSim::new(&c, &topo, &timing);
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        gold.ensure(0, &cy.prev_values, &cy.state, &cy.inputs);
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let golden_latch =
             full.latch_cycle(&cy.prev_values, &cy.state, &cy.inputs, None).to_vec();
-        let quiet: Vec<bool> = full.changed_nets().to_vec();
+        let changed: Vec<bool> = full.changed_nets().to_vec();
 
         for e in (0..topo.edges().len()).map(EdgeId::from_index) {
             let source = topo.edge(e).source;
-            if quiet[source.index()] {
+            let quiet = gold.transitions(source).is_empty();
+            prop_assert!(
+                quiet || changed[source.index()],
+                "net {:?} has transitions but the event sim never changed it", source
+            );
+            if !quiet {
                 continue;
             }
             for extra in probe_extras(&timing) {
@@ -180,8 +189,7 @@ proptest! {
                     &faulty, &golden_latch,
                     "quiet edge {:?} (extra {}) changed the latch", e, extra
                 );
-                let (delta_latch, _) =
-                    delta.latch_cycle(0, &cy.prev_values, &cy.state, &cy.inputs, fault);
+                let (delta_latch, _) = delta.latch_cycle(&gold, fault);
                 prop_assert_eq!(
                     delta_latch, &golden_latch[..],
                     "delta engine disagrees on quiet edge {:?} (extra {})", e, extra
@@ -239,14 +247,14 @@ proptest! {
         let mut full = EventSim::new(&c, &topo, &timing);
         let golden_latch =
             full.latch_cycle(&cy.prev_values, &cy.state, &cy.inputs, None).to_vec();
-        let quiet: Vec<bool> = full.changed_nets().to_vec();
+        let changed: Vec<bool> = full.changed_nets().to_vec();
 
         for e in (0..topo.edges().len()).map(EdgeId::from_index) {
             let source = topo.edge(e).source;
             if !matches!(c.net(source).driver(), Driver::Const(_)) {
                 continue;
             }
-            prop_assert!(!quiet[source.index()], "a constant net transitioned");
+            prop_assert!(!changed[source.index()], "a constant net transitioned");
             let extra = 2 * timing.clock_period();
             let faulty = full
                 .latch_cycle(&cy.prev_values, &cy.state, &cy.inputs, Some(FaultSpec { edge: e, extra }))

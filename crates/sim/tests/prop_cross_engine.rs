@@ -27,7 +27,7 @@ use delayavf_netlist::{DffId, EdgeId, Topology};
 use delayavf_sim::testutil::{pick_flips, random_circuit, GateSpec, SeqEnvironment};
 use delayavf_sim::{
     settle, BatchDeltaSim, BatchSim, CycleSim, DeltaEventSim, DiffSim, EventSim, FaultSpec,
-    GoldenTrace,
+    GoldenTrace, GoldenWave,
 };
 use delayavf_timing::{TechLibrary, TimingModel};
 use proptest::prelude::*;
@@ -57,6 +57,8 @@ proptest! {
         let inputs = vec![next_in & 0x3f];
 
         let mut full = EventSim::new(&c, &topo, &timing);
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        gold.ensure(0, &prev_values, &state, &inputs);
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let golden = full.latch_cycle(&prev_values, &state, &inputs, None).to_vec();
         let clock = timing.clock_period();
@@ -68,7 +70,7 @@ proptest! {
                 let want = full
                     .latch_cycle(&prev_values, &state, &inputs, Some(fault))
                     .to_vec();
-                let (got, _) = delta.latch_cycle(0, &prev_values, &state, &inputs, fault);
+                let (got, _) = delta.latch_cycle(&gold, fault);
                 prop_assert_eq!(
                     got,
                     &want[..],
@@ -130,6 +132,8 @@ proptest! {
         }
 
         let mut full = EventSim::new(&c, &topo, &timing);
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        gold.ensure(0, &prev_values, &state, &inputs);
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let golden = full.latch_cycle(&prev_values, &state, &inputs, None).to_vec();
         let wants: Vec<Vec<bool>> = faults
@@ -140,8 +144,7 @@ proptest! {
         let mut batch = BatchDeltaSim::new(&c, &topo, &timing);
         // Narrow u64 path, then the same faults tiled past 64 lanes onto
         // the 256-lane carrier, then past 256 lanes onto the 512-lane
-        // carrier; the later batches reuse the cached golden waveform
-        // (same trace cycle).
+        // carrier, all against the one golden waveform of the cycle.
         let wide_len = 65 + faults.len();
         let wide_faults: Vec<FaultSpec> =
             faults.iter().cycle().take(wide_len).copied().collect();
@@ -152,13 +155,7 @@ proptest! {
             .into_iter()
             .enumerate()
         {
-            let outcome = batch.latch_batch(0, &prev_values, &state, &inputs, fault_list);
-            prop_assert_eq!(
-                outcome.built_golden,
-                pass == 0,
-                "golden waveform is built once and cached, pass {}",
-                pass
-            );
+            let outcome = batch.latch_batch(&gold, fault_list);
             for (lane, &fault) in fault_list.iter().enumerate() {
                 let want = &wants[lane % faults.len()];
                 if outcome.retired.contains(&lane) {
@@ -179,9 +176,8 @@ proptest! {
                         pass
                     );
                     // The caller's contract: retired lanes replay on the
-                    // scalar engine, which shares the golden cache.
-                    let (scalar, _) =
-                        delta.latch_cycle(0, &prev_values, &state, &inputs, fault);
+                    // scalar engine, which reads the same golden waveform.
+                    let (scalar, _) = delta.latch_cycle(&gold, fault);
                     prop_assert_eq!(
                         scalar,
                         &want[..],

@@ -5,14 +5,13 @@
 //!
 //! 1. random circuits × random faults (edge, extra): latched state and the
 //!    derived dynamically reachable set match the full event simulator,
-//!    while the golden waveform is built once per cycle and shared by every
-//!    injection at that cycle;
+//!    with one golden waveform shared by every injection at that cycle;
 //! 2. fault-free cycles (`extra = 0`): the delta run reconverges to the
-//!    cached golden waveform, which itself equals the full fault-free run.
+//!    golden waveform, whose latched values equal the full fault-free run.
 
 use delayavf_netlist::{Circuit, EdgeId, Topology};
 use delayavf_sim::testutil::{random_circuit, GateSpec};
-use delayavf_sim::{settle, DeltaEventSim, EventSim, FaultSpec};
+use delayavf_sim::{settle, DeltaEventSim, EventSim, FaultSpec, GoldenWave};
 use delayavf_timing::{TechLibrary, TimingModel};
 use proptest::prelude::*;
 
@@ -59,6 +58,8 @@ proptest! {
         let cy = cycle_context(&c, &topo, prev_in & 0xff, next_in & 0xff, state_bits);
 
         let mut full = EventSim::new(&c, &topo, &timing);
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        gold.ensure(0, &cy.prev_values, &cy.state, &cy.inputs);
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let golden_latch =
             full.latch_cycle(&cy.prev_values, &cy.state, &cy.inputs, None).to_vec();
@@ -66,13 +67,11 @@ proptest! {
         let clock = timing.clock_period();
         let extras = [0, 1, clock / 4, clock / 2, clock - 1, clock, 2 * clock];
         let extra = extras[usize::from(extra_sel) % extras.len()];
-        let mut builds = 0u64;
         for e in (0..topo.edges().len()).map(EdgeId::from_index) {
             let fault = FaultSpec { edge: e, extra };
             let want =
                 full.latch_cycle(&cy.prev_values, &cy.state, &cy.inputs, Some(fault)).to_vec();
-            let (got, outcome) =
-                delta.latch_cycle(0, &cy.prev_values, &cy.state, &cy.inputs, fault);
+            let (got, _) = delta.latch_cycle(&gold, fault);
             prop_assert_eq!(got, &want[..], "latched state, edge {:?} extra {}", e, extra);
             // The dynamically reachable set (Definition 3) is derived from
             // the latched values, so it matches too — spelled out because it
@@ -82,9 +81,7 @@ proptest! {
             let got_dyn: Vec<usize> =
                 (0..got.len()).filter(|&i| got[i] != golden_latch[i]).collect();
             prop_assert_eq!(got_dyn, want_dyn, "dynamic set, edge {:?} extra {}", e, extra);
-            builds += u64::from(outcome.built_golden);
         }
-        prop_assert_eq!(builds, 1, "one golden build shared by all edges at the cycle");
     }
 
     #[test]
@@ -103,15 +100,12 @@ proptest! {
         let mut full = EventSim::new(&c, &topo, &timing);
         let golden_latch =
             full.latch_cycle(&cy.prev_values, &cy.state, &cy.inputs, None).to_vec();
+        let mut gold = GoldenWave::new(&c, &topo, &timing);
+        gold.ensure(0, &cy.prev_values, &cy.state, &cy.inputs);
+        prop_assert_eq!(gold.latched(), &golden_latch[..], "golden latch is the fault-free run");
         let mut delta = DeltaEventSim::new(&c, &topo, &timing);
         let edge = EdgeId::from_index(usize::from(edge_sel) % topo.edges().len());
-        let (got, _) = delta.latch_cycle(
-            0,
-            &cy.prev_values,
-            &cy.state,
-            &cy.inputs,
-            FaultSpec { edge, extra: 0 },
-        );
+        let (got, _) = delta.latch_cycle(&gold, FaultSpec { edge, extra: 0 });
         prop_assert_eq!(got, &golden_latch[..], "a zero-extra fault is fault-free");
     }
 }

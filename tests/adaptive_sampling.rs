@@ -69,8 +69,6 @@ fn config(ci_target: Option<f64>, threads: usize) -> CampaignConfig {
         compute_orace: false,
         due_slack: 30,
         threads,
-        incremental: true,
-        delta_timing: true,
         lanes: 64,
         timing_lanes: 64,
         collapse: true,

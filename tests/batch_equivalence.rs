@@ -2,7 +2,7 @@
 //! gate-level core: campaigns run at every lane width return bit-for-bit
 //! identical results, and at the [`Injector`] level a batched prefill
 //! produces exactly the scalar engine's failure classes under every
-//! combination of the early-exit and incremental knobs.
+//! setting of the early-exit knob.
 
 use delayavf::{
     delay_avf_campaign_records, prepare_golden_seeded, sample_edges, savf_per_bit_campaign,
@@ -100,9 +100,7 @@ fn campaigns_are_lane_width_invariant_on_the_real_core() {
 
 /// The injector-level differential, with the campaign layer out of the
 /// picture: a batched prefill followed by cache lookups yields exactly the
-/// scalar failure classes, under all four combinations of the early-exit
-/// and incremental knobs — including the pure full-replay configuration
-/// where every batch continuation materializes complete state.
+/// scalar failure classes, with and without the convergence early exit.
 #[test]
 fn prefilled_failure_classes_match_scalar_under_every_knob_combination() {
     let s = setup();
@@ -121,35 +119,31 @@ fn prefilled_failure_classes_match_scalar_under_every_knob_combination() {
     assert!(!boundaries.is_empty(), "the golden run sampled cycles");
 
     for early_exit in [true, false] {
-        for incremental in [true, false] {
-            let mut classes: Vec<Vec<FailureClass>> = Vec::new();
-            for lanes in [1usize, 64] {
-                let mut injector =
-                    Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
-                injector.set_early_exit(early_exit);
-                injector.set_incremental(incremental);
-                injector.set_lanes(lanes);
-                let mut got = Vec::new();
-                for &boundary in &boundaries {
-                    injector.prefill_failures(boundary, sets.iter().cloned());
-                    for set in &sets {
-                        got.push(injector.group_failure(boundary, set));
-                    }
+        let mut classes: Vec<Vec<FailureClass>> = Vec::new();
+        for lanes in [1usize, 64] {
+            let mut injector = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
+            injector.set_early_exit(early_exit);
+            injector.set_lanes(lanes);
+            let mut got = Vec::new();
+            for &boundary in &boundaries {
+                injector.prefill_failures(boundary, sets.iter().cloned());
+                for set in &sets {
+                    got.push(injector.group_failure(boundary, set));
                 }
-                if lanes == 1 {
-                    assert_eq!(injector.stats.batched_replays, 0);
-                } else {
-                    assert!(
-                        injector.stats.batched_replays > 0,
-                        "wide lanes batch (early_exit={early_exit}, incremental={incremental})"
-                    );
-                }
-                classes.push(got);
             }
-            assert_eq!(
-                classes[0], classes[1],
-                "failure classes, lanes 1 vs 64 (early_exit={early_exit}, incremental={incremental})"
-            );
+            if lanes == 1 {
+                assert_eq!(injector.stats.batched_replays, 0);
+            } else {
+                assert!(
+                    injector.stats.batched_replays > 0,
+                    "wide lanes batch (early_exit={early_exit})"
+                );
+            }
+            classes.push(got);
         }
+        assert_eq!(
+            classes[0], classes[1],
+            "failure classes, lanes 1 vs 64 (early_exit={early_exit})"
+        );
     }
 }

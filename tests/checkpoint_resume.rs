@@ -21,7 +21,8 @@ use delayavf::{
     delay_avf_campaign_with_stats, prepare_golden_seeded, sample_edges, savf_campaign_observed,
     savf_campaign_with_stats, savf_per_bit_campaign, savf_per_bit_campaign_observed,
     spatial_double_strike_campaign, spatial_double_strike_campaign_observed, CampaignConfig,
-    CheckpointSpec, GoldenRun, ReplayOptions, RunContext, NULL_TELEMETRY,
+    CheckpointSpec, GoldenRun, ReplayOptions, RunContext, CHECKPOINT_FORMAT_VERSION,
+    NULL_TELEMETRY,
 };
 use delayavf_netlist::{DffId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
@@ -124,8 +125,6 @@ fn resumed_reports_are_byte_identical_across_the_threads_by_lanes_grid() {
         compute_orace: true,
         due_slack: 500,
         threads: 1,
-        incremental: true,
-        delta_timing: true,
         lanes: 64,
         timing_lanes: 64,
         collapse: true,
@@ -347,8 +346,6 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
         compute_orace: false,
         due_slack: 500,
         threads: 2,
-        incremental: true,
-        delta_timing: true,
         lanes: 64,
         timing_lanes: 64,
         collapse: true,
@@ -566,8 +563,6 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
         compute_orace: false,
         due_slack: 500,
         threads: 2,
-        incremental: true,
-        delta_timing: true,
         lanes: 64,
         timing_lanes: 64,
         collapse: true,
@@ -682,9 +677,32 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
     .unwrap();
     assert_eq!(resumed, want, "cross-thread-count resume differs");
 
+    // A checkpoint of the previous file format (v2, whose unit payloads
+    // carried two more counters) is rejected as a mismatch before any unit
+    // is parsed.
+    let current = fs::read_to_string(&path).unwrap();
+    let v2 = current.replacen(&format!(" v{CHECKPOINT_FORMAT_VERSION} "), " v2 ", 1);
+    assert_ne!(v2, current, "the header names the format version");
+    fs::write(&path, v2).unwrap();
+    let err = delay_avf_campaign_observed(
+        &s.core.circuit,
+        &s.topo,
+        &s.timing,
+        &s.golden,
+        &edges,
+        &config,
+        &ctx(&path, 1, true),
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("checkpoint mismatch") && err.contains("format version v2"),
+        "v2 checkpoint not pinned: {err}"
+    );
+
     // A torn file (no atomic rename ever produces one, but disks lie) is a
     // loud parse error, not a silent fresh start.
-    fs::write(&path, "delayavf-checkpoint v2 delay_sweep\nfingerpri").unwrap();
+    let torn = format!("delayavf-checkpoint v{CHECKPOINT_FORMAT_VERSION} delay_sweep\nfingerpri");
+    fs::write(&path, torn).unwrap();
     let err = delay_avf_campaign_observed(
         &s.core.circuit,
         &s.topo,

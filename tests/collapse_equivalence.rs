@@ -3,9 +3,8 @@
 //! equivalence class — an edge whose [`delayavf::CollapsePlan`] representative
 //! is a different edge — produces the exact same dynamically reachable set
 //! and the exact same [`delayavf::InjectionOutcome`] as its representative,
-//! at every sampled cycle, for every extra delay probed, and under every
-//! combination of the toggle-filter, incremental-replay and delta-timing
-//! knobs. The collapse layer never has to guess: redirecting a member to
+//! at every sampled cycle, for every extra delay probed, with and without
+//! the toggle pre-filter. The collapse layer never has to guess: redirecting a member to
 //! its representative returns the answer the member would have computed.
 
 use delayavf::{prepare_golden_seeded, CollapsePlan, Injector};
@@ -67,46 +66,36 @@ fn every_class_member_matches_its_representative_under_every_knob() {
     let extras: Vec<Picos> = vec![clock / 2, clock * 9 / 10];
 
     for toggle_filter in [true, false] {
-        for incremental in [true, false] {
-            for delta_timing in [true, false] {
-                // Collapse stays OFF on both injectors: this test validates
-                // the criterion itself, so the member's answer must come
-                // from a real per-edge replay, not from the redirect whose
-                // soundness is under test.
-                let mut member_inj =
-                    Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
-                let mut rep_inj =
-                    Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
-                for inj in [&mut member_inj, &mut rep_inj] {
-                    inj.set_collapse(false);
-                    inj.set_toggle_filter(toggle_filter);
-                    inj.set_incremental(incremental);
-                    inj.set_delta_timing(delta_timing);
-                }
-                for &cycle in &s.golden.sampled_cycles {
-                    if cycle + 1 >= s.golden.trace.num_cycles() {
-                        continue;
-                    }
-                    for &(member, rep) in &pairs {
-                        for &extra in &extras {
-                            let m = member_inj.dynamically_reachable(cycle, member, extra);
-                            let r = rep_inj.dynamically_reachable(cycle, rep, extra);
-                            assert_eq!(
-                                m, r,
-                                "dynamic set, member {member} vs rep {rep} at cycle {cycle} \
-                                 extra {extra} (toggle={toggle_filter} inc={incremental} \
-                                 delta={delta_timing})"
-                            );
-                            let mo = member_inj.inject(cycle, member, extra);
-                            let ro = rep_inj.inject(cycle, rep, extra);
-                            assert_eq!(
-                                mo, ro,
-                                "outcome, member {member} vs rep {rep} at cycle {cycle} \
-                                 extra {extra} (toggle={toggle_filter} inc={incremental} \
-                                 delta={delta_timing})"
-                            );
-                        }
-                    }
+        // Collapse stays OFF on both injectors: this test validates the
+        // criterion itself, so the member's answer must come from a real
+        // per-edge replay, not from the redirect whose soundness is under
+        // test.
+        let mut member_inj = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
+        let mut rep_inj = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
+        for inj in [&mut member_inj, &mut rep_inj] {
+            inj.set_collapse(false);
+            inj.set_toggle_filter(toggle_filter);
+        }
+        for &cycle in &s.golden.sampled_cycles {
+            if cycle + 1 >= s.golden.trace.num_cycles() {
+                continue;
+            }
+            for &(member, rep) in &pairs {
+                for &extra in &extras {
+                    let m = member_inj.dynamically_reachable(cycle, member, extra);
+                    let r = rep_inj.dynamically_reachable(cycle, rep, extra);
+                    assert_eq!(
+                        m, r,
+                        "dynamic set, member {member} vs rep {rep} at cycle {cycle} \
+                         extra {extra} (toggle={toggle_filter})"
+                    );
+                    let mo = member_inj.inject(cycle, member, extra);
+                    let ro = rep_inj.inject(cycle, rep, extra);
+                    assert_eq!(
+                        mo, ro,
+                        "outcome, member {member} vs rep {rep} at cycle {cycle} \
+                         extra {extra} (toggle={toggle_filter})"
+                    );
                 }
             }
         }

@@ -47,8 +47,6 @@ fn campaign_invariants_hold_on_the_real_core() {
         compute_orace: false,
         due_slack: 500,
         threads: 0,
-        incremental: true,
-        delta_timing: true,
         lanes: 64,
         timing_lanes: 64,
         collapse: true,

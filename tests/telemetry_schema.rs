@@ -90,8 +90,6 @@ fn campaign_telemetry_validates_and_never_changes_results() {
         compute_orace: true,
         due_slack: 500,
         threads: 2,
-        incremental: true,
-        delta_timing: true,
         lanes: 64,
         timing_lanes: 64,
         collapse: true,
