@@ -2,6 +2,9 @@
 # Report-identity gate. Every engine knob that must not change results is
 # run on `repro fig10 --tiny` and on every artifact config in configs/ at
 # tiny scale, and each report must equal the default run's byte for byte.
+# The thread-count variants run the campaign units on a different schedule
+# (one worker; three workers pulling from the shared queue), so this also
+# compares reports across schedules.
 #
 # Usage: ci/report_identity.sh [REPRO]   (default: target/release/repro)
 # Run from the repository root after `cargo build --release`.
@@ -20,6 +23,8 @@ variants=(
   "lanes 256|--lanes 256 --timing-lanes 256|lanes = 256;timing_lanes = 256"
   "lanes 512|--lanes 512 --timing-lanes 512|lanes = 512;timing_lanes = 512"
   "dormant strata 9|--strata 9|strata = 9"
+  "threads 1|--threads 1|threads = 1"
+  "threads 3|--threads 3|threads = 3"
 )
 
 mkdir "$work/base" "$work/run"

@@ -1,22 +1,33 @@
 //! Fault-injection campaigns: DelayAVF sweeps and particle-strike sAVF.
 //!
-//! # Sharded parallel engine
+//! # Parallel engine: one queue of whole units
 //!
 //! Every injection is independent given the golden trace, so each campaign
-//! partitions its outermost sampling axis (cycles, or bits for the per-bit
-//! campaign) into contiguous shards and runs one worker per shard on
-//! [`std::thread::scope`] threads. Workers share the circuit, topology,
-//! timing model and golden run read-only (hence the `Send + Sync`
-//! supertrait on [`Environment`]) and each owns a private [`Injector`],
-//! whose fan-in/replay caches and cycle reconstruction are per-run mutable
+//! cuts its work into whole *units* — one trace cycle (one latch boundary)
+//! each, or one adaptive round's `(round, cycle)` group — and runs them on
+//! [`std::thread::scope`] workers that pull unit indices from one shared
+//! atomic cursor. The queue is ordered longest-expected-first: a unit's
+//! cost estimate is the trace cycles left after its cycle times its sites
+//! (an early error can replay to the end of the program), ties by unit
+//! index, so the long units start first and the short ones fill in
+//! around them instead of leaving a worker idle behind a slow fixed
+//! chunk. Workers share the circuit, topology, timing model and golden run
+//! read-only (hence the `Send + Sync` supertrait on [`Environment`]) —
+//! including the trace's lazily filled golden settle cache — and each
+//! keeps one private [`Injector`] for every unit it pulls, whose
+//! fan-in/replay caches and cycle reconstruction are per-run mutable
 //! state.
 //!
 //! **Determinism:** parallel results are bit-for-bit identical to serial
-//! for any thread count. All counters are integers merged by addition in
-//! shard order, records are concatenated in shard order, and sharding by
-//! whole cycles keeps every cache-shareable replay (keys are scoped to one
-//! latch boundary) inside a single worker, so even the [`InjectorStats`]
-//! cache-hit counters are partition-independent.
+//! for any thread count and any schedule. Results are stored per unit
+//! index and merged in unit order (rows, [`InjectorStats`], records, and
+//! the adaptive plan's per-site tallies), all counters are integers merged
+//! by addition, and every cache-shareable replay of a unit is keyed by the
+//! unit's own latch boundary, so no cache entry carried in a worker's
+//! injector from one unit to the next can serve another unit: even the
+//! cache-hit counters do not depend on which worker ran which unit, or
+//! when. Checkpoints are keyed by unit, so their content does not depend
+//! on the schedule either.
 //!
 //! # Latch-boundary conventions
 //!
@@ -34,21 +45,21 @@
 //!
 //! # Lane batching
 //!
-//! On top of sharding, every campaign groups the replays of one latch
-//! boundary into bit-parallel batches ([`Injector::prefill_failures`], up
-//! to [`ReplayOptions::lanes`] scenarios per pass over the netlist) before
+//! Within a unit, every campaign groups the replays of its latch boundary
+//! into bit-parallel batches ([`Injector::prefill_failures`], up to
+//! [`ReplayOptions::lanes`] scenarios per pass over the netlist) before
 //! running its unchanged scalar loop against the warmed cache — so tally
 //! and record order are exactly the sequential engine's, and `lanes = 1`
 //! (which turns prefilling into a no-op) reproduces its reports
-//! byte-identically. Batching composes with sharding: cycle-sharded
-//! campaigns keep each boundary's batches inside one worker, so the batch
-//! counters in [`InjectorStats`] merge thread-invariantly. The per-bit
-//! campaign shards over *bits* instead; its batch shapes depend on the
-//! partition, which is harmless because it exposes no stats — its results
-//! are still bit-for-bit deterministic.
+//! byte-identically. A unit's batches never leave its worker, so the batch
+//! counters in [`InjectorStats`] merge schedule-invariantly. The per-bit
+//! campaign reports and checkpoints *bits*, but queues its replays by
+//! cycle — each cycle batches every pending bit — and then tallies each
+//! bit from the per-cycle classes in bit order.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -73,7 +84,7 @@ pub struct ReplayOptions {
     /// Extra cycles past the golden program length before a non-halting
     /// faulty run is declared a DUE.
     pub due_slack: u64,
-    /// Worker threads for the sharded engine. `0` (the default) resolves
+    /// Worker threads for the campaign engine. `0` (the default) resolves
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
@@ -195,7 +206,7 @@ pub struct CampaignConfig {
     /// Extra cycles past the golden program length before a non-halting
     /// faulty run is declared a DUE.
     pub due_slack: u64,
-    /// Worker threads for the sharded engine. `0` (the default) resolves
+    /// Worker threads for the campaign engine. `0` (the default) resolves
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
@@ -287,25 +298,42 @@ impl CampaignConfig {
         self.sample_seed = sample_seed;
         self
     }
+
+    /// The engine knobs of this sweep as replay options.
+    fn replay_options(&self) -> ReplayOptions {
+        ReplayOptions {
+            due_slack: self.due_slack,
+            threads: self.threads,
+            lanes: self.lanes,
+            timing_lanes: self.timing_lanes,
+            collapse: self.collapse,
+            ci_target: self.ci_target,
+            strata: self.strata,
+            sample_seed: self.sample_seed,
+        }
+    }
 }
 
-/// A worker's private injector, with the shard-invariant knobs applied.
-#[allow(clippy::too_many_arguments)]
-fn shard_injector<'g, E: Environment + Clone>(
+/// A worker's private injector, with the schedule-invariant knobs applied.
+fn worker_injector<'g, E: Environment + Clone>(
     circuit: &'g Circuit,
     topo: &'g Topology,
     timing: &'g TimingModel,
     golden: &'g GoldenRun<E>,
-    due_slack: u64,
-    lanes: usize,
-    timing_lanes: usize,
-    collapse: bool,
+    opts: &ReplayOptions,
 ) -> Injector<'g, E> {
-    let mut injector = Injector::new(circuit, topo, timing, golden, due_slack);
-    injector.set_lanes(lanes);
-    injector.set_timing_lanes(timing_lanes);
-    injector.set_collapse(collapse);
+    let mut injector = Injector::new(circuit, topo, timing, golden, opts.due_slack);
+    injector.set_lanes(opts.lanes);
+    injector.set_timing_lanes(opts.timing_lanes);
+    injector.set_collapse(opts.collapse);
     injector
+}
+
+/// One queue worker's state: a private injector kept for every unit the
+/// worker pulls, and its observer.
+struct Worker<'g, 'a, E: Environment + Clone, S: TelemetrySink> {
+    injector: Injector<'g, E>,
+    obs: WorkerObserver<'a, S>,
 }
 
 /// The sampled cycles on which injection is well-defined: cycle 0 has no
@@ -322,7 +350,7 @@ pub fn valid_cycles<E: Environment + Clone>(golden: &GoldenRun<E>) -> Vec<u64> {
 }
 
 /// Resolves a requested thread count: `0` means one per available core,
-/// and no campaign spawns more workers than it has shardable items.
+/// and no campaign spawns more workers than it has units.
 fn resolve_threads(requested: usize, items: usize) -> usize {
     let t = if requested == 0 {
         thread::available_parallelism()
@@ -334,33 +362,130 @@ fn resolve_threads(requested: usize, items: usize) -> usize {
     t.clamp(1, items.max(1))
 }
 
-/// Runs `work` over contiguous shards of `items` on scoped threads and
-/// returns the per-shard results **in shard order** (which is what makes
-/// order-sensitive merges — record concatenation — deterministic). The
-/// closure additionally receives its shard index, which the observability
-/// layer stamps into heartbeats.
-fn run_sharded<T, R, F>(threads: usize, items: &[T], work: F) -> Vec<R>
+/// Estimated replay cost of a work unit at trace `cycle` with `sites`
+/// injection sites: an injected error can replay at most to the end of the
+/// trace, so cycles left times sites bounds the unit's replay work. Only
+/// the *order* of these estimates matters.
+fn unit_cost<E: Environment + Clone>(golden: &GoldenRun<E>, cycle: u64, sites: usize) -> u64 {
+    golden.trace.num_cycles().saturating_sub(cycle) * sites as u64
+}
+
+/// The order workers pull units in: longest expected first (descending
+/// `costs`), ties by unit index.
+fn queue_order(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
+    #[cfg(test)]
+    schedule::apply(&mut order);
+    order
+}
+
+/// Runs `work` over `units` on up to `threads` scoped workers that pull
+/// unit indices, in `order`, from one shared atomic cursor. Each worker
+/// builds its state once with `init(worker)`, runs every unit it pulls
+/// against that state, and hands it to `finish` when the queue is empty.
+///
+/// Results come back **in unit order**, whatever the schedule, which is
+/// what keeps order-sensitive merges (record concatenation, the adaptive
+/// plan's tallies) deterministic. A failing unit stops every worker from
+/// pulling more; the error of the lowest-indexed failed unit is returned.
+fn run_queue<T, St, R>(
+    threads: usize,
+    units: &[T],
+    order: &[usize],
+    init: impl Fn(usize) -> St + Sync,
+    work: impl Fn(&mut St, &T) -> Result<R, String> + Sync,
+    finish: impl Fn(St) + Sync,
+) -> Result<Vec<R>, String>
 where
     T: Sync,
     R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
-        return vec![work(0, items)];
+    debug_assert_eq!(
+        order.len(),
+        units.len(),
+        "order is a permutation of the units"
+    );
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let worker = |id: usize| {
+        let mut state = init(id);
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            let result = work(&mut state, &units[i]);
+            if result.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.push((i, result));
+        }
+        finish(state);
+        done
+    };
+    let threads = threads.clamp(1, units.len().max(1));
+    let per_worker: Vec<Vec<(usize, Result<R, String>)>> = if threads == 1 {
+        vec![worker(0)]
+    } else {
+        thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..threads)
+                .map(|id| scope.spawn(move || worker(id)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked"))
+                .collect()
+        })
+    };
+    let mut slots: Vec<Option<Result<R, String>>> = (0..units.len()).map(|_| None).collect();
+    for (i, result) in per_worker.into_iter().flatten() {
+        slots[i] = Some(result);
     }
-    let shard_len = items.len().div_ceil(threads);
-    thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = items
-            .chunks(shard_len)
-            .enumerate()
-            .map(|(i, shard)| scope.spawn(move || work(i, shard)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect()
-    })
+    // Units are only left unrun after a failure, which `collect` reports.
+    slots.into_iter().flatten().collect()
+}
+
+/// Test-only schedule override: permutes the queue order of every
+/// campaign run on the calling thread, so tests can check that reports and
+/// counters do not depend on which worker runs which unit, or when.
+#[cfg(test)]
+pub(crate) mod schedule {
+    use std::cell::Cell;
+
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+
+    /// A replacement for the cost-ordered queue.
+    #[derive(Clone, Copy, Debug)]
+    pub(crate) enum Schedule {
+        /// The cost order, reversed (shortest expected first).
+        Reversed,
+        /// A seeded shuffle of the cost order.
+        Shuffled(u64),
+    }
+
+    thread_local! {
+        static OVERRIDE: Cell<Option<Schedule>> = const { Cell::new(None) };
+    }
+
+    /// Runs `f` with every queue built on this thread ordered by `s`.
+    pub(crate) fn with<R>(s: Schedule, f: impl FnOnce() -> R) -> R {
+        OVERRIDE.with(|o| o.set(Some(s)));
+        let r = f();
+        OVERRIDE.with(|o| o.set(None));
+        r
+    }
+
+    pub(super) fn apply(order: &mut [usize]) {
+        match OVERRIDE.with(Cell::get) {
+            None => {}
+            Some(Schedule::Reversed) => order.reverse(),
+            Some(Schedule::Shuffled(seed)) => order.shuffle(&mut StdRng::seed_from_u64(seed)),
+        }
+    }
 }
 
 /// Observability context threaded through the `*_observed` campaign entry
@@ -515,40 +640,63 @@ fn open_store(
     }
 }
 
-/// Minimum spacing of intermediate heartbeats (a shard's first and last
-/// units always beat).
+/// Minimum spacing of a worker's intermediate heartbeats (a worker's
+/// first unit and the campaign's last unit always beat).
 const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(250);
+
+/// Campaign-wide progress shared by every worker's observer: units
+/// finished and units scheduled so far, plus a lock that serializes
+/// heartbeat emission so the stream's `done` values never decrease.
+struct Progress {
+    done: AtomicUsize,
+    total: AtomicUsize,
+    started: Option<Instant>,
+    beat: Mutex<()>,
+}
+
+impl Progress {
+    fn new<S: TelemetrySink>() -> Self {
+        Progress {
+            done: AtomicUsize::new(0),
+            total: AtomicUsize::new(0),
+            started: S::ENABLED.then(Instant::now),
+            beat: Mutex::new(()),
+        }
+    }
+
+    /// Adds `units` to the campaign's scheduled total (all units up front
+    /// for uniform campaigns, each round's units for adaptive ones).
+    fn schedule(&self, units: usize) {
+        self.total.fetch_add(units, Ordering::Relaxed);
+    }
+}
 
 /// Per-worker observability state: emits heartbeats/stats deltas, records
 /// completed units into the shared checkpoint store, and accumulates the
-/// shard's phase timers. All clock reads are gated on `S::ENABLED`, so a
+/// worker's phase timers. All clock reads are gated on `S::ENABLED`, so a
 /// disabled sink never touches a clock.
-struct ShardObserver<'a, S: TelemetrySink> {
+struct WorkerObserver<'a, S: TelemetrySink> {
     telemetry: &'a S,
     store: Option<&'a Mutex<CheckpointStore>>,
-    shard: usize,
-    total: usize,
-    done: usize,
-    started: Option<Instant>,
+    progress: &'a Progress,
+    worker: usize,
     last_beat: Option<Instant>,
     pending_stats: InjectorStats,
     phases: PhaseTotals,
 }
 
-impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
+impl<'a, S: TelemetrySink> WorkerObserver<'a, S> {
     fn new(
         telemetry: &'a S,
         store: Option<&'a Mutex<CheckpointStore>>,
-        shard: usize,
-        total: usize,
+        progress: &'a Progress,
+        worker: usize,
     ) -> Self {
-        ShardObserver {
+        WorkerObserver {
             telemetry,
             store,
-            shard,
-            total,
-            done: 0,
-            started: S::ENABLED.then(Instant::now),
+            progress,
+            worker,
             last_beat: None,
             pending_stats: InjectorStats::default(),
             phases: PhaseTotals::default(),
@@ -564,7 +712,7 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
         payload: Option<String>,
         stats_delta: Option<&InjectorStats>,
     ) -> Result<(), String> {
-        self.done += 1;
+        let done = self.progress.done.fetch_add(1, Ordering::Relaxed) + 1;
         if let (Some(store), Some(payload)) = (self.store, payload) {
             let mut store = store
                 .lock()
@@ -582,27 +730,36 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
                 self.pending_stats.merge(delta);
             }
             let now = Instant::now();
-            let due = self.done == 1
-                || self.done == self.total
+            let due = done == self.progress.total.load(Ordering::Relaxed)
                 || self
                     .last_beat
                     .is_none_or(|t| now.duration_since(t) >= HEARTBEAT_INTERVAL);
             if due {
                 self.last_beat = Some(now);
+                // Counts are read under the lock, so a heartbeat emitted
+                // after the campaign's last unit always reports it.
+                let _beat = self
+                    .progress
+                    .beat
+                    .lock()
+                    .map_err(|_| "heartbeat lock poisoned".to_string())?;
+                let done = self.progress.done.load(Ordering::Relaxed);
+                let total = self.progress.total.load(Ordering::Relaxed);
                 let elapsed = self
+                    .progress
                     .started
-                    .map_or(0.0, |s| now.duration_since(s).as_secs_f64());
-                let (units_per_sec, eta_s) = heartbeat_rates(self.done, self.total, elapsed);
+                    .map_or(0.0, |s| s.elapsed().as_secs_f64());
+                let (units_per_sec, eta_s) = heartbeat_rates(done, total, elapsed);
                 self.telemetry.emit(&TelemetryEvent::ShardHeartbeat {
-                    shard: self.shard,
-                    done: self.done,
-                    total: self.total,
+                    shard: self.worker,
+                    done,
+                    total,
                     units_per_sec,
                     eta_s,
                 });
                 if stats_delta.is_some() {
                     self.telemetry.emit(&TelemetryEvent::StatsDelta {
-                        shard: self.shard,
+                        shard: self.worker,
                         stats: self.pending_stats,
                     });
                     self.pending_stats = InjectorStats::default();
@@ -612,11 +769,12 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
         Ok(())
     }
 
-    /// Emits the shard's phase-timer totals (once, when the shard ends).
+    /// Emits the worker's phase-timer totals (once, when it runs out of
+    /// units).
     fn finish(self) {
         if S::ENABLED {
             self.telemetry.emit(&TelemetryEvent::PhaseTimers {
-                shard: self.shard,
+                shard: self.worker,
                 phases: self.phases,
             });
         }
@@ -624,7 +782,7 @@ impl<'a, S: TelemetrySink> ShardObserver<'a, S> {
 }
 
 /// Heartbeat rate math: `(units_per_sec, eta_s)` from the units completed,
-/// the shard total and the elapsed seconds. Degenerate inputs — zero
+/// the units scheduled and the elapsed seconds. Degenerate inputs — zero
 /// elapsed time on an instantaneous first unit, or zero completed units —
 /// yield `0.0` rather than NaN/∞: the JSONL layer would render non-finite
 /// numbers as `0.000` anyway, but never producing them keeps `eta_s`
@@ -657,15 +815,16 @@ fn timed<T>(enabled: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// Emits a `campaign_start`, runs `body`, emits the matching
-/// `campaign_end`, and performs the final checkpoint flush.
+/// Emits a `campaign_start`, runs `body` against a fresh campaign-wide
+/// [`Progress`], emits the matching `campaign_end`, and performs the final
+/// checkpoint flush.
 fn observe_campaign<R, S: TelemetrySink>(
     ctx: &RunContext<'_, S>,
     setup: &ObservedSetup,
     campaign: &str,
     units: usize,
     threads: usize,
-    body: impl FnOnce() -> Result<R, String>,
+    body: impl FnOnce(&Progress) -> Result<R, String>,
 ) -> Result<R, String> {
     let t0 = S::ENABLED.then(Instant::now);
     if S::ENABLED {
@@ -676,7 +835,7 @@ fn observe_campaign<R, S: TelemetrySink>(
             resumed_units: setup.resumed.len(),
         });
     }
-    let result = body()?;
+    let result = body(&Progress::new::<S>())?;
     if let Some(store) = &setup.store {
         store
             .lock()
@@ -991,20 +1150,12 @@ fn decode_records_unit(payload: &str, cycle: u64) -> Result<RecordsUnit, String>
     Ok((records, failures))
 }
 
-/// Per-bit payloads store each cycle's classification as one character,
-/// with a leading `.` so an empty cycle list still yields a token.
-fn encode_per_bit_unit<E: Environment + Clone>(
-    injector: &Injector<'_, E>,
-    dff: DffId,
-    cycles: &[u64],
-) -> String {
+/// Per-bit payloads store one classification per character (each cycle's
+/// for a bit, or each bit's at one cycle for the adaptive campaign), with a
+/// leading `.` so an empty list still yields a token.
+fn encode_classes(classes: &[FailureClass]) -> String {
     let mut out = String::from("cls .");
-    for &cycle in cycles {
-        let class = injector
-            .cached_failure(cycle, &[dff])
-            .expect("per-bit unit was just classified");
-        out.push(encode_class(class));
-    }
+    out.extend(classes.iter().map(|&c| encode_class(c)));
     out
 }
 
@@ -1023,24 +1174,6 @@ fn decode_per_bit_unit(payload: &str, expected: usize) -> Result<Vec<FailureClas
         ));
     }
     Ok(classes)
-}
-
-/// Per-cycle payloads of the *adaptive* per-bit campaign: one class per
-/// flip-flop of the structure at a single cycle (the transpose of the
-/// legacy per-bit unit).
-fn encode_per_bit_cycle_unit<E: Environment + Clone>(
-    injector: &Injector<'_, E>,
-    dffs: &[DffId],
-    cycle: u64,
-) -> String {
-    let mut out = String::from("cls .");
-    for &dff in dffs {
-        let class = injector
-            .cached_failure(cycle, &[dff])
-            .expect("per-bit cycle unit was just classified");
-        out.push(encode_class(class));
-    }
-    out
 }
 
 fn merge_rows(into: &mut [DelayAvfResult], from: &[DelayAvfResult]) {
@@ -1279,62 +1412,68 @@ pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
         config.sample_seed,
     );
     let setup = open_store(&ctx.checkpoint, "delay_sweep", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "delay_sweep", cycles.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                config.due_slack,
-                config.lanes,
-                config.timing_lanes,
-                config.collapse,
-            );
+    let opts = config.replay_options();
+    let costs: Vec<u64> = cycles
+        .iter()
+        .map(|&cycle| unit_cost(golden, cycle, edges.len()))
+        .collect();
+    observe_campaign(
+        ctx,
+        &setup,
+        "delay_sweep",
+        cycles.len(),
+        threads,
+        |progress| {
+            let store = setup.store.as_ref();
+            let resumed = &setup.resumed;
+            progress.schedule(cycles.len());
+            let units = run_queue(
+                threads,
+                &cycles,
+                &queue_order(&costs),
+                |id| Worker {
+                    injector: worker_injector(circuit, topo, timing, golden, &opts),
+                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                },
+                |w: &mut Worker<'_, '_, E, S>, &cycle| {
+                    if let Some(payload) = resumed.get(&cycle) {
+                        let (unit_rows, unit_stats, failures) = decode_delay_unit(payload, config)?;
+                        w.injector.preload_failures(cycle + 1, failures);
+                        w.obs.unit_done(cycle, None, Some(&unit_stats))?;
+                        return Ok((unit_rows, unit_stats));
+                    }
+                    let before = w.injector.stats;
+                    let unit_rows = delay_sweep_unit(
+                        &mut w.injector,
+                        timing,
+                        edges,
+                        config,
+                        cycle,
+                        S::ENABLED,
+                        &mut w.obs.phases,
+                    );
+                    let delta = w.injector.stats.delta_since(&before);
+                    let payload = store.is_some().then(|| {
+                        encode_delay_unit(
+                            &unit_rows,
+                            &delta,
+                            &w.injector.snapshot_failures(cycle + 1),
+                        )
+                    });
+                    w.obs.unit_done(cycle, payload, Some(&delta))?;
+                    Ok((unit_rows, delta))
+                },
+                |w| w.obs.finish(),
+            )?;
             let mut rows = empty_rows(config);
             let mut stats = InjectorStats::default();
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                if let Some(payload) = resumed.get(&cycle) {
-                    let (unit_rows, unit_stats, failures) = decode_delay_unit(payload, config)?;
-                    injector.preload_failures(cycle + 1, failures);
-                    merge_rows(&mut rows, &unit_rows);
-                    stats.merge(&unit_stats);
-                    obs.unit_done(cycle, None, Some(&unit_stats))?;
-                    continue;
-                }
-                let before = injector.stats;
-                let unit_rows = delay_sweep_unit(
-                    &mut injector,
-                    timing,
-                    edges,
-                    config,
-                    cycle,
-                    S::ENABLED,
-                    &mut obs.phases,
-                );
-                let delta = injector.stats.delta_since(&before);
-                let payload = store.is_some().then(|| {
-                    encode_delay_unit(&unit_rows, &delta, &injector.snapshot_failures(cycle + 1))
-                });
-                merge_rows(&mut rows, &unit_rows);
-                stats.merge(&delta);
-                obs.unit_done(cycle, payload, Some(&delta))?;
+            for (unit_rows, unit_stats) in &units {
+                merge_rows(&mut rows, unit_rows);
+                stats.merge(unit_stats);
             }
-            obs.finish();
-            Ok::<_, String>((rows, stats))
-        });
-        let mut rows = empty_rows(config);
-        let mut stats = InjectorStats::default();
-        for shard in shards {
-            let (shard_rows, shard_stats) = shard?;
-            merge_rows(&mut rows, &shard_rows);
-            stats.merge(&shard_stats);
-        }
-        Ok((rows, stats))
-    })
+            Ok((rows, stats))
+        },
+    )
 }
 
 /// Runs a particle-strike campaign: a single bit flip in each of `dffs` at
@@ -1415,63 +1554,69 @@ pub fn savf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
         opts.sample_seed,
     );
     let setup = open_store(&ctx.checkpoint, "savf", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "savf", cycles.len(), threads, || {
+    let costs: Vec<u64> = cycles
+        .iter()
+        .map(|&cycle| unit_cost(golden, cycle, dffs.len()))
+        .collect();
+    observe_campaign(ctx, &setup, "savf", cycles.len(), threads, |progress| {
         let store = setup.store.as_ref();
         let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
-            let mut result = SavfResult::default();
-            let mut stats = InjectorStats::default();
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                if let Some(payload) = resumed.get(&cycle) {
-                    let (unit_result, unit_stats, failures) = decode_savf_unit(payload)?;
-                    injector.preload_failures(cycle, failures);
-                    result.merge(&unit_result);
-                    stats.merge(&unit_stats);
-                    obs.unit_done(cycle, None, Some(&unit_stats))?;
-                    continue;
-                }
-                let before = injector.stats;
-                let mut unit = SavfResult::default();
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-                    for &dff in dffs {
-                        unit.injections += 1;
-                        if injector.bit_ace(cycle, dff) {
-                            unit.ace_hits += 1;
-                        }
-                    }
-                });
-                let delta = injector.stats.delta_since(&before);
-                let payload = store
-                    .is_some()
-                    .then(|| encode_savf_unit(&unit, &delta, &injector.snapshot_failures(cycle)));
-                result.merge(&unit);
-                stats.merge(&delta);
-                obs.unit_done(cycle, payload, Some(&delta))?;
-            }
-            obs.finish();
-            Ok::<_, String>((result, stats))
-        });
+        progress.schedule(cycles.len());
+        let units = run_queue(
+            threads,
+            &cycles,
+            &queue_order(&costs),
+            |id| Worker {
+                injector: worker_injector(circuit, topo, timing, golden, &opts),
+                obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+            },
+            |w: &mut Worker<'_, '_, E, S>, &cycle| savf_unit(w, dffs, cycle, resumed, store),
+            |w| w.obs.finish(),
+        )?;
         let mut result = SavfResult::default();
         let mut stats = InjectorStats::default();
-        for shard in shards {
-            let (shard_result, shard_stats) = shard?;
-            result.merge(&shard_result);
-            stats.merge(&shard_stats);
+        for (unit, unit_stats) in &units {
+            result.merge(unit);
+            stats.merge(unit_stats);
         }
         Ok((result, stats))
     })
+}
+
+/// One particle-strike unit: a single bit flip in each of `dffs` at
+/// `cycle`, classified at boundary `cycle` — or the unit restored from a
+/// resumed checkpoint. Shared by the uniform and adaptive sAVF campaigns.
+fn savf_unit<E: Environment + Clone, S: TelemetrySink>(
+    w: &mut Worker<'_, '_, E, S>,
+    dffs: &[DffId],
+    cycle: u64,
+    resumed: &BTreeMap<u64, String>,
+    store: Option<&Mutex<CheckpointStore>>,
+) -> Result<(SavfResult, InjectorStats), String> {
+    if let Some(payload) = resumed.get(&cycle) {
+        let (unit, unit_stats, failures) = decode_savf_unit(payload)?;
+        w.injector.preload_failures(cycle, failures);
+        w.obs.unit_done(cycle, None, Some(&unit_stats))?;
+        return Ok((unit, unit_stats));
+    }
+    let before = w.injector.stats;
+    let mut unit = SavfResult::default();
+    let injector = &mut w.injector;
+    timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+        injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
+        for &dff in dffs {
+            unit.injections += 1;
+            if injector.bit_ace(cycle, dff) {
+                unit.ace_hits += 1;
+            }
+        }
+    });
+    let delta = w.injector.stats.delta_since(&before);
+    let payload = store
+        .is_some()
+        .then(|| encode_savf_unit(&unit, &delta, &w.injector.snapshot_failures(cycle)));
+    w.obs.unit_done(cycle, payload, Some(&delta))?;
+    Ok((unit, delta))
 }
 
 /// Like [`delay_avf_campaign`] for a **single** delay fraction, but also
@@ -1549,91 +1694,100 @@ pub fn delay_avf_campaign_records_observed<E: Environment + Clone, S: TelemetryS
         opts.sample_seed,
     );
     let setup = open_store(&ctx.checkpoint, "delay_records", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "delay_records", cycles.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
+    let costs: Vec<u64> = cycles
+        .iter()
+        .map(|&cycle| unit_cost(golden, cycle, edges.len()))
+        .collect();
+    observe_campaign(
+        ctx,
+        &setup,
+        "delay_records",
+        cycles.len(),
+        threads,
+        |progress| {
+            let store = setup.store.as_ref();
+            let resumed = &setup.resumed;
+            progress.schedule(cycles.len());
+            let units = run_queue(
+                threads,
+                &cycles,
+                &queue_order(&costs),
+                |id| Worker {
+                    injector: worker_injector(circuit, topo, timing, golden, &opts),
+                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                },
+                |w: &mut Worker<'_, '_, E, S>, &cycle| {
+                    records_unit(w, edges, extra, cycle, resumed, store)
+                },
+                |w| w.obs.finish(),
+            )?;
             let mut row = DelayAvfResult {
                 delay_fraction: fraction,
                 ..DelayAvfResult::default()
             };
-            let mut records = Vec::with_capacity(shard.len() * edges.len());
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                if let Some(payload) = resumed.get(&cycle) {
-                    let (unit_records, failures) = decode_records_unit(payload, cycle)?;
-                    injector.preload_failures(cycle + 1, failures);
-                    for record in &unit_records {
-                        tally(&mut row, &record.outcome);
-                    }
-                    records.extend(unit_records);
-                    obs.unit_done(cycle, None, None)?;
-                    continue;
-                }
-                let unit_start = records.len();
-                // Same two-phase structure as the sweep: collect the
-                // cycle's dynamic sets, batch their replays, then record in
-                // edge order.
-                timed(S::ENABLED, &mut obs.phases.golden_settle_us, || {
-                    injector.warm_cycle_data(cycle)
-                });
-                let pairs: Vec<(EdgeId, Picos)> = edges.iter().map(|&edge| (edge, extra)).collect();
-                let parts: Vec<(usize, Vec<DffId>)> =
-                    timed(S::ENABLED, &mut obs.phases.timing_step_us, || {
-                        injector.dynamically_reachable_batch(cycle, &pairs)
-                    });
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
-                    for (&edge, (statically_reachable, dynamic_set)) in edges.iter().zip(parts) {
-                        let outcome =
-                            injector.classify_injection(cycle, statically_reachable, dynamic_set);
-                        tally(&mut row, &outcome);
-                        records.push(InjectionRecord {
-                            cycle,
-                            edge,
-                            outcome,
-                        });
-                    }
-                });
-                let payload = store.is_some().then(|| {
-                    encode_records_unit(
-                        &records[unit_start..],
-                        &injector.snapshot_failures(cycle + 1),
-                    )
-                });
-                obs.unit_done(cycle, payload, None)?;
+            let records: Vec<InjectionRecord> = units.into_iter().flatten().collect();
+            for record in &records {
+                tally(&mut row, &record.outcome);
             }
-            obs.finish();
-            Ok::<_, String>((row, records))
-        });
-        let mut row = DelayAvfResult {
-            delay_fraction: fraction,
-            ..DelayAvfResult::default()
-        };
-        let mut records = Vec::new();
-        for shard in shards {
-            let (shard_row, shard_records) = shard?;
-            row.merge(&shard_row);
-            records.extend(shard_records);
-        }
-        Ok((row, records))
-    })
+            Ok((row, records))
+        },
+    )
+}
+
+/// One record-keeping unit: every edge of `edges` at `cycle` under one
+/// extra delay, one record per edge in edge order — or the unit's records
+/// restored from a resumed checkpoint. Shared by the uniform and adaptive
+/// record campaigns.
+fn records_unit<E: Environment + Clone, S: TelemetrySink>(
+    w: &mut Worker<'_, '_, E, S>,
+    edges: &[EdgeId],
+    extra: Picos,
+    cycle: u64,
+    resumed: &BTreeMap<u64, String>,
+    store: Option<&Mutex<CheckpointStore>>,
+) -> Result<Vec<InjectionRecord>, String> {
+    if let Some(payload) = resumed.get(&cycle) {
+        let (records, failures) = decode_records_unit(payload, cycle)?;
+        w.injector.preload_failures(cycle + 1, failures);
+        w.obs.unit_done(cycle, None, None)?;
+        return Ok(records);
+    }
+    // Same two-phase structure as the sweep: collect the cycle's dynamic
+    // sets, batch their replays, then record in edge order.
+    let injector = &mut w.injector;
+    let phases = &mut w.obs.phases;
+    timed(S::ENABLED, &mut phases.golden_settle_us, || {
+        injector.warm_cycle_data(cycle)
+    });
+    let pairs: Vec<(EdgeId, Picos)> = edges.iter().map(|&edge| (edge, extra)).collect();
+    let parts: Vec<(usize, Vec<DffId>)> = timed(S::ENABLED, &mut phases.timing_step_us, || {
+        injector.dynamically_reachable_batch(cycle, &pairs)
+    });
+    let records = timed(S::ENABLED, &mut phases.replay_us, || {
+        injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
+        edges
+            .iter()
+            .zip(parts)
+            .map(
+                |(&edge, (statically_reachable, dynamic_set))| InjectionRecord {
+                    cycle,
+                    edge,
+                    outcome: injector.classify_injection(cycle, statically_reachable, dynamic_set),
+                },
+            )
+            .collect::<Vec<_>>()
+    });
+    let payload = store
+        .is_some()
+        .then(|| encode_records_unit(&records, &w.injector.snapshot_failures(cycle + 1)));
+    w.obs.unit_done(cycle, payload, None)?;
+    Ok(records)
 }
 
 /// Per-bit sAVF: like [`savf_campaign`] but reporting each flip-flop's
 /// individual ACE fraction, so designers can locate a structure's
-/// vulnerability *hotspots* (the bits worth hardening first). Sharded over
-/// bits; the returned order follows `dffs` regardless of `opts.threads`.
+/// vulnerability *hotspots* (the bits worth hardening first). The returned
+/// order follows `dffs` regardless of `opts.threads`.
 pub fn savf_per_bit_campaign<E: Environment + Clone>(
     circuit: &Circuit,
     topo: &Topology,
@@ -1654,10 +1808,12 @@ pub fn savf_per_bit_campaign<E: Environment + Clone>(
     .expect("campaign without checkpointing is infallible")
 }
 
-/// [`savf_per_bit_campaign`] under a [`RunContext`]. Work units are
-/// *bits*: each unit stores its per-cycle classifications, which a resumed
-/// run preloads into the failure cache so the bit costs no replays. (The
-/// preload changes which scenarios the batch prefill still has to run —
+/// [`savf_per_bit_campaign`] under a [`RunContext`]. Checkpoint units are
+/// *bits*: each stores its per-cycle classifications, so a resumed bit
+/// costs no replays. The replays themselves are queued by cycle, each
+/// cycle batching every bit not restored from the checkpoint; the bits are
+/// then tallied and recorded in `dffs` order once every cycle has run.
+/// (Restored bits change which scenarios a cycle's batch carries —
 /// harmless, because per-bit results are batch-shape invariant and this
 /// campaign exposes no stats.)
 ///
@@ -1677,7 +1833,7 @@ pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
         return savf_per_bit_campaign_adaptive(circuit, topo, timing, golden, dffs, opts, ctx);
     }
     let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, dffs.len());
+    let threads = resolve_threads(opts.threads, cycles.len());
     let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
     let fingerprint = campaign_fingerprint(
         "savf_per_bit",
@@ -1699,63 +1855,94 @@ pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
         opts.sample_seed,
     );
     let setup = open_store(&ctx.checkpoint, "savf_per_bit", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "savf_per_bit", dffs.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, dffs, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            // Preload every resumed bit's classifications first, so the
-            // batch prefill only replays what is genuinely unknown.
-            for &dff in shard.iter() {
-                if let Some(payload) = resumed.get(&(dff.index() as u64)) {
-                    let classes = decode_per_bit_unit(payload, cycles.len())?;
-                    for (&cycle, class) in cycles.iter().zip(classes) {
-                        injector.preload_failures(cycle, [(vec![dff], class)]);
+    observe_campaign(
+        ctx,
+        &setup,
+        "savf_per_bit",
+        dffs.len(),
+        threads,
+        |progress| {
+            let store = setup.store.as_ref();
+            let resumed = &setup.resumed;
+            // Resumed bits carry their per-cycle classes; only the rest replay.
+            let restored: Vec<Option<Vec<FailureClass>>> = dffs
+                .iter()
+                .map(|d| {
+                    resumed
+                        .get(&(d.index() as u64))
+                        .map(|payload| decode_per_bit_unit(payload, cycles.len()))
+                        .transpose()
+                })
+                .collect::<Result<_, _>>()?;
+            let pending: Vec<DffId> = dffs
+                .iter()
+                .zip(&restored)
+                .filter(|(_, r)| r.is_none())
+                .map(|(&d, _)| d)
+                .collect();
+            // Replay phase: the queue hands out whole cycles, so each boundary
+            // batches every pending bit's replay together.
+            let costs: Vec<u64> = cycles
+                .iter()
+                .map(|&cycle| unit_cost(golden, cycle, pending.len()))
+                .collect();
+            let by_cycle: Vec<Vec<FailureClass>> = run_queue(
+                threads,
+                &cycles,
+                &queue_order(&costs),
+                |id| Worker {
+                    injector: worker_injector(circuit, topo, timing, golden, &opts),
+                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                },
+                |w: &mut Worker<'_, '_, E, S>, &cycle| {
+                    let injector = &mut w.injector;
+                    Ok(timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+                        strike_classes(injector, &pending, cycle)
+                    }))
+                },
+                |w| w.obs.finish(),
+            )?;
+            // Tally phase: one unit per bit, in bit order.
+            progress.schedule(dffs.len());
+            let mut obs = WorkerObserver::new(ctx.telemetry, store, progress, 0);
+            let mut fresh = 0;
+            let mut out = Vec::with_capacity(dffs.len());
+            for (&dff, restored) in dffs.iter().zip(restored) {
+                let (classes, payload) = match restored {
+                    Some(classes) => (classes, None),
+                    None => {
+                        let classes: Vec<FailureClass> =
+                            by_cycle.iter().map(|row| row[fresh]).collect();
+                        fresh += 1;
+                        let payload = store.is_some().then(|| encode_classes(&classes));
+                        (classes, payload)
                     }
-                }
+                };
+                out.push((
+                    dff,
+                    SavfResult {
+                        injections: classes.len(),
+                        ace_hits: classes.iter().filter(|c| c.is_visible()).count(),
+                    },
+                ));
+                obs.unit_done(dff.index() as u64, payload, None)?;
             }
-            timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                for &cycle in &cycles {
-                    injector.prefill_failures(cycle, shard.iter().map(|&d| vec![d]));
-                }
-            });
-            let mut out = Vec::with_capacity(shard.len());
-            for &dff in shard.iter() {
-                let key = dff.index() as u64;
-                let was_resumed = resumed.contains_key(&key);
-                let mut r = SavfResult::default();
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    for &cycle in &cycles {
-                        r.injections += 1;
-                        if injector.bit_ace(cycle, dff) {
-                            r.ace_hits += 1;
-                        }
-                    }
-                });
-                out.push((dff, r));
-                let payload = (store.is_some() && !was_resumed)
-                    .then(|| encode_per_bit_unit(&injector, dff, &cycles));
-                obs.unit_done(key, payload, None)?;
-            }
-            obs.finish();
-            Ok::<_, String>(out)
-        });
-        let mut out = Vec::with_capacity(dffs.len());
-        for shard in shards {
-            out.extend(shard?);
-        }
-        Ok(out)
-    })
+            Ok(out)
+        },
+    )
+}
+
+/// Batch-replays a single strike on each of `dffs` at boundary `cycle`
+/// and returns their classes in `dffs` order.
+fn strike_classes<E: Environment + Clone>(
+    injector: &mut Injector<'_, E>,
+    dffs: &[DffId],
+    cycle: u64,
+) -> Vec<FailureClass> {
+    injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
+    dffs.iter()
+        .map(|&d| injector.group_failure(cycle, &[d]))
+        .collect()
 }
 
 /// Runs a **spatial double-bit** particle-strike campaign: simultaneous
@@ -1836,61 +2023,80 @@ pub fn spatial_double_strike_campaign_observed<E: Environment + Clone, S: Teleme
         opts.sample_seed,
     );
     let setup = open_store(&ctx.checkpoint, "spatial_double", fingerprint, knobs)?;
-    observe_campaign(ctx, &setup, "spatial_double", cycles.len(), threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let shards = run_sharded(threads, &cycles, |shard_id, shard| {
-            let mut injector = shard_injector(
-                circuit,
-                topo,
-                timing,
-                golden,
-                opts.due_slack,
-                opts.lanes,
-                opts.timing_lanes,
-                opts.collapse,
-            );
+    let costs: Vec<u64> = cycles
+        .iter()
+        .map(|&cycle| unit_cost(golden, cycle, dffs.len().saturating_sub(1)))
+        .collect();
+    observe_campaign(
+        ctx,
+        &setup,
+        "spatial_double",
+        cycles.len(),
+        threads,
+        |progress| {
+            let store = setup.store.as_ref();
+            let resumed = &setup.resumed;
+            progress.schedule(cycles.len());
+            let units = run_queue(
+                threads,
+                &cycles,
+                &queue_order(&costs),
+                |id| Worker {
+                    injector: worker_injector(circuit, topo, timing, golden, &opts),
+                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                },
+                |w: &mut Worker<'_, '_, E, S>, &cycle| spatial_unit(w, dffs, cycle, resumed, store),
+                |w| w.obs.finish(),
+            )?;
             let mut result = SavfResult::default();
-            let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-            for &cycle in shard {
-                let was_resumed = if let Some(payload) = resumed.get(&cycle) {
-                    let mut t = Tokens::new(payload);
-                    let failures = decode_failures(&mut t)?;
-                    if !t.finished() {
-                        return Err("checkpoint parse error: trailing payload tokens".into());
-                    }
-                    injector.preload_failures(cycle, failures);
-                    true
-                } else {
-                    false
-                };
-                let mut unit = SavfResult::default();
-                timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                    injector.prefill_failures(cycle, dffs.windows(2).map(|p| p.to_vec()));
-                    for pair in dffs.windows(2) {
-                        unit.injections += 1;
-                        if injector.group_ace(cycle, pair) {
-                            unit.ace_hits += 1;
-                        }
-                    }
-                });
-                result.merge(&unit);
-                let payload = (store.is_some() && !was_resumed).then(|| {
-                    let mut out = String::new();
-                    encode_failures(&mut out, &injector.snapshot_failures(cycle));
-                    out.trim_start().to_owned()
-                });
-                obs.unit_done(cycle, payload, None)?;
+            for unit in &units {
+                result.merge(unit);
             }
-            obs.finish();
-            Ok::<_, String>(result)
-        });
-        let mut result = SavfResult::default();
-        for shard in shards {
-            result.merge(&shard?);
+            Ok(result)
+        },
+    )
+}
+
+/// One spatial double-strike unit: every adjacent pair of `dffs` flipped
+/// together at boundary `cycle`. A resumed unit preloads its boundary's
+/// pair classifications and replays the tally loop from the warmed cache.
+/// Shared by the uniform and adaptive spatial campaigns.
+fn spatial_unit<E: Environment + Clone, S: TelemetrySink>(
+    w: &mut Worker<'_, '_, E, S>,
+    dffs: &[DffId],
+    cycle: u64,
+    resumed: &BTreeMap<u64, String>,
+    store: Option<&Mutex<CheckpointStore>>,
+) -> Result<SavfResult, String> {
+    let was_resumed = if let Some(payload) = resumed.get(&cycle) {
+        let mut t = Tokens::new(payload);
+        let failures = decode_failures(&mut t)?;
+        if !t.finished() {
+            return Err("checkpoint parse error: trailing payload tokens".into());
         }
-        Ok(result)
-    })
+        w.injector.preload_failures(cycle, failures);
+        true
+    } else {
+        false
+    };
+    let mut unit = SavfResult::default();
+    let injector = &mut w.injector;
+    timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+        injector.prefill_failures(cycle, dffs.windows(2).map(|p| p.to_vec()));
+        for pair in dffs.windows(2) {
+            unit.injections += 1;
+            if injector.group_ace(cycle, pair) {
+                unit.ace_hits += 1;
+            }
+        }
+    });
+    let payload = (store.is_some() && !was_resumed).then(|| {
+        let mut out = String::new();
+        encode_failures(&mut out, &w.injector.snapshot_failures(cycle));
+        out.trim_start().to_owned()
+    });
+    w.obs.unit_done(cycle, payload, None)?;
+    Ok(unit)
 }
 
 fn fraction_to_picos(timing: &TimingModel, fraction: f64) -> Picos {
@@ -2029,13 +2235,14 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     );
     let setup = open_store(&ctx.checkpoint, "delay_sweep_adaptive", fingerprint, knobs)?;
     let threads = resolve_threads(config.threads, cycles.len());
+    let opts = config.replay_options();
     observe_campaign(
         ctx,
         &setup,
         "delay_sweep_adaptive",
         population,
         threads,
-        || {
+        |progress| {
             let store = setup.store.as_ref();
             let resumed = &setup.resumed;
             let mut rows = empty_rows(config);
@@ -2057,76 +2264,65 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
                         .push(site % edges.len().max(1));
                 }
                 let groups: Vec<(usize, Vec<usize>)> = by_cycle.into_iter().collect();
-                let round_threads = resolve_threads(config.threads, groups.len());
-                let shards = run_sharded(round_threads, &groups, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        config.due_slack,
-                        config.lanes,
-                        config.timing_lanes,
-                        config.collapse,
-                    );
-                    let mut rows = empty_rows(config);
-                    let mut stats = InjectorStats::default();
-                    let mut visibility: Vec<Vec<bool>> = Vec::with_capacity(shard.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for (cyclepos, edge_positions) in shard {
+                let costs: Vec<u64> = groups
+                    .iter()
+                    .map(|(cyclepos, selected)| {
+                        unit_cost(golden, cycles[*cyclepos], selected.len())
+                    })
+                    .collect();
+                progress.schedule(groups.len());
+                let units = run_queue(
+                    resolve_threads(config.threads, groups.len()),
+                    &groups,
+                    &queue_order(&costs),
+                    |id| Worker {
+                        injector: worker_injector(circuit, topo, timing, golden, &opts),
+                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                    },
+                    |w: &mut Worker<'_, '_, E, S>, (cyclepos, edge_positions)| {
                         let cycle = cycles[*cyclepos];
                         let key = round_key(round, cycle);
                         if let Some(payload) = resumed.get(&key) {
                             let (unit_rows, vis, unit_stats, failures) =
                                 decode_adaptive_sweep_unit(payload, config, edge_positions.len())?;
-                            injector.preload_failures(cycle + 1, failures);
-                            merge_rows(&mut rows, &unit_rows);
-                            stats.merge(&unit_stats);
-                            visibility.push(vis);
-                            obs.unit_done(key, None, Some(&unit_stats))?;
-                            continue;
+                            w.injector.preload_failures(cycle + 1, failures);
+                            w.obs.unit_done(key, None, Some(&unit_stats))?;
+                            return Ok((unit_rows, unit_stats, vis));
                         }
                         let selected: Vec<EdgeId> =
                             edge_positions.iter().map(|&ei| edges[ei]).collect();
-                        let before = injector.stats;
+                        let before = w.injector.stats;
                         let (unit_rows, vis) = delay_sweep_unit_vis(
-                            &mut injector,
+                            &mut w.injector,
                             timing,
                             &selected,
                             config,
                             cycle,
                             S::ENABLED,
-                            &mut obs.phases,
+                            &mut w.obs.phases,
                         );
-                        let delta = injector.stats.delta_since(&before);
+                        let delta = w.injector.stats.delta_since(&before);
                         let payload = store.is_some().then(|| {
                             encode_adaptive_sweep_unit(
                                 &unit_rows,
                                 &vis,
                                 &delta,
-                                &injector.snapshot_failures(cycle + 1),
+                                &w.injector.snapshot_failures(cycle + 1),
                             )
                         });
-                        merge_rows(&mut rows, &unit_rows);
-                        stats.merge(&delta);
-                        visibility.push(vis);
-                        obs.unit_done(key, payload, Some(&delta))?;
-                    }
-                    obs.finish();
-                    Ok::<_, String>((rows, stats, visibility))
-                });
-                // Shards chunk `groups` contiguously and push one visibility
-                // vector per group, so the concatenation re-aligns with
-                // `groups` — the plan tallies stay thread-count invariant.
-                let mut all_vis: Vec<Vec<bool>> = Vec::with_capacity(groups.len());
-                for shard in shards {
-                    let (shard_rows, shard_stats, shard_vis) = shard?;
-                    merge_rows(&mut rows, &shard_rows);
-                    stats.merge(&shard_stats);
-                    all_vis.extend(shard_vis);
-                }
+                        w.obs.unit_done(key, payload, Some(&delta))?;
+                        Ok((unit_rows, delta, vis))
+                    },
+                    |w| w.obs.finish(),
+                )?;
+                // Units come back in `groups` order, so the plan tallies
+                // are schedule-invariant.
                 let trials = vec![1u64; nf];
-                for ((cyclepos, edge_positions), vis) in groups.iter().zip(&all_vis) {
+                for ((cyclepos, edge_positions), (unit_rows, unit_stats, vis)) in
+                    groups.iter().zip(&units)
+                {
+                    merge_rows(&mut rows, unit_rows);
+                    stats.merge(unit_stats);
                     let width = edge_positions.len();
                     for (j, &ei) in edge_positions.iter().enumerate() {
                         let site = cyclepos * edges.len() + ei;
@@ -2201,80 +2397,54 @@ fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     );
     let setup = open_store(&ctx.checkpoint, "savf_adaptive", fingerprint, knobs)?;
     let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(ctx, &setup, "savf_adaptive", population, threads, || {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        let mut result = SavfResult::default();
-        let mut stats = InjectorStats::default();
-        loop {
-            let sites = plan.next_round();
-            if sites.is_empty() {
-                break;
-            }
-            let round_threads = resolve_threads(opts.threads, sites.len());
-            let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                let mut injector = shard_injector(
-                    circuit,
-                    topo,
-                    timing,
-                    golden,
-                    opts.due_slack,
-                    opts.lanes,
-                    opts.timing_lanes,
-                    opts.collapse,
-                );
-                let mut units: Vec<SavfResult> = Vec::with_capacity(shard.len());
-                let mut stats = InjectorStats::default();
-                let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                for &site in shard {
-                    let cycle = cycles[site];
-                    if let Some(payload) = resumed.get(&cycle) {
-                        let (unit, unit_stats, failures) = decode_savf_unit(payload)?;
-                        injector.preload_failures(cycle, failures);
-                        units.push(unit);
-                        stats.merge(&unit_stats);
-                        obs.unit_done(cycle, None, Some(&unit_stats))?;
-                        continue;
-                    }
-                    let before = injector.stats;
-                    let mut unit = SavfResult::default();
-                    timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                        injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-                        for &dff in dffs {
-                            unit.injections += 1;
-                            if injector.bit_ace(cycle, dff) {
-                                unit.ace_hits += 1;
-                            }
-                        }
-                    });
-                    let delta = injector.stats.delta_since(&before);
-                    let payload = store.is_some().then(|| {
-                        encode_savf_unit(&unit, &delta, &injector.snapshot_failures(cycle))
-                    });
-                    units.push(unit);
-                    stats.merge(&delta);
-                    obs.unit_done(cycle, payload, Some(&delta))?;
+    observe_campaign(
+        ctx,
+        &setup,
+        "savf_adaptive",
+        population,
+        threads,
+        |progress| {
+            let store = setup.store.as_ref();
+            let resumed = &setup.resumed;
+            let mut result = SavfResult::default();
+            let mut stats = InjectorStats::default();
+            loop {
+                let sites = plan.next_round();
+                if sites.is_empty() {
+                    break;
                 }
-                obs.finish();
-                Ok::<_, String>((units, stats))
-            });
-            let mut units: Vec<SavfResult> = Vec::with_capacity(sites.len());
-            for shard in shards {
-                let (shard_units, shard_stats) = shard?;
-                units.extend(shard_units);
-                stats.merge(&shard_stats);
+                let costs: Vec<u64> = sites
+                    .iter()
+                    .map(|&site| unit_cost(golden, cycles[site], dffs.len()))
+                    .collect();
+                progress.schedule(sites.len());
+                let units = run_queue(
+                    resolve_threads(opts.threads, sites.len()),
+                    &sites,
+                    &queue_order(&costs),
+                    |id| Worker {
+                        injector: worker_injector(circuit, topo, timing, golden, &opts),
+                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                    },
+                    |w: &mut Worker<'_, '_, E, S>, &site| {
+                        savf_unit(w, dffs, cycles[site], resumed, store)
+                    },
+                    |w| w.obs.finish(),
+                )?;
+                for (&site, (unit, unit_stats)) in sites.iter().zip(&units) {
+                    result.merge(unit);
+                    stats.merge(unit_stats);
+                    plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
+                }
+                plan.finish_round();
             }
-            for (&site, unit) in sites.iter().zip(&units) {
-                result.merge(unit);
-                plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
-            }
-            plan.finish_round();
-        }
-        stats.strata_active = plan.strata_active() as u64;
-        stats.strata_retired_early = plan.strata_retired_early() as u64;
-        stats.adaptive_replays_saved = ((population - plan.sampled_sites()) * dffs.len()) as u64;
-        Ok((result, stats))
-    })
+            stats.strata_active = plan.strata_active() as u64;
+            stats.strata_retired_early = plan.strata_retired_early() as u64;
+            stats.adaptive_replays_saved =
+                ((population - plan.sampled_sites()) * dffs.len()) as u64;
+            Ok((result, stats))
+        },
+    )
 }
 
 /// Adaptive counterpart of [`delay_avf_campaign_records_observed`]. The
@@ -2335,7 +2505,7 @@ fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>
         "delay_records_adaptive",
         population,
         threads,
-        || {
+        |progress| {
             let store = setup.store.as_ref();
             let resumed = &setup.resumed;
             let mut row = DelayAvfResult {
@@ -2348,93 +2518,34 @@ fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>
                 if sites.is_empty() {
                     break;
                 }
-                let round_threads = resolve_threads(opts.threads, sites.len());
-                let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        opts.due_slack,
-                        opts.lanes,
-                        opts.timing_lanes,
-                        opts.collapse,
-                    );
-                    let mut row = DelayAvfResult {
-                        delay_fraction: fraction,
-                        ..DelayAvfResult::default()
-                    };
-                    let mut records = Vec::with_capacity(shard.len() * edges.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for &site in shard {
-                        let cycle = cycles[site];
-                        if let Some(payload) = resumed.get(&cycle) {
-                            let (unit_records, failures) = decode_records_unit(payload, cycle)?;
-                            injector.preload_failures(cycle + 1, failures);
-                            for record in &unit_records {
-                                tally(&mut row, &record.outcome);
-                            }
-                            records.extend(unit_records);
-                            obs.unit_done(cycle, None, None)?;
-                            continue;
-                        }
-                        let unit_start = records.len();
-                        timed(S::ENABLED, &mut obs.phases.golden_settle_us, || {
-                            injector.warm_cycle_data(cycle)
-                        });
-                        let pairs: Vec<(EdgeId, Picos)> =
-                            edges.iter().map(|&edge| (edge, extra)).collect();
-                        let parts: Vec<(usize, Vec<DffId>)> =
-                            timed(S::ENABLED, &mut obs.phases.timing_step_us, || {
-                                injector.dynamically_reachable_batch(cycle, &pairs)
-                            });
-                        timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                            injector.prefill_failures(
-                                cycle + 1,
-                                parts.iter().map(|(_, set)| set.clone()),
-                            );
-                            for (&edge, (statically_reachable, dynamic_set)) in
-                                edges.iter().zip(parts)
-                            {
-                                let outcome = injector.classify_injection(
-                                    cycle,
-                                    statically_reachable,
-                                    dynamic_set,
-                                );
-                                tally(&mut row, &outcome);
-                                records.push(InjectionRecord {
-                                    cycle,
-                                    edge,
-                                    outcome,
-                                });
-                            }
-                        });
-                        let payload = store.is_some().then(|| {
-                            encode_records_unit(
-                                &records[unit_start..],
-                                &injector.snapshot_failures(cycle + 1),
-                            )
-                        });
-                        obs.unit_done(cycle, payload, None)?;
+                let costs: Vec<u64> = sites
+                    .iter()
+                    .map(|&site| unit_cost(golden, cycles[site], edges.len()))
+                    .collect();
+                progress.schedule(sites.len());
+                let units = run_queue(
+                    resolve_threads(opts.threads, sites.len()),
+                    &sites,
+                    &queue_order(&costs),
+                    |id| Worker {
+                        injector: worker_injector(circuit, topo, timing, golden, &opts),
+                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                    },
+                    |w: &mut Worker<'_, '_, E, S>, &site| {
+                        records_unit(w, edges, extra, cycles[site], resumed, store)
+                    },
+                    |w| w.obs.finish(),
+                )?;
+                // Units come back in `sites` order; each site's visible
+                // count feeds the plan tallies.
+                for (&site, unit) in sites.iter().zip(units) {
+                    for record in &unit {
+                        tally(&mut row, &record.outcome);
                     }
-                    obs.finish();
-                    Ok::<_, String>((row, records))
-                });
-                let mut round_records: Vec<InjectionRecord> = Vec::new();
-                for shard in shards {
-                    let (shard_row, shard_records) = shard?;
-                    row.merge(&shard_row);
-                    round_records.extend(shard_records);
-                }
-                // Records arrive per cycle in `sites` order (shards chunk the
-                // round contiguously), `edges.len()` apiece — re-derive each
-                // site's visible count for the plan tallies.
-                for (i, &site) in sites.iter().enumerate() {
-                    let unit = &round_records[i * edges.len()..(i + 1) * edges.len()];
                     let hits = unit.iter().filter(|r| r.outcome.visible).count() as u64;
                     plan.record(site, &[hits], &[edges.len() as u64]);
+                    records.extend(unit);
                 }
-                records.extend(round_records);
                 plan.finish_round();
             }
             row.adaptive = {
@@ -2453,7 +2564,7 @@ fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>
 }
 
 /// Adaptive counterpart of [`savf_per_bit_campaign_observed`]. Work units
-/// are *cycles* here (the uniform campaign shards over bits): every bit is
+/// are *cycles* here (the uniform campaign checkpoints bits): every bit is
 /// an estimand, and a cycle retires only when all bits' intervals are
 /// tight, so hotspot bits keep drawing budget.
 fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
@@ -2503,7 +2614,7 @@ fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
         "savf_per_bit_adaptive",
         population,
         threads,
-        || {
+        |progress| {
             let store = setup.store.as_ref();
             let resumed = &setup.resumed;
             let mut out: Vec<(DffId, SavfResult)> =
@@ -2513,60 +2624,43 @@ fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
                 if sites.is_empty() {
                     break;
                 }
-                let round_threads = resolve_threads(opts.threads, sites.len());
-                let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        opts.due_slack,
-                        opts.lanes,
-                        opts.timing_lanes,
-                        opts.collapse,
-                    );
-                    let mut flags: Vec<Vec<bool>> = Vec::with_capacity(shard.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for &site in shard {
+                let costs: Vec<u64> = sites
+                    .iter()
+                    .map(|&site| unit_cost(golden, cycles[site], dffs.len()))
+                    .collect();
+                progress.schedule(sites.len());
+                let units = run_queue(
+                    resolve_threads(opts.threads, sites.len()),
+                    &sites,
+                    &queue_order(&costs),
+                    |id| Worker {
+                        injector: worker_injector(circuit, topo, timing, golden, &opts),
+                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                    },
+                    |w: &mut Worker<'_, '_, E, S>, &site| {
                         let cycle = cycles[site];
                         if let Some(payload) = resumed.get(&cycle) {
                             let classes = decode_per_bit_unit(payload, dffs.len())?;
-                            let unit: Vec<bool> = classes.iter().map(|c| c.is_visible()).collect();
-                            for (&dff, &class) in dffs.iter().zip(&classes) {
-                                injector.preload_failures(cycle, [(vec![dff], class)]);
-                            }
-                            flags.push(unit);
-                            obs.unit_done(cycle, None, None)?;
-                            continue;
+                            w.obs.unit_done(cycle, None, None)?;
+                            return Ok(classes);
                         }
-                        let mut unit = Vec::with_capacity(dffs.len());
-                        timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                            injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-                            for &dff in dffs {
-                                unit.push(injector.bit_ace(cycle, dff));
-                            }
+                        let injector = &mut w.injector;
+                        let classes = timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+                            strike_classes(injector, dffs, cycle)
                         });
-                        let payload = store
-                            .is_some()
-                            .then(|| encode_per_bit_cycle_unit(&injector, dffs, cycle));
-                        flags.push(unit);
-                        obs.unit_done(cycle, payload, None)?;
-                    }
-                    obs.finish();
-                    Ok::<_, String>(flags)
-                });
-                let mut flags: Vec<Vec<bool>> = Vec::with_capacity(sites.len());
-                for shard in shards {
-                    flags.extend(shard?);
-                }
+                        let payload = store.is_some().then(|| encode_classes(&classes));
+                        w.obs.unit_done(cycle, payload, None)?;
+                        Ok(classes)
+                    },
+                    |w| w.obs.finish(),
+                )?;
                 let trials = vec![1u64; dffs.len().max(1)];
-                for (&site, unit) in sites.iter().zip(&flags) {
-                    let hits: Vec<u64> = unit.iter().map(|&v| u64::from(v)).collect();
-                    for ((_, r), &ace) in out.iter_mut().zip(unit) {
+                for (&site, classes) in sites.iter().zip(&units) {
+                    let hits: Vec<u64> =
+                        classes.iter().map(|c| u64::from(c.is_visible())).collect();
+                    for ((_, r), &ace) in out.iter_mut().zip(&hits) {
                         r.injections += 1;
-                        if ace {
-                            r.ace_hits += 1;
-                        }
+                        r.ace_hits += ace as usize;
                     }
                     if dffs.is_empty() {
                         plan.record(site, &[0], &[0]);
@@ -2635,7 +2729,7 @@ fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetryS
         "spatial_double_adaptive",
         population,
         threads,
-        || {
+        |progress| {
             let store = setup.store.as_ref();
             let resumed = &setup.resumed;
             let mut result = SavfResult::default();
@@ -2644,60 +2738,24 @@ fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetryS
                 if sites.is_empty() {
                     break;
                 }
-                let round_threads = resolve_threads(opts.threads, sites.len());
-                let shards = run_sharded(round_threads, &sites, |shard_id, shard| {
-                    let mut injector = shard_injector(
-                        circuit,
-                        topo,
-                        timing,
-                        golden,
-                        opts.due_slack,
-                        opts.lanes,
-                        opts.timing_lanes,
-                        opts.collapse,
-                    );
-                    let mut units: Vec<SavfResult> = Vec::with_capacity(shard.len());
-                    let mut obs = ShardObserver::new(ctx.telemetry, store, shard_id, shard.len());
-                    for &site in shard {
-                        let cycle = cycles[site];
-                        let was_resumed = if let Some(payload) = resumed.get(&cycle) {
-                            let mut t = Tokens::new(payload);
-                            let failures = decode_failures(&mut t)?;
-                            if !t.finished() {
-                                return Err(
-                                    "checkpoint parse error: trailing payload tokens".into()
-                                );
-                            }
-                            injector.preload_failures(cycle, failures);
-                            true
-                        } else {
-                            false
-                        };
-                        let mut unit = SavfResult::default();
-                        timed(S::ENABLED, &mut obs.phases.replay_us, || {
-                            injector.prefill_failures(cycle, dffs.windows(2).map(|p| p.to_vec()));
-                            for pair in dffs.windows(2) {
-                                unit.injections += 1;
-                                if injector.group_ace(cycle, pair) {
-                                    unit.ace_hits += 1;
-                                }
-                            }
-                        });
-                        let payload = (store.is_some() && !was_resumed).then(|| {
-                            let mut out = String::new();
-                            encode_failures(&mut out, &injector.snapshot_failures(cycle));
-                            out.trim_start().to_owned()
-                        });
-                        units.push(unit);
-                        obs.unit_done(cycle, payload, None)?;
-                    }
-                    obs.finish();
-                    Ok::<_, String>(units)
-                });
-                let mut units: Vec<SavfResult> = Vec::with_capacity(sites.len());
-                for shard in shards {
-                    units.extend(shard?);
-                }
+                let costs: Vec<u64> = sites
+                    .iter()
+                    .map(|&site| unit_cost(golden, cycles[site], dffs.len().saturating_sub(1)))
+                    .collect();
+                progress.schedule(sites.len());
+                let units = run_queue(
+                    resolve_threads(opts.threads, sites.len()),
+                    &sites,
+                    &queue_order(&costs),
+                    |id| Worker {
+                        injector: worker_injector(circuit, topo, timing, golden, &opts),
+                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                    },
+                    |w: &mut Worker<'_, '_, E, S>, &site| {
+                        spatial_unit(w, dffs, cycles[site], resumed, store)
+                    },
+                    |w| w.obs.finish(),
+                )?;
                 for (&site, unit) in sites.iter().zip(&units) {
                     result.merge(unit);
                     plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
@@ -2939,6 +2997,92 @@ mod tests {
         }
     }
 
+    /// Every campaign driver, uniform and adaptive, returns the serial
+    /// reports and merged counters whatever order its queue hands units
+    /// out in, and however many workers pull them.
+    #[test]
+    fn campaigns_are_schedule_invariant() {
+        use schedule::Schedule;
+        let (c, topo, timing) = fixture();
+        let env = crate::testenv::ObservingEnv::new(5, 40);
+        let golden = prepare_golden(&c, &topo, &env, 100, 16);
+        let edges = topo.structure_edges(&c, "adder").unwrap();
+        let dffs: Vec<DffId> = c.dffs().map(|(d, _)| d).collect();
+        let run = |threads: usize, ci_target: Option<f64>, collapse: bool| {
+            let config = CampaignConfig {
+                delay_fractions: vec![0.3, 0.9],
+                compute_orace: true,
+                due_slack: 30,
+                threads,
+                lanes: 64,
+                timing_lanes: 64,
+                collapse,
+                ci_target,
+                strata: 2,
+                sample_seed: 7,
+            };
+            let opts = config.replay_options();
+            (
+                delay_avf_campaign_with_stats(&c, &topo, &timing, &golden, &edges, &config),
+                savf_campaign_with_stats(&c, &topo, &timing, &golden, &dffs, opts),
+                delay_avf_campaign_records(&c, &topo, &timing, &golden, &edges, 0.9, opts),
+                savf_per_bit_campaign(&c, &topo, &timing, &golden, &dffs, opts),
+                spatial_double_strike_campaign(&c, &topo, &timing, &golden, &dffs, opts),
+            )
+        };
+        // Collapsing on discharges every flip group of this fixture
+        // formally; off, the replay engines run.
+        for (ci_target, collapse) in [(None, true), (None, false), (Some(0.2), false)] {
+            let serial = run(1, ci_target, collapse);
+            assert!(collapse || serial.1 .1.replays > 0, "the strikes replay");
+            for s in [
+                Schedule::Reversed,
+                Schedule::Shuffled(3),
+                Schedule::Shuffled(11),
+            ] {
+                for threads in [1, 3] {
+                    let got = schedule::with(s, || run(threads, ci_target, collapse));
+                    assert_eq!(
+                        got, serial,
+                        "{s:?}, {threads} threads, ci_target {ci_target:?}, collapse {collapse}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn queue_order_is_longest_first_with_index_ties() {
+        assert_eq!(queue_order(&[3, 9, 3, 9, 1]), vec![1, 3, 0, 2, 4]);
+        assert!(queue_order(&[]).is_empty());
+    }
+
+    #[test]
+    fn the_queue_returns_results_in_unit_order_and_the_first_error() {
+        let units: Vec<u64> = (0..50).collect();
+        let order: Vec<usize> = (0..50).rev().collect();
+        let squares = run_queue(4, &units, &order, |_| (), |_, &u| Ok(u * u), |_| {});
+        assert_eq!(
+            squares.unwrap(),
+            units.iter().map(|u| u * u).collect::<Vec<_>>()
+        );
+        let failed = run_queue(
+            1,
+            &units,
+            &order,
+            |_| (),
+            |_, &u| {
+                if u % 10 == 7 {
+                    Err(format!("unit {u}"))
+                } else {
+                    Ok(u)
+                }
+            },
+            |_| {},
+        );
+        assert_eq!(failed.unwrap_err(), "unit 47", "a failure stops the queue");
+    }
+
     #[test]
     fn valid_cycles_drops_only_out_of_range_samples() {
         let (c, topo, timing) = fixture();
@@ -2976,7 +3120,7 @@ mod tests {
         let (ups, eta) = heartbeat_rates(5, 10, 2.5);
         assert!((ups - 2.0).abs() < 1e-12);
         assert!((eta - 2.5).abs() < 1e-12);
-        // A finished (or overshot) shard reports zero ETA instead of
+        // A finished (or overshot) campaign reports zero ETA instead of
         // panicking on `total - done` underflow.
         assert_eq!(heartbeat_rates(10, 10, 2.0).1, 0.0);
         assert_eq!(heartbeat_rates(11, 10, 2.0).1, 0.0);

@@ -3,12 +3,12 @@
 //!
 //! # Model
 //!
-//! Every campaign's sharded axis (trace cycles, or bits for the per-bit
+//! Every campaign's queue axis (trace cycles, or bits for the per-bit
 //! campaign) doubles as its **work-unit** axis, and the engine is
 //! structured so each unit's contribution — result-row deltas, engine
 //! counter deltas, failure-cache entries, records — is independent of
-//! which other units ran and in what partition (see the campaign module
-//! docs). A checkpoint is therefore just the set of completed units with
+//! which other units ran, on which worker and in what order (see the
+//! campaign module docs). A checkpoint is therefore just the set of completed units with
 //! their serialized contributions: resuming replays the stored
 //! contributions for completed units and computes the rest, and the merged
 //! report is bit-for-bit the uninterrupted run's under any `threads ×

@@ -295,8 +295,10 @@ pub struct DischargeStep {
 /// Propagates the state difference `flips` (relative to the golden run)
 /// through one cycle of zero-delay combinational evaluation.
 ///
-/// `golden_values` must be the fully settled golden net values of the
-/// cycle. Because values are boolean, a faulty net's value is always the
+/// `golden` holds the fully settled golden net values of the cycle as bit
+/// `bit` of one word per net — the layout of
+/// [`delayavf_sim::GoldenTrace::golden_block`], whose bit `t % 64` is cycle
+/// `t`. Because values are boolean, a faulty net's value is always the
 /// complement of the golden one, so the difference is represented as the
 /// *set* of deviating nets; gates are re-evaluated at most once each, in
 /// level order, restricted to the fan-out cone of the deviation. The
@@ -307,10 +309,12 @@ pub fn propagate_flips(
     c: &Circuit,
     topo: &Topology,
     plan: &CollapsePlan,
-    golden_values: &[bool],
+    golden: &[u64],
+    bit: u64,
     flips: &[DffId],
     cap: usize,
 ) -> Option<DischargeStep> {
+    let golden_value = |net: NetId| (golden[net.index()] >> bit) & 1 == 1;
     let mut overlay: HashSet<NetId> = HashSet::new();
     let mut output_deviation = false;
     let mut heap: BinaryHeap<Reverse<(u32, GateId)>> = BinaryHeap::new();
@@ -344,10 +348,10 @@ pub fn propagate_flips(
         let ins = g.inputs();
         let mut vals = [false; 3];
         for (slot, &net) in vals.iter_mut().zip(ins) {
-            *slot = golden_values[net.index()] ^ overlay.contains(&net);
+            *slot = golden_value(net) ^ overlay.contains(&net);
         }
         let faulty = g.kind().eval(&vals[..ins.len()]);
-        if faulty != golden_values[g.output().index()] {
+        if faulty != golden_value(g.output()) {
             deviate(g.output(), &mut overlay, &mut heap, &mut queued);
         }
     }
@@ -368,6 +372,15 @@ mod tests {
     use delayavf_netlist::CircuitBuilder;
     use delayavf_sim::settle;
     use delayavf_timing::TechLibrary;
+
+    /// Packs a scalar settle into golden-block words at bit 5, with every
+    /// other bit the complement (so a read of the wrong bit shows up).
+    fn one_lane_block(values: &[bool]) -> Vec<u64> {
+        values
+            .iter()
+            .map(|&v| if v { 1 << 5 } else { !(1 << 5) })
+            .collect()
+    }
 
     fn analyzed(c: &Circuit) -> (Topology, TimingModel) {
         let topo = Topology::new(c);
@@ -506,6 +519,7 @@ mod tests {
         let state: Vec<bool> = vec![true, false, true, false];
         let inputs = vec![0b0011u64];
         let golden = settle(&c, &topo, &state, &inputs);
+        let block = one_lane_block(&golden);
         for flip_mask in 1u32..16 {
             let flips: Vec<DffId> = (0..4)
                 .filter(|i| flip_mask & (1 << i) != 0)
@@ -516,7 +530,7 @@ mod tests {
                 faulty_state[d.index()] = !faulty_state[d.index()];
             }
             let faulty = settle(&c, &topo, &faulty_state, &inputs);
-            let step = propagate_flips(&c, &topo, &plan, &golden, &flips, 4096).unwrap();
+            let step = propagate_flips(&c, &topo, &plan, &block, 5, &flips, 4096).unwrap();
             let expect_next: Vec<DffId> = c
                 .dffs()
                 .filter(|(_, dff)| faulty[dff.d().index()] != golden[dff.d().index()])
@@ -545,8 +559,8 @@ mod tests {
         let plan = CollapsePlan::build(&c, &topo, &timing);
         let state = vec![true; 8];
         let inputs = vec![0xFFu64];
-        let golden = settle(&c, &topo, &state, &inputs);
+        let block = one_lane_block(&settle(&c, &topo, &state, &inputs));
         let flips: Vec<DffId> = (0..8).map(DffId::from_index).collect();
-        assert!(propagate_flips(&c, &topo, &plan, &golden, &flips, 1).is_none());
+        assert!(propagate_flips(&c, &topo, &plan, &block, 5, &flips, 1).is_none());
     }
 }

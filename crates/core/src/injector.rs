@@ -6,8 +6,8 @@ use std::collections::{HashMap, HashSet};
 
 use delayavf_netlist::{Circuit, DffId, EdgeId, NetId, Topology};
 use delayavf_sim::{
-    pack_bits, settle, BatchDeltaSim, BatchSim, CycleSim, DeltaEventSim, DiffSim, Environment,
-    FaultSpec, GoldenWave, LaneMask, LaneWord, MAX_LANES, MAX_TIMING_LANES,
+    pack_bits, BatchDeltaSim, BatchSim, CycleSim, DeltaEventSim, DiffSim, Environment, FaultSpec,
+    GoldenWave, LaneMask, LaneWord, MAX_LANES, MAX_TIMING_LANES,
 };
 use delayavf_timing::{Picos, TimingModel};
 
@@ -152,10 +152,6 @@ pub struct Injector<'a, E: Environment + Clone> {
     /// the injection cycle changes; every member query is served from here.
     collapse_cache: HashMap<(EdgeId, Picos), Vec<DffId>>,
     collapse_cycle: Option<u64>,
-    /// Settled golden net values per trace cycle, shared by every
-    /// semi-formal discharge at `discharge_boundary`.
-    discharge_settle: HashMap<u64, Vec<bool>>,
-    discharge_boundary: Option<u64>,
     /// Memoized [`Injector::golden_identical_class`] (outer `None` = not
     /// yet computed, inner `None` = not establishable).
     golden_class: Option<Option<FailureClass>>,
@@ -198,10 +194,12 @@ macro_rules! injector_stats {
 
             /// Adds another worker's counters into this one.
             ///
-            /// The sharded campaign engine partitions work by whole cycles
-            /// and every cache key is scoped to a single latch boundary, so
-            /// cache hit/miss counts are partition-independent: the merged
-            /// totals are identical to a serial run's for any thread count.
+            /// The campaign engine hands out work in whole units, each at
+            /// one latch boundary, and every cache key is scoped to a
+            /// single latch boundary, so cache hit/miss counts do not
+            /// depend on which worker ran which unit: the merged totals
+            /// are identical to a serial run's for any thread count and
+            /// schedule.
             pub fn merge(&mut self, other: &InjectorStats) {
                 $(self.$name += other.$name;)*
             }
@@ -239,7 +237,7 @@ injector_stats! {
     /// engine. The divergence cone of a replay is fully determined by its
     /// boundary and flips, so this counter is thread-count invariant like
     /// the rest. Golden-side work is not counted: each trace cycle's golden
-    /// settle is computed once per injector and shared by every replay
+    /// settle is computed once per golden trace and shared by every replay
     /// crossing it, amortizing to one golden run.
     gates_evaluated,
     /// Replays that ran past the end of the golden trace and finished on
@@ -248,13 +246,13 @@ injector_stats! {
     /// Bit-parallel batch replays executed (each covers up to `lanes`
     /// scenarios). Zero when `lanes <= 1`. Depends on the configured lane
     /// width — fewer, fuller batches at higher widths — but not on the
-    /// thread count for cycle-sharded campaigns.
+    /// thread count for cycle-unit campaigns.
     batched_replays,
     /// Scenario lanes actually occupied across all batch replays: the
     /// number of distinct uncached scenarios retired through the batch
     /// engine. Invariant across lane widths > 1 (deduplication and cache
     /// checks happen before lane chunking) and across thread counts for
-    /// cycle-sharded campaigns.
+    /// cycle-unit campaigns.
     lanes_occupied,
     /// Total lane slots *scheduled* across all batch replays (the sum of
     /// chunk sizes, not `batched_replays * lanes` — a partially-filled
@@ -265,7 +263,7 @@ injector_stats! {
     /// Fault-free timed waveforms built: at most one per distinct trace
     /// cycle that reached the quiet-source certificate or a timing-aware
     /// simulation, shared by both. Campaigns iterate cycle-outer/edge-inner
-    /// and the sharded engine partitions by whole cycles, so this count is
+    /// and the campaign engine hands out whole cycles, so this count is
     /// thread-count invariant.
     golden_waveform_builds,
     /// Merged waveform time-steps processed by the delta engines across all
@@ -281,13 +279,13 @@ injector_stats! {
     /// `timing_lanes` `(edge, extra)` scenarios at one trace cycle). Zero
     /// when `timing_lanes <= 1`. Depends on the configured timing lane
     /// width — fewer, fuller batches at higher widths — but not on the
-    /// thread count for cycle-sharded campaigns.
+    /// thread count for cycle-unit campaigns.
     batched_timing_replays,
     /// Scenario lanes actually occupied across all timing-aware batch
     /// replays: the number of injections whose step-1 simulation rode a
     /// packed batch. Invariant across timing lane widths > 1 (the static and
     /// toggle pre-filters run before lane chunking) and across thread counts
-    /// for cycle-sharded campaigns.
+    /// for cycle-unit campaigns.
     timing_lanes_occupied,
     /// Total lane slots *scheduled* across all timing-aware batch replays
     /// (the sum of chunk sizes, not `batched_timing_replays *
@@ -303,7 +301,7 @@ injector_stats! {
     /// transition list in the fault-free waveform of the cycle, so the
     /// faulty run is provably identical). Collapse classes and quiescence
     /// are properties of the plan and the golden trace alone, so the count
-    /// is thread-count and lane-width invariant for cycle-sharded
+    /// is thread-count and lane-width invariant for cycle-unit
     /// campaigns. Zero when collapsing is disabled.
     collapsed_edges,
     /// Representative simulations actually run on behalf of an equivalence
@@ -317,7 +315,7 @@ injector_stats! {
     /// propagated difference cone provably corrupts an observed output word
     /// of an environment with a faithful transcript. One count per distinct
     /// `(boundary, flip set)` discharged, so the total is thread-count and
-    /// lane-width invariant for cycle-sharded campaigns. Zero when
+    /// lane-width invariant for cycle-unit campaigns. Zero when
     /// collapsing is disabled.
     formally_discharged_ace,
     /// Flip groups the semi-formal masking check classified as Masked
@@ -448,8 +446,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             plan: None,
             collapse_cache: HashMap::new(),
             collapse_cycle: None,
-            discharge_settle: HashMap::new(),
-            discharge_boundary: None,
             golden_class: None,
             stats: InjectorStats::default(),
         }
@@ -930,9 +926,10 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
 
     /// The semi-formal masking check: tries to classify the flip group
     /// without any replay, by exact zero-delay propagation of its
-    /// difference cone against per-cycle golden settles. Returns `None`
-    /// when no proof is found within the horizon/cone bounds — the caller
-    /// falls back to a real replay, so a `None` never changes results.
+    /// difference cone against the trace's shared golden settles. Returns
+    /// `None` when no proof is found within the horizon/cone bounds — the
+    /// caller falls back to a real replay, so a `None` never changes
+    /// results.
     ///
     /// Soundness hinges on the environment seeing the *golden* output words
     /// for as long as the cone stays off the output nets (environments are
@@ -973,14 +970,14 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         let mut cur: Vec<DffId> = flips.to_vec();
         let mut t = boundary;
         while t < horizon {
-            self.ensure_discharge_settle(boundary, t);
-            let values = &self.discharge_settle[&t];
+            let golden = self.golden.trace.golden_block(self.circuit, self.topo, t);
             let plan = self.plan.as_ref().expect("built by rule 1");
             let step = propagate_flips(
                 self.circuit,
                 self.topo,
                 plan,
-                values,
+                golden,
+                t % 64,
                 &cur,
                 DISCHARGE_CONE_CAP,
             )?;
@@ -1044,22 +1041,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             .values()
             .next()
             .is_some_and(|cp| cp.env.deterministic_transcript())
-    }
-
-    /// Settles (and caches) the golden net values of trace cycle `t` for
-    /// the semi-formal discharge; the cache is scoped to one boundary.
-    fn ensure_discharge_settle(&mut self, boundary: u64, t: u64) {
-        if self.discharge_boundary != Some(boundary) {
-            self.discharge_settle.clear();
-            self.discharge_boundary = Some(boundary);
-        }
-        if self.discharge_settle.contains_key(&t) {
-            return;
-        }
-        let trace = &self.golden.trace;
-        let state = trace.state_bits_at(t, self.circuit.num_dffs());
-        let values = settle(self.circuit, self.topo, &state, trace.inputs_at(t));
-        self.discharge_settle.insert(t, values);
     }
 
     /// Classification when the faulty run has halted on its own.
@@ -1407,18 +1388,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         self.ensure_cycle_data(cycle);
     }
 
-    /// The classification cached for exactly `set` (normalized) at
-    /// `boundary`, if any. Read-only: no replay, no counter.
-    pub fn cached_failure(&self, boundary: u64, set: &[DffId]) -> Option<FailureClass> {
-        let mut key: Vec<DffId> = set.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        self.failure_cache
-            .get(&boundary)
-            .and_then(|m| m.get(key.as_slice()))
-            .copied()
-    }
-
     /// Every cached classification at `boundary`, sorted by flip set — the
     /// deterministic order checkpoint payloads are serialized in.
     pub fn snapshot_failures(&self, boundary: u64) -> Vec<(Vec<DffId>, FailureClass)> {
@@ -1453,13 +1422,11 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         }
         let trace = &self.golden.trace;
         let num_dffs = self.circuit.num_dffs();
-        let prev_state = trace.state_bits_at(cycle - 1, num_dffs);
-        let prev_values = settle(
-            self.circuit,
-            self.topo,
-            &prev_state,
-            trace.inputs_at(cycle - 1),
-        );
+        // The settled values of `cycle - 1`, read off the trace's shared
+        // golden settle cache.
+        let block = trace.golden_block(self.circuit, self.topo, cycle - 1);
+        let sh = (cycle - 1) % 64;
+        let prev_values = block.iter().map(|w| (w >> sh) & 1 == 1).collect();
         self.cycle_data = Some(CycleData {
             cycle,
             prev_values,

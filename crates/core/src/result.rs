@@ -17,7 +17,7 @@ pub struct OraceStats {
 }
 
 impl OraceStats {
-    /// Adds another shard's counters into this one (the sharded campaign
+    /// Adds another unit's counters into this one (the campaign
     /// engine's deterministic merge — pure integer addition).
     pub fn merge(&mut self, other: &OraceStats) {
         self.or_hits += other.or_hits;
@@ -78,15 +78,15 @@ pub struct DelayAvfResult {
     /// ORACE statistics, when the campaign computed them.
     pub orace: Option<OraceStats>,
     /// The stratified estimate, when the adaptive sampler produced this
-    /// row. Attached once, after the shard merge — shard-local rows carry
+    /// row. Attached once, after the unit merge — per-unit rows carry
     /// `None`.
     pub adaptive: Option<AdaptiveEstimate>,
 }
 
 impl DelayAvfResult {
-    /// Adds another shard's counters into this one. Both rows must describe
+    /// Adds another unit's counters into this one. Both rows must describe
     /// the same delay fraction and agree on whether ORACE was computed —
-    /// the sharded campaign engine guarantees both by construction.
+    /// the campaign engine guarantees both by construction.
     pub fn merge(&mut self, other: &DelayAvfResult) {
         debug_assert_eq!(self.delay_fraction, other.delay_fraction);
         self.injections += other.injections;
@@ -103,7 +103,7 @@ impl DelayAvfResult {
         }
         debug_assert!(
             self.adaptive.is_none() && other.adaptive.is_none(),
-            "adaptive estimates are attached after the shard merge"
+            "adaptive estimates are attached after the unit merge"
         );
     }
 
@@ -187,7 +187,7 @@ pub struct SavfResult {
 }
 
 impl SavfResult {
-    /// Adds another shard's counters into this one.
+    /// Adds another unit's counters into this one.
     pub fn merge(&mut self, other: &SavfResult) {
         self.injections += other.injections;
         self.ace_hits += other.ace_hits;

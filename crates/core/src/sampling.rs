@@ -286,7 +286,7 @@ pub fn neyman_allocation(budget: usize, needs: &[(usize, f64)]) -> Vec<usize> {
 /// proceed until every stratum has either retired (all of its estimands'
 /// Wilson intervals are within the target half-width) or run out of sites.
 /// Recording is additive, so a round's tallies are independent of the
-/// order its sites were evaluated in — the thread-invariance the sharded
+/// order its sites were evaluated in — the schedule invariance the
 /// campaign engine requires.
 #[derive(Clone, Debug)]
 pub struct AdaptivePlan {

@@ -7,7 +7,7 @@
 //! path. This module provides:
 //!
 //! * [`TelemetrySink`] — the campaign-side abstraction. The associated
-//!   `ENABLED` constant lets the sharded engine skip *all* observability
+//!   `ENABLED` constant lets the campaign engine skip *all* observability
 //!   work (including every `Instant::now()` call) when the sink is
 //!   [`NullTelemetry`]: campaigns are generic over the sink type, so the
 //!   disabled path monomorphizes to exactly the code that existed before
@@ -21,11 +21,11 @@
 //!   against.
 //!
 //! Event stream shape (schema version [`TELEMETRY_SCHEMA_VERSION`]): one
-//! `campaign_start` per campaign, per-shard `shard_heartbeat` (with
-//! units/sec and an ETA), per-shard `phase_timers` wall-clock totals
-//! (golden-settle build / timing step / GroupACE replay), periodic
-//! `stats_delta` engine-counter deltas, `checkpoint_flush` markers, and a
-//! final `campaign_end`.
+//! `campaign_start` per campaign, `shard_heartbeat` progress beats from
+//! the workers (campaign-wide done/total counts, units/sec and an ETA),
+//! per-worker `phase_timers` wall-clock totals (golden-settle build /
+//! timing step / GroupACE replay), periodic `stats_delta` engine-counter
+//! deltas, `checkpoint_flush` markers, and a final `campaign_end`.
 
 use std::fmt::Write as _;
 use std::io::Write;
@@ -36,9 +36,9 @@ use crate::injector::InjectorStats;
 
 /// Version stamped into every emitted line as `"v"`; bumped whenever an
 /// event gains, loses or renames a field.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 5;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 6;
 
-/// Per-shard wall-clock totals of the three phases of a DelayAVF work
+/// Per-worker wall-clock totals of the three phases of a DelayAVF work
 /// unit, in microseconds. Only accumulated when the sink is enabled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTotals {
@@ -67,7 +67,8 @@ impl PhaseTotals {
 /// on the campaign side.
 #[derive(Clone, Copy, Debug)]
 pub enum TelemetryEvent<'a> {
-    /// A campaign is starting: how much work it has and how it is sharded.
+    /// A campaign is starting: how much work it has and how many workers
+    /// run it.
     CampaignStart {
         /// Campaign kind label (`delay_sweep`, `savf`, ...).
         campaign: &'a str,
@@ -78,34 +79,40 @@ pub enum TelemetryEvent<'a> {
         /// Units restored from a resumed checkpoint (0 on a fresh run).
         resumed_units: usize,
     },
-    /// Periodic per-shard progress: always emitted for a shard's first and
-    /// last unit, and at most every ~250 ms in between.
+    /// Periodic campaign progress from one worker: always emitted for a
+    /// worker's first unit and for the campaign's last unit, and at most
+    /// every ~250 ms per worker in between. `done` never decreases along
+    /// the stream, and the campaign's last heartbeat has `done == total`.
     ShardHeartbeat {
-        /// Shard index (shards partition the unit axis contiguously).
+        /// Index of the emitting worker (workers pull whole units from one
+        /// shared queue, so no worker owns a fixed slice of the units).
         shard: usize,
-        /// Units finished by this shard so far.
+        /// Units finished campaign-wide so far, by all workers.
         done: usize,
-        /// Units owned by this shard.
+        /// Units the campaign has scheduled so far: every unit for a
+        /// uniform campaign; for an adaptive one, the units of the rounds
+        /// issued so far.
         total: usize,
-        /// Finished units per wall-clock second (resumed units count —
-        /// they are real progress through the unit axis).
+        /// Finished units per wall-clock second since the campaign
+        /// started (resumed units count — they are real progress through
+        /// the unit axis).
         units_per_sec: f64,
-        /// Estimated seconds until this shard finishes at the current
-        /// rate.
+        /// Estimated seconds until the scheduled units are finished at the
+        /// current rate.
         eta_s: f64,
     },
-    /// A shard's accumulated per-phase wall-clock totals, emitted once
-    /// when the shard finishes.
+    /// A worker's accumulated per-phase wall-clock totals, emitted once
+    /// when it runs out of units.
     PhaseTimers {
-        /// Shard index.
+        /// Worker index.
         shard: usize,
         /// Phase totals in microseconds.
         phases: PhaseTotals,
     },
     /// Engine-counter delta since the previous `stats_delta` of the same
-    /// shard (emitted with heartbeats, for campaigns that track stats).
+    /// worker (emitted with heartbeats, for campaigns that track stats).
     StatsDelta {
-        /// Shard index.
+        /// Worker index.
         shard: usize,
         /// The counter delta.
         stats: InjectorStats,
@@ -129,7 +136,7 @@ pub enum TelemetryEvent<'a> {
 /// A campaign observability sink.
 ///
 /// Implementations must be [`Sync`]: one sink instance is shared by all
-/// worker threads of the sharded engine.
+/// worker threads of a campaign.
 pub trait TelemetrySink: Sync {
     /// Whether this sink observes anything at all. Campaigns consult this
     /// *constant* to skip clock reads and event construction entirely, so
@@ -560,11 +567,11 @@ mod tests {
         assert!(validate_line(r#"{"v":99,"t_ms":0,"event":"campaign_end"}"#)
             .unwrap_err()
             .contains("schema version"));
-        assert!(validate_line(r#"{"v":5,"t_ms":0,"event":"wat"}"#)
+        assert!(validate_line(r#"{"v":6,"t_ms":0,"event":"wat"}"#)
             .unwrap_err()
             .contains("unknown event"));
         assert!(
-            validate_line(r#"{"v":5,"t_ms":0,"event":"checkpoint_flush"}"#)
+            validate_line(r#"{"v":6,"t_ms":0,"event":"checkpoint_flush"}"#)
                 .unwrap_err()
                 .contains("completed_units")
         );

@@ -16,9 +16,9 @@
 //!   opcode/operand arrays, evaluating every gate (branch-light,
 //!   allocation-free, no per-gate struct loads); and
 //! * **sparse** — the word-wide analogue of [`crate::DiffSim`]: net words
-//!   are carried as lane-diffs against a per-trace-cycle golden settle
-//!   (computed once and shared by every batch crossing the cycle), and a
-//!   levelized worklist re-evaluates only gates reached by dirty nets.
+//!   are carried as lane-diffs against the trace's shared golden settle
+//!   ([`GoldenTrace::golden_block`]), and a levelized worklist re-evaluates
+//!   only gates reached by dirty nets.
 //!
 //! The path is chosen per cycle from the size of the diverged flip-flop
 //! seed: when only a few flip-flops differ across all lanes (the common
@@ -45,7 +45,7 @@
 
 use delayavf_netlist::{Circuit, Consumer, DffId, EvalPlan, GateId, NetId, Topology};
 
-use crate::pack::{broadcast, eval_lanes, eval_word, packed_bit, LaneWord, W256, W512};
+use crate::pack::{eval_lanes, packed_bit, LaneWord, W256, W512};
 use crate::trace::GoldenTrace;
 
 /// Maximum number of scenarios in one [`BatchSim`] batch (the lane count
@@ -134,8 +134,8 @@ macro_rules! with_core_ref {
 
 /// The width-specific half of the engine: every per-net / per-lane buffer,
 /// plus the scheduling scratch of the sparse path. One core exists per
-/// carrier width actually used; the golden-block cache and the port tables
-/// are shared by all of them through [`BatchSim`].
+/// carrier width actually used; the port tables are shared by all of them
+/// through [`BatchSim`].
 #[derive(Clone, Debug)]
 struct Core<W: LaneWord> {
     /// Dense-path scratch: one word per net; constant nets are
@@ -260,12 +260,12 @@ impl<W: LaneWord> Core<W> {
 
     /// The sparse path: seed the dirty-net set with the diverged flip-flop
     /// Q nets and propagate through consumer gates in level order, reading
-    /// clean fan-in from the shared per-cycle golden settle. Gates outside
+    /// clean fan-in from the trace's shared golden settle. Gates outside
     /// the union of the lanes' divergence cones are never touched.
     ///
     /// `golden` is the 64-cycle golden block containing `cycle` (required
-    /// unless the batch is fully converged), `sh` the cycle's bit position
-    /// within it.
+    /// unless the batch is fully converged); bit `cycle % 64` of each word
+    /// is this cycle's value.
     fn step_sparse(
         &mut self,
         plan: &EvalPlan,
@@ -386,21 +386,15 @@ impl<W: LaneWord> Core<W> {
 /// [`BatchSim::divergence_mask`].
 ///
 /// Internally one generic engine runs on the narrowest carrier that fits
-/// the batch (`u64`, [`W256`] or [`W512`]); the per-64-cycle golden settle
-/// cache (whose lanes stand for *trace cycles*, not scenarios) is shared
-/// across carriers.
+/// the batch (`u64`, [`W256`] or [`W512`]); every carrier reads the trace's
+/// shared per-64-cycle golden settle (whose lanes stand for *trace cycles*,
+/// not scenarios).
 #[derive(Clone, Debug)]
 pub struct BatchSim<'c> {
     circuit: &'c Circuit,
     topo: &'c Topology,
     input_bits: Vec<PortBit>,
     output_bits: Vec<PortBit>,
-    /// Per 64-cycle trace block: golden values of every net, one word per
-    /// net with bit `L` holding the value at cycle `64·block + L`. Each
-    /// block is settled once — bit-parallel, with lanes standing for
-    /// *cycles* — and shared by every batch crossing it (the sparse path's
-    /// clean fan-in source).
-    golden_blocks: Vec<Option<Box<[u64]>>>,
     narrow: Core<u64>,
     wide4: Option<Box<Core<W256>>>,
     wide8: Option<Box<Core<W512>>>,
@@ -440,7 +434,6 @@ impl<'c> BatchSim<'c> {
             topo,
             input_bits: port_bits(circuit.input_ports()),
             output_bits: port_bits(circuit.output_ports()),
-            golden_blocks: Vec::new(),
             narrow: Core::new(circuit, topo),
             wide4: None,
             wide8: None,
@@ -556,13 +549,7 @@ impl<'c> BatchSim<'c> {
         let cycle = self.cycle;
         let plan = self.topo.plan();
         let dirty = with_core!(self, core => !core.dirty_dffs.is_empty());
-        if dirty {
-            self.ensure_golden(trace);
-        }
-        let golden = self
-            .golden_blocks
-            .get((cycle / 64) as usize)
-            .and_then(|b| b.as_deref());
+        let golden = dirty.then(|| trace.golden_block(self.circuit, self.topo, cycle));
         let topo = self.topo;
         let out = with_core!(self, core => widen(core.step_sparse(
             plan,
@@ -572,45 +559,6 @@ impl<'c> BatchSim<'c> {
         )));
         self.cycle += 1;
         out
-    }
-
-    /// Ensures the golden net values for the 64-cycle block containing the
-    /// current cycle are cached. The whole block settles in *one*
-    /// bit-parallel sweep of the plan with the lanes standing for
-    /// consecutive trace cycles (each cycle's combinational settle is
-    /// independent given the recorded state and input words), so the
-    /// amortized cost per cycle is 1/64th of a scalar settle. The cache is
-    /// `u64`-packed and shared by every carrier width.
-    fn ensure_golden(&mut self, trace: &GoldenTrace) {
-        let block = (self.cycle / 64) as usize;
-        if self.golden_blocks.len() <= block {
-            self.golden_blocks.resize(block + 1, None);
-        }
-        if self.golden_blocks[block].is_some() {
-            return;
-        }
-        let plan = self.topo.plan();
-        let base = self.cycle - self.cycle % 64;
-        let width = (trace.num_cycles() - base).min(64);
-        let mut vals = vec![0u64; self.circuit.num_nets()].into_boxed_slice();
-        for &(net, v) in self.topo.const_nets() {
-            vals[net.index()] = broadcast(v);
-        }
-        for l in 0..width {
-            let inputs = trace.inputs_at(base + l);
-            for pb in &self.input_bits {
-                vals[pb.net as usize] |= ((inputs[usize::from(pb.port)] >> pb.bit) & 1) << l;
-            }
-            let state = trace.state_at(base + l);
-            for (i, &q) in plan.dff_q().iter().enumerate() {
-                vals[q as usize] |= u64::from(packed_bit(state, i)) << l;
-            }
-        }
-        for ((&kind, &[a, b, c]), &out) in plan.kinds().iter().zip(plan.ins()).zip(plan.outs()) {
-            vals[out as usize] =
-                eval_word(kind, vals[a as usize], vals[b as usize], vals[c as usize]);
-        }
-        self.golden_blocks[block] = Some(vals);
     }
 
     /// The flip-flops of `lane` whose value differs from the golden state at

@@ -11,10 +11,8 @@
 //! 2. seeds the dirty-net set with the diverged flip-flop Q nets and input
 //!    bits;
 //! 3. re-evaluates *only* gates reached by dirty nets, in increasing
-//!    [`Topology::gate_level`] order, reading un-dirty fan-in from a
-//!    per-trace-cycle cache of golden net values (each cycle's golden
-//!    settle is computed once from the recorded state/input words and then
-//!    shared by every replay that crosses that cycle);
+//!    [`Topology::gate_level`] order, reading un-dirty fan-in from the
+//!    trace's shared golden settle cache ([`GoldenTrace::golden_block`]);
 //! 4. compares each dirty D pin against `trace.state_at(cycle + 1)` to form
 //!    the next divergence set, and patches dirty output-port bits into the
 //!    golden output words.
@@ -28,22 +26,9 @@
 
 use delayavf_netlist::{Circuit, Consumer, DffId, GateId, NetId, Topology};
 
-/// Sets bit `i` of a packed (LSB-first) word slice.
-#[inline]
-fn set_packed_bit(words: &mut [u64], i: usize, v: bool) {
-    if v {
-        words[i / 64] |= 1 << (i % 64);
-    }
-}
-
 use crate::env::Environment;
+use crate::pack::packed_bit;
 use crate::trace::GoldenTrace;
-
-/// Reads bit `i` of a packed (LSB-first) word slice.
-#[inline]
-fn packed_bit(words: &[u64], i: usize) -> bool {
-    (words[i / 64] >> (i % 64)) & 1 == 1
-}
 
 /// An incremental cycle simulator that replays a faulty run as a *diff*
 /// against a [`GoldenTrace`], re-evaluating only the divergence cone.
@@ -62,12 +47,6 @@ pub struct DiffSim<'c> {
     /// Epoch-stamped faulty net values (set only for *dirty* nets).
     faulty_val: Vec<bool>,
     faulty_epoch: Vec<u64>,
-    /// Per trace cycle: packed golden values of every net, settled once
-    /// from the recorded state/input words and shared by every replay that
-    /// crosses the cycle. ~`num_nets / 8` bytes per cached cycle.
-    golden_nets: Vec<Option<Box<[u64]>>>,
-    /// Scratch for one golden settle.
-    golden_scratch: Vec<bool>,
     /// Epoch stamp marking gates already scheduled this cycle.
     sched_epoch: Vec<u64>,
     /// Dirty-gate worklist, bucketed by combinational level.
@@ -94,8 +73,6 @@ impl<'c> DiffSim<'c> {
             topo,
             faulty_val: vec![false; circuit.num_nets()],
             faulty_epoch: vec![0; circuit.num_nets()],
-            golden_nets: Vec::new(),
-            golden_scratch: vec![false; circuit.num_nets()],
             sched_epoch: vec![0; circuit.num_gates()],
             buckets: vec![Vec::new(); topo.num_levels()],
             max_sched_level: 0,
@@ -177,8 +154,8 @@ impl<'c> DiffSim<'c> {
 
     /// Faulty-cone gate evaluations performed since [`DiffSim::begin`].
     /// Golden-side work is excluded: each trace cycle's golden settle is
-    /// computed once per simulator and shared by every replay crossing it,
-    /// so it amortizes to a single golden run's worth of work.
+    /// computed once per trace and shared by every replay crossing it, so
+    /// it amortizes to a single golden run's worth of work.
     #[inline]
     pub fn gates_evaluated(&self) -> u64 {
         self.gates_evaluated
@@ -260,18 +237,18 @@ impl<'c> DiffSim<'c> {
 
         // 3. Levelized cone propagation: each scheduled gate is evaluated
         //    once, after all of its (possibly dirty) fan-in. Clean fan-in
-        //    reads come from the per-cycle golden settle, computed on first
-        //    demand and shared by every replay crossing this cycle.
-        if self.max_sched_level < self.buckets.len() {
-            self.ensure_golden(trace);
-        }
+        //    reads come from the trace's shared golden settle of this
+        //    cycle (bit `cycle % 64` of each net's block word).
         let plan = self.topo.plan();
+        let sh = cycle % 64;
+        let golden: &[u64] = if self.max_sched_level < self.buckets.len() {
+            trace.golden_block(circuit, self.topo, cycle)
+        } else {
+            &[]
+        };
         let mut level = 0;
         while level <= self.max_sched_level && level < self.buckets.len() {
             while let Some(g) = self.buckets[level].pop() {
-                let golden = self.golden_nets[cycle as usize]
-                    .as_deref()
-                    .expect("golden settle ensured above");
                 let (kind, ins, out) = plan.op(plan.op_of_gate(g));
                 self.gates_evaluated += 1;
                 let read = |slot: u32| {
@@ -279,11 +256,11 @@ impl<'c> DiffSim<'c> {
                     if self.faulty_epoch[i] == self.epoch {
                         self.faulty_val[i]
                     } else {
-                        packed_bit(golden, i)
+                        (golden[i] >> sh) & 1 == 1
                     }
                 };
                 let out_val = kind.eval3(read(ins[0]), read(ins[1]), read(ins[2]));
-                if out_val != packed_bit(golden, out as usize) {
+                if out_val != ((golden[out as usize] >> sh) & 1 == 1) {
                     self.mark_dirty(NetId::from_index(out as usize), out_val, trace);
                 }
             }
@@ -337,41 +314,6 @@ impl<'c> DiffSim<'c> {
                 }
             }
         }
-    }
-
-    /// Ensures the packed golden net values for the current cycle are
-    /// cached, settling the recorded state/input words through the whole
-    /// circuit once. Every replay crossing this cycle shares the result.
-    fn ensure_golden(&mut self, trace: &GoldenTrace) {
-        let cycle = self.cycle as usize;
-        if self.golden_nets.len() <= cycle {
-            self.golden_nets.resize(cycle + 1, None);
-        }
-        if self.golden_nets[cycle].is_some() {
-            return;
-        }
-        let circuit = self.circuit;
-        let vals = &mut self.golden_scratch;
-        self.topo.seed_consts(vals);
-        let inputs = trace.inputs_at(self.cycle);
-        for (pi, port) in circuit.input_ports().iter().enumerate() {
-            for (bit, &net) in port.nets().iter().enumerate() {
-                vals[net.index()] = (inputs[pi] >> bit) & 1 == 1;
-            }
-        }
-        let state = trace.state_at(self.cycle);
-        let plan = self.topo.plan();
-        for (i, &q) in plan.dff_q().iter().enumerate() {
-            vals[q as usize] = packed_bit(state, i);
-        }
-        for ((&kind, &[a, b, c]), &out) in plan.kinds().iter().zip(plan.ins()).zip(plan.outs()) {
-            vals[out as usize] = kind.eval3(vals[a as usize], vals[b as usize], vals[c as usize]);
-        }
-        let mut packed = vec![0u64; circuit.num_nets().div_ceil(64)].into_boxed_slice();
-        for (i, &v) in vals.iter().enumerate() {
-            set_packed_bit(&mut packed, i, v);
-        }
-        self.golden_nets[cycle] = Some(packed);
     }
 }
 

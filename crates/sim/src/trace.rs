@@ -10,13 +10,21 @@
 //! [`Checkpoint`]s additionally capture a clone of the environment at
 //! selected injection cycles so faulty executions can resume mid-program
 //! without replaying from reset.
+//!
+//! The trace also owns the **golden settle cache** every replay engine
+//! reads its clean fan-in from: the settled value of every net at every
+//! cycle, filled lazily one 64-cycle block at a time
+//! ([`GoldenTrace::golden_block`]) and shared by all threads holding the
+//! trace.
 
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use delayavf_netlist::{Circuit, Topology};
 
 use crate::cycle::{CycleSim, StopReason};
 use crate::env::Environment;
+use crate::pack::{broadcast, eval_word, packed_bit};
 
 /// Packs a bit slice into 64-bit words (LSB of word 0 is `bits[0]`).
 pub fn pack_bits(bits: &[bool]) -> Vec<u64> {
@@ -58,6 +66,10 @@ pub struct GoldenTrace {
     /// `num_cycles`.
     outputs: Vec<Vec<u64>>,
     program_output: Vec<u8>,
+    /// Per 64-cycle block: the settled golden value of every net, one word
+    /// per net with bit `L` holding the value at cycle `64·block + L`.
+    /// Filled on first demand by [`GoldenTrace::golden_block`].
+    blocks: Vec<OnceLock<Box<[u64]>>>,
 }
 
 impl GoldenTrace {
@@ -104,14 +116,18 @@ impl GoldenTrace {
         // Final boundary state.
         states.push(pack_bits(sim.state()));
         fingerprints.push(env.fingerprint());
+        let num_cycles = sim.cycle();
         let trace = GoldenTrace {
-            num_cycles: sim.cycle(),
+            num_cycles,
             halted,
             states,
             fingerprints,
             inputs,
             outputs,
             program_output: env.program_output(),
+            blocks: (0..num_cycles.div_ceil(64))
+                .map(|_| OnceLock::new())
+                .collect(),
         };
         (trace, checkpoints)
     }
@@ -170,6 +186,62 @@ impl GoldenTrace {
     /// The reference program output.
     pub fn program_output(&self) -> &[u8] {
         &self.program_output
+    }
+
+    /// The settled golden net values of the 64-cycle block containing
+    /// `cycle`: one word per net, bit `cycle % 64` of word `n` holding net
+    /// `n`'s value during `cycle`.
+    ///
+    /// The block settles on first demand in *one* bit-parallel sweep of
+    /// the evaluation plan, with the lanes standing for consecutive trace
+    /// cycles (each cycle's combinational settle is independent given the
+    /// recorded state and input words), so a cycle costs 1/64th of a
+    /// scalar [`crate::settle`]. The result is cached on the trace and
+    /// shared by every engine and thread reading it; the cache holds about
+    /// `num_nets / 8` bytes per trace cycle once fully filled. Lanes past
+    /// the end of the trace are unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cycle >= num_cycles`, or if `circuit` is not the circuit
+    /// the trace was recorded on.
+    pub fn golden_block(&self, circuit: &Circuit, topo: &Topology, cycle: u64) -> &[u64] {
+        assert!(cycle < self.num_cycles, "no golden settle past the trace");
+        let block = self.blocks[(cycle / 64) as usize]
+            .get_or_init(|| self.settle_block(circuit, topo, cycle - cycle % 64));
+        assert_eq!(
+            block.len(),
+            circuit.num_nets(),
+            "trace recorded on another circuit"
+        );
+        block
+    }
+
+    /// Settles the up-to-64 cycles starting at `base` bit-parallel.
+    fn settle_block(&self, circuit: &Circuit, topo: &Topology, base: u64) -> Box<[u64]> {
+        let plan = topo.plan();
+        let width = (self.num_cycles - base).min(64);
+        let mut vals = vec![0u64; circuit.num_nets()].into_boxed_slice();
+        for &(net, v) in topo.const_nets() {
+            vals[net.index()] = broadcast(v);
+        }
+        for l in 0..width {
+            let inputs = self.inputs_at(base + l);
+            for (port, &word) in circuit.input_ports().iter().zip(inputs) {
+                for (bit, &net) in port.nets().iter().enumerate() {
+                    vals[net.index()] |= ((word >> bit) & 1) << l;
+                }
+            }
+            let state = self.state_at(base + l);
+            for (i, &q) in plan.dff_q().iter().enumerate() {
+                vals[q as usize] |= u64::from(packed_bit(state, i)) << l;
+            }
+        }
+        for ((&kind, &[a, b, c]), &out) in plan.kinds().iter().zip(plan.ins()).zip(plan.outs()) {
+            vals[out as usize] =
+                eval_word(kind, vals[a as usize], vals[b as usize], vals[c as usize]);
+        }
+        vals
     }
 
     /// True when a run has provably re-converged with the reference at the
@@ -263,6 +335,37 @@ mod tests {
             !trace.converged_at(2, &good, 0, &[outs[0] ^ 1]),
             "pending outputs must match too"
         );
+    }
+
+    #[test]
+    fn golden_blocks_match_scalar_settles_and_are_shared_across_threads() {
+        use crate::cycle::settle;
+        let c = counter();
+        let topo = Topology::new(&c);
+        let mut env = ConstEnvironment::new(vec![3]);
+        // 150 cycles: two full blocks and a partial third.
+        let (trace, _) = GoldenTrace::record(&c, &topo, &mut env, 150, &[]);
+        assert_eq!(trace.num_cycles() % 64, 22);
+        // Two threads racing to fill one block read the same slice.
+        let reads: Vec<&[u64]> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| trace.golden_block(&c, &topo, 70)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(std::ptr::eq(reads[0], reads[1]), "one shared block");
+        assert!(std::ptr::eq(reads[0], trace.golden_block(&c, &topo, 127)));
+        for cycle in 0..trace.num_cycles() {
+            let block = trace.golden_block(&c, &topo, cycle);
+            let want = settle(
+                &c,
+                &topo,
+                &trace.state_bits_at(cycle, c.num_dffs()),
+                trace.inputs_at(cycle),
+            );
+            let got: Vec<bool> = block.iter().map(|w| (w >> (cycle % 64)) & 1 == 1).collect();
+            assert_eq!(got, want, "cycle {cycle}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The sharded campaign engine's headline guarantee, checked on the real
-//! gate-level core: for any worker-thread count the campaigns return
-//! results — including ORACE statistics and the merged injector cache
-//! counters — bit-for-bit identical to a serial run.
+//! The parallel campaign engine's headline guarantee, checked on the real
+//! gate-level core: for any worker-thread count — including counts that
+//! do not divide the unit count, so workers pull uneven unit sets from the
+//! shared queue — the campaigns return results, ORACE statistics and the
+//! merged injector cache counters bit-for-bit identical to a serial run.
 
 use delayavf::{
     delay_avf_campaign_records, delay_avf_campaign_with_stats, prepare_golden_seeded, sample_edges,
@@ -155,7 +156,7 @@ fn all_campaigns_are_thread_count_invariant_on_the_real_core() {
         serial_opts,
     );
 
-    for threads in [2, 4] {
+    for threads in [2, 3, 4, 5] {
         let cfg = config.clone().with_threads(threads);
         let opts = ReplayOptions::new(500, threads);
         let (rows, stats) = delay_avf_campaign_with_stats(

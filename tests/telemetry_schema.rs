@@ -131,7 +131,47 @@ fn campaign_telemetry_validates_and_never_changes_results() {
         count("checkpoint_flush") > 0,
         "checkpointing at every=1 emitted no flush events in:\n{text}"
     );
+    check_heartbeats(&text);
     fs::remove_dir_all(dir).unwrap();
+}
+
+/// The numeric field `key` of one event line.
+fn field(line: &str, key: &str) -> f64 {
+    delayavf::parse_flat_object(line)
+        .unwrap()
+        .into_iter()
+        .find(|(k, _)| k == key)
+        .and_then(|(_, v)| v.as_num())
+        .unwrap_or_else(|| panic!("no numeric `{key}` in {line}"))
+}
+
+/// Heartbeats count campaign-wide progress: within each campaign bracket
+/// `done` never decreases, never exceeds `total`, and the last heartbeat
+/// before `campaign_end` reports every unit done.
+fn check_heartbeats(text: &str) {
+    let mut last: Option<(f64, f64)> = None;
+    let mut campaigns = 0;
+    for line in text.lines() {
+        let event = validate_line(line).unwrap();
+        match event.as_str() {
+            "campaign_start" => last = None,
+            "shard_heartbeat" => {
+                let (done, total) = (field(line, "done"), field(line, "total"));
+                assert!(done <= total, "done past total: {line}");
+                if let Some((prev, _)) = last {
+                    assert!(done >= prev, "done went backwards: {line}");
+                }
+                last = Some((done, total));
+            }
+            "campaign_end" => {
+                let (done, total) = last.expect("a campaign without heartbeats");
+                assert_eq!(done, total, "last heartbeat leaves units undone");
+                campaigns += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(campaigns > 0, "no campaign in the stream");
 }
 
 #[test]
@@ -156,5 +196,6 @@ fn fig10_tiny_telemetry_stream_validates_end_to_end() {
         events.iter().any(|e| e == "checkpoint_flush"),
         "no checkpoint flushes despite --checkpoint-dir"
     );
+    check_heartbeats(&text);
     fs::remove_dir_all(dir).unwrap();
 }
