@@ -1,17 +1,36 @@
 //! Fault-injection campaigns: DelayAVF sweeps and particle-strike sAVF.
 //!
+//! # One driver
+//!
+//! Every estimate here comes from one loop: pick injection sites over
+//! (trace cycle, item), replay them, tally. The five campaigns — the
+//! DelayAVF sweep (Equation 3), sAVF (Equation 1), per-bit sAVF, the
+//! spatial double strike and the Razor records — each implement a small
+//! private `Campaign` trait: the kind label, the sites per cycle, the
+//! estimands and per-site tallies, the unit body and the merge. One
+//! private driver, `drive`, does everything else for all of them: the
+//! checkpoint identity, the telemetry brackets, the round loop and the
+//! adaptive footer.
+//!
+//! Sampling is an [`AdaptivePlan`]. With `ci_target` unset the plan is the
+//! exhaustive one — one stratum, one round, every site in ascending order
+//! — so a uniform campaign is the degenerate adaptive campaign, and its
+//! units are exactly one per sampled cycle carrying every item. With
+//! `ci_target` set the plan stratifies the sites, allocates each round
+//! Neyman-style and retires a stratum once its interval is tight enough.
+//!
 //! # Parallel engine: one queue of whole units
 //!
-//! Every injection is independent given the golden trace, so each campaign
-//! cuts its work into whole *units* — one trace cycle (one latch boundary)
-//! each, or one adaptive round's `(round, cycle)` group — and runs them on
+//! Every injection is independent given the golden trace, so each round's
+//! sites are grouped per trace cycle into whole *units* (one latch
+//! boundary each, keyed `(round, cycle)`) and run on
 //! [`std::thread::scope`] workers that pull unit indices from one shared
 //! atomic cursor. The queue is ordered longest-expected-first: a unit's
-//! cost estimate is the trace cycles left after its cycle times its sites
-//! (an early error can replay to the end of the program), ties by unit
-//! index, so the long units start first and the short ones fill in
-//! around them instead of leaving a worker idle behind a slow fixed
-//! chunk. Workers share the circuit, topology, timing model and golden run
+//! cost estimate is the trace cycles left after its cycle times its
+//! injections (an early error can replay to the end of the program), ties
+//! by unit index, so the long units start first and the short ones fill in
+//! around them instead of leaving a worker idle behind a slow fixed chunk.
+//! Workers share the circuit, topology, timing model and golden run
 //! read-only (hence the `Send + Sync` supertrait on [`Environment`]) —
 //! including the trace's lazily filled golden settle cache — and each
 //! keeps one private [`Injector`] for every unit it pulls, whose
@@ -21,8 +40,8 @@
 //! **Determinism:** parallel results are bit-for-bit identical to serial
 //! for any thread count and any schedule. Results are stored per unit
 //! index and merged in unit order (rows, [`InjectorStats`], records, and
-//! the adaptive plan's per-site tallies), all counters are integers merged
-//! by addition, and every cache-shareable replay of a unit is keyed by the
+//! the plan's per-site tallies), all counters are integers merged by
+//! addition, and every cache-shareable replay of a unit is keyed by the
 //! unit's own latch boundary, so no cache entry carried in a worker's
 //! injector from one unit to the next can serve another unit: even the
 //! cache-hit counters do not depend on which worker ran which unit, or
@@ -52,13 +71,9 @@
 //! and record order are exactly the sequential engine's, and `lanes = 1`
 //! (which turns prefilling into a no-op) reproduces its reports
 //! byte-identically. A unit's batches never leave its worker, so the batch
-//! counters in [`InjectorStats`] merge schedule-invariantly. The per-bit
-//! campaign reports and checkpoints *bits*, but queues its replays by
-//! cycle — each cycle batches every pending bit — and then tallies each
-//! bit from the per-cycle classes in bit order.
+//! counters in [`InjectorStats`] merge schedule-invariantly.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -68,7 +83,9 @@ use delayavf_netlist::{Circuit, DffId, EdgeId, Topology};
 use delayavf_sim::{Environment, MAX_LANES, MAX_TIMING_LANES};
 use delayavf_timing::{Picos, TimingModel};
 
-use crate::checkpoint::{CheckpointSpec, CheckpointStore, Fingerprint, Tokens};
+use crate::checkpoint::{
+    decode_unit, encode_unit, CheckpointSpec, CheckpointStore, Fingerprint, Layout, UnitPayload,
+};
 use crate::golden::GoldenRun;
 use crate::injector::{FailureClass, InjectionOutcome, Injector, InjectorStats};
 use crate::razor::InjectionRecord;
@@ -107,7 +124,7 @@ pub struct ReplayOptions {
     /// baseline (the `--no-collapse` escape hatch).
     pub collapse: bool,
     /// Target Wilson half-width for adaptive stratified sampling. `None`
-    /// (the default) runs the legacy uniform path byte-identically;
+    /// (the default) samples uniformly: every site, in one round;
     /// `Some(t)` stratifies the injection sites, allocates replay budget
     /// Neyman-style and retires each stratum once its interval half-width
     /// is at most `t`. Must pass
@@ -175,7 +192,7 @@ impl ReplayOptions {
     }
 
     /// Builder-style override of the adaptive-sampling CI target
-    /// (`None` = uniform legacy path).
+    /// (`None` = uniform sampling).
     pub fn with_ci_target(mut self, ci_target: Option<f64>) -> Self {
         self.ci_target = ci_target;
         self
@@ -281,7 +298,7 @@ impl CampaignConfig {
     }
 
     /// Builder-style override of the adaptive-sampling CI target
-    /// (`None` = uniform legacy path).
+    /// (`None` = uniform sampling).
     pub fn with_ci_target(mut self, ci_target: Option<f64>) -> Self {
         self.ci_target = ci_target;
         self
@@ -316,13 +333,10 @@ impl CampaignConfig {
 
 /// A worker's private injector, with the schedule-invariant knobs applied.
 fn worker_injector<'g, E: Environment + Clone>(
-    circuit: &'g Circuit,
-    topo: &'g Topology,
-    timing: &'g TimingModel,
-    golden: &'g GoldenRun<E>,
+    t: &Target<'g, E>,
     opts: &ReplayOptions,
 ) -> Injector<'g, E> {
-    let mut injector = Injector::new(circuit, topo, timing, golden, opts.due_slack);
+    let mut injector = Injector::new(t.circuit, t.topo, t.timing, t.golden, opts.due_slack);
     injector.set_lanes(opts.lanes);
     injector.set_timing_lanes(opts.timing_lanes);
     injector.set_collapse(opts.collapse);
@@ -533,12 +547,9 @@ impl<'t, S: TelemetrySink> RunContext<'t, S> {
 /// every unit cycle, the injected item list and the sweep parameters. Two
 /// campaigns with equal fingerprints produce identical reports, so resumed
 /// units can be trusted; anything else is a `checkpoint mismatch`.
-#[allow(clippy::too_many_arguments)]
 fn campaign_fingerprint<E: Environment + Clone>(
     kind: &str,
-    circuit: &Circuit,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
+    t: &Target<'_, E>,
     cycles: &[u64],
     items: &[usize],
     fractions: &[f64],
@@ -547,9 +558,9 @@ fn campaign_fingerprint<E: Environment + Clone>(
 ) -> u64 {
     let mut f = Fingerprint::new();
     f.write_bytes(kind.as_bytes());
-    f.write_usize(circuit.num_dffs());
-    f.write_u64(timing.clock_period());
-    let trace = &golden.trace;
+    f.write_usize(t.circuit.num_dffs());
+    f.write_u64(t.timing.clock_period());
+    let trace = &t.golden.trace;
     f.write_u64(trace.num_cycles());
     f.write_bool(trace.halted());
     f.write_bytes(trace.program_output());
@@ -587,25 +598,18 @@ fn campaign_fingerprint<E: Environment + Clone>(
 /// drift must be rejected. With adaptive sampling off the trio is inert
 /// and deliberately excluded — changing an unused `strata` default must
 /// not invalidate a uniform run's checkpoint.
-fn knob_hash(
-    lanes: usize,
-    timing_lanes: usize,
-    collapse: bool,
-    ci_target: Option<f64>,
-    strata: usize,
-    sample_seed: u64,
-) -> u64 {
+fn knob_hash(opts: &ReplayOptions) -> u64 {
     let mut f = Fingerprint::new();
-    f.write_usize(lanes);
-    f.write_usize(timing_lanes);
-    f.write_bool(collapse);
-    match ci_target {
+    f.write_usize(opts.lanes);
+    f.write_usize(opts.timing_lanes);
+    f.write_bool(opts.collapse);
+    match opts.ci_target {
         None => f.write_bool(false),
         Some(target) => {
             f.write_bool(true);
             f.write_f64(target);
-            f.write_usize(strata);
-            f.write_u64(sample_seed);
+            f.write_usize(opts.strata);
+            f.write_u64(opts.sample_seed);
         }
     }
     f.finish()
@@ -664,8 +668,8 @@ impl Progress {
         }
     }
 
-    /// Adds `units` to the campaign's scheduled total (all units up front
-    /// for uniform campaigns, each round's units for adaptive ones).
+    /// Adds a round's `units` to the campaign's scheduled total (a uniform
+    /// campaign has a single round).
     fn schedule(&self, units: usize) {
         self.total.fetch_add(units, Ordering::Relaxed);
     }
@@ -854,331 +858,270 @@ fn observe_campaign<R, S: TelemetrySink>(
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint unit-payload codecs. One line per completed unit; whitespace
-// tokens only (see the checkpoint module docs for the file format).
+// The one campaign driver.
 // ---------------------------------------------------------------------------
 
-fn encode_class(class: FailureClass) -> char {
-    match class {
-        FailureClass::Masked => 'M',
-        FailureClass::Sdc => 'S',
-        FailureClass::Due => 'D',
-    }
+/// The netlist, its timing model and the golden run a campaign injects
+/// into.
+struct Target<'g, E: Environment + Clone> {
+    circuit: &'g Circuit,
+    topo: &'g Topology,
+    timing: &'g TimingModel,
+    golden: &'g GoldenRun<E>,
 }
 
-fn decode_class(tok: char) -> Result<FailureClass, String> {
-    match tok {
-        'M' => Ok(FailureClass::Masked),
-        'S' => Ok(FailureClass::Sdc),
-        'D' => Ok(FailureClass::Due),
-        other => Err(format!(
-            "checkpoint parse error: bad failure class `{other}`"
-        )),
+/// One campaign's part of the shared driver: its injection sites, what one
+/// unit computes, and how the units add up. Sites are `(cycle, item)`
+/// pairs, numbered `cycle position × sites_per_cycle + item`.
+trait Campaign: Sync {
+    /// The partial result units merge into.
+    type Acc;
+    /// What the campaign's entry point returns.
+    type Out;
+    /// Offset of a unit's latch boundary from its cycle: `1` for delay
+    /// faults, `0` for strikes (see the module docs).
+    const BOUNDARY: u64;
+
+    /// Checkpoint kind and telemetry label (`delay_sweep`, `savf`, …); an
+    /// adaptive run appends `_adaptive`.
+    fn kind(&self) -> &'static str;
+
+    /// What besides the trace determines the results: the injected item
+    /// indices, the delay fractions and whether ORACE is computed.
+    fn identity(&self) -> (Vec<usize>, &[f64], bool);
+
+    /// Injection sites per trace cycle: the edges for the sweep, one for
+    /// the campaigns that strike their whole item list at a cycle.
+    fn sites_per_cycle(&self) -> usize {
+        1
     }
+
+    /// Injections one site stands for (the unit cost and the adaptive
+    /// savings count them).
+    fn injections_per_site(&self) -> usize;
+
+    /// Proportions the plan tallies per site.
+    fn estimands(&self) -> usize {
+        1
+    }
+
+    /// Every site's stratum under `buckets` buckets per axis, for the
+    /// adaptive plan: toggle activity × trace phase by default.
+    fn strata<E: Environment + Clone>(
+        &self,
+        t: &Target<'_, E>,
+        cycles: &[u64],
+        buckets: usize,
+    ) -> Vec<usize> {
+        cycle_strata(t.golden, cycles, buckets)
+    }
+
+    /// The payload sections of a unit with `sites` selected sites.
+    fn layout(&self, sites: usize) -> Layout<'_>;
+
+    /// Runs the `selected` items at `cycle`, filling every section of the
+    /// layout except `stats` and `fc`, which the driver adds.
+    fn run<E: Environment + Clone, S: TelemetrySink>(
+        &self,
+        w: &mut Worker<'_, '_, E, S>,
+        cycle: u64,
+        selected: &[usize],
+    ) -> UnitPayload;
+
+    /// Writes the `j`-th selected site's per-estimand hits and trials into
+    /// the zeroed `hits` and `trials`.
+    fn tally_site(&self, unit: &UnitPayload, j: usize, hits: &mut [u64], trials: &mut [u64]);
+
+    /// The partial result before any unit.
+    fn empty(&self) -> Self::Acc;
+
+    /// Merges one unit; units arrive in unit order.
+    fn merge(&self, acc: &mut Self::Acc, unit: UnitPayload);
+
+    /// The entry point's result from the merged units and counters, given
+    /// the plan when it was an adaptive one.
+    fn finish(
+        &self,
+        acc: Self::Acc,
+        stats: InjectorStats,
+        adaptive: Option<&AdaptivePlan>,
+    ) -> Self::Out;
 }
 
-fn encode_stats(out: &mut String, s: &InjectorStats) {
-    out.push_str(" stats");
-    for v in s.values() {
-        let _ = write!(out, " {v}");
-    }
-}
-
-fn decode_stats(t: &mut Tokens<'_>) -> Result<InjectorStats, String> {
-    t.expect("stats")?;
-    let mut values = [0; InjectorStats::COUNT];
-    for (v, name) in values.iter_mut().zip(InjectorStats::NAMES) {
-        *v = t.next_u64(name)?;
-    }
-    Ok(InjectorStats::from_values(values))
-}
-
-fn encode_failures(out: &mut String, entries: &[(Vec<DffId>, FailureClass)]) {
-    let _ = write!(out, " fc {}", entries.len());
-    for (set, class) in entries {
-        let _ = write!(out, " {} {}", encode_class(*class), set.len());
-        for d in set {
-            let _ = write!(out, " {}", d.index());
+/// Runs campaign `c`: every round of its sampling plan, one queue of
+/// `(round, cycle)` units per round, under `ctx`'s telemetry and
+/// checkpoint. `opts.ci_target` picks the plan — exhaustive when unset,
+/// the validated Neyman plan when set.
+fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
+    c: &C,
+    t: &Target<'_, E>,
+    opts: &ReplayOptions,
+    ctx: &RunContext<'_, S>,
+) -> Result<C::Out, String> {
+    let cycles = valid_cycles(t.golden);
+    let per_cycle = c.sites_per_cycle();
+    let population = cycles.len() * per_cycle;
+    let (mut plan, kind, adaptive) = match opts.ci_target {
+        None => (
+            AdaptivePlan::exhaustive(population, c.estimands()),
+            c.kind().to_owned(),
+            false,
+        ),
+        Some(target) => {
+            let target = validate_ci_target(target)?;
+            let buckets = validate_strata(opts.strata)?;
+            let plan = AdaptivePlan::new(
+                c.strata(t, &cycles, buckets),
+                buckets * buckets,
+                c.estimands(),
+                target,
+                opts.sample_seed,
+            );
+            (plan, format!("{}_adaptive", c.kind()), true)
         }
-    }
-}
-
-fn decode_failures(t: &mut Tokens<'_>) -> Result<Vec<(Vec<DffId>, FailureClass)>, String> {
-    t.expect("fc")?;
-    let k = t.next_usize("failure-cache entry count")?;
-    let mut entries = Vec::with_capacity(k);
-    for _ in 0..k {
-        let class_tok = t.next_str("failure class")?;
-        let mut chars = class_tok.chars();
-        let class = decode_class(chars.next().unwrap_or(' '))?;
-        if chars.next().is_some() {
-            return Err(format!(
-                "checkpoint parse error: bad failure class `{class_tok}`"
-            ));
-        }
-        let len = t.next_usize("flip-set length")?;
-        let mut set = Vec::with_capacity(len);
-        for _ in 0..len {
-            set.push(DffId::from_index(t.next_usize("flip-set dff")?));
-        }
-        entries.push((set, class));
-    }
-    Ok(entries)
-}
-
-fn encode_rows(out: &mut String, rows: &[DelayAvfResult]) {
-    let _ = write!(out, "rows {}", rows.len());
-    for r in rows {
-        let _ = write!(
-            out,
-            " {} {} {} {} {} {} {}",
-            r.injections,
-            r.static_hits,
-            r.dynamic_hits,
-            r.delay_ace_hits,
-            r.sdc_hits,
-            r.due_hits,
-            r.multi_bit_hits
-        );
-        if let Some(o) = &r.orace {
-            let _ = write!(out, " {} {} {}", o.or_hits, o.interference, o.compounding);
-        }
-    }
-}
-
-fn decode_rows(t: &mut Tokens<'_>, config: &CampaignConfig) -> Result<Vec<DelayAvfResult>, String> {
-    t.expect("rows")?;
-    let n = t.next_usize("row count")?;
-    if n != config.delay_fractions.len() {
-        return Err(format!(
-            "checkpoint parse error: {n} rows != {} configured fractions",
-            config.delay_fractions.len()
-        ));
-    }
-    let mut rows = empty_rows(config);
-    for row in &mut rows {
-        row.injections = t.next_usize("injections")?;
-        row.static_hits = t.next_usize("static_hits")?;
-        row.dynamic_hits = t.next_usize("dynamic_hits")?;
-        row.delay_ace_hits = t.next_usize("delay_ace_hits")?;
-        row.sdc_hits = t.next_usize("sdc_hits")?;
-        row.due_hits = t.next_usize("due_hits")?;
-        row.multi_bit_hits = t.next_usize("multi_bit_hits")?;
-        if let Some(o) = row.orace.as_mut() {
-            o.or_hits = t.next_usize("or_hits")?;
-            o.interference = t.next_usize("interference")?;
-            o.compounding = t.next_usize("compounding")?;
-        }
-    }
-    Ok(rows)
-}
-
-fn encode_delay_unit(
-    rows: &[DelayAvfResult],
-    stats: &InjectorStats,
-    failures: &[(Vec<DffId>, FailureClass)],
-) -> String {
-    let mut out = String::new();
-    encode_rows(&mut out, rows);
-    encode_stats(&mut out, stats);
-    encode_failures(&mut out, failures);
-    out
-}
-
-type DelayUnit = (
-    Vec<DelayAvfResult>,
-    InjectorStats,
-    Vec<(Vec<DffId>, FailureClass)>,
-);
-
-fn decode_delay_unit(payload: &str, config: &CampaignConfig) -> Result<DelayUnit, String> {
-    let mut t = Tokens::new(payload);
-    let rows = decode_rows(&mut t, config)?;
-    let stats = decode_stats(&mut t)?;
-    let failures = decode_failures(&mut t)?;
-    if !t.finished() {
-        return Err("checkpoint parse error: trailing payload tokens".into());
-    }
-    Ok((rows, stats, failures))
-}
-
-/// Adaptive sweep units additionally persist the per-site visibility
-/// flags (fraction-major over the unit's selected edges, `1` = visible)
-/// the plan's stratum tallies are rebuilt from on resume.
-fn encode_adaptive_sweep_unit(
-    rows: &[DelayAvfResult],
-    vis: &[bool],
-    stats: &InjectorStats,
-    failures: &[(Vec<DffId>, FailureClass)],
-) -> String {
-    let mut out = String::new();
-    encode_rows(&mut out, rows);
-    out.push_str(" vis .");
-    out.extend(vis.iter().map(|&v| if v { '1' } else { '0' }));
-    encode_stats(&mut out, stats);
-    encode_failures(&mut out, failures);
-    out
-}
-
-type AdaptiveSweepUnit = (
-    Vec<DelayAvfResult>,
-    Vec<bool>,
-    InjectorStats,
-    Vec<(Vec<DffId>, FailureClass)>,
-);
-
-fn decode_adaptive_sweep_unit(
-    payload: &str,
-    config: &CampaignConfig,
-    expected_sites: usize,
-) -> Result<AdaptiveSweepUnit, String> {
-    let mut t = Tokens::new(payload);
-    let rows = decode_rows(&mut t, config)?;
-    t.expect("vis")?;
-    let tok = t.next_str("visibility string")?;
-    let body = tok
-        .strip_prefix('.')
-        .ok_or_else(|| format!("checkpoint parse error: bad visibility string `{tok}`"))?;
-    let vis: Vec<bool> = body
-        .chars()
-        .map(|c| match c {
-            '1' => Ok(true),
-            '0' => Ok(false),
-            other => Err(format!(
-                "checkpoint parse error: bad visibility flag `{other}`"
-            )),
-        })
-        .collect::<Result<_, _>>()?;
-    if vis.len() != expected_sites * config.delay_fractions.len() {
-        return Err(format!(
-            "checkpoint parse error: {} visibility flags != {} sites × {} fractions",
-            vis.len(),
-            expected_sites,
-            config.delay_fractions.len()
-        ));
-    }
-    let stats = decode_stats(&mut t)?;
-    let failures = decode_failures(&mut t)?;
-    if !t.finished() {
-        return Err("checkpoint parse error: trailing payload tokens".into());
-    }
-    Ok((rows, vis, stats, failures))
-}
-
-fn encode_savf_unit(
-    result: &SavfResult,
-    stats: &InjectorStats,
-    failures: &[(Vec<DffId>, FailureClass)],
-) -> String {
-    let mut out = format!("{} {}", result.injections, result.ace_hits);
-    encode_stats(&mut out, stats);
-    encode_failures(&mut out, failures);
-    out
-}
-
-type SavfUnit = (SavfResult, InjectorStats, Vec<(Vec<DffId>, FailureClass)>);
-
-fn decode_savf_unit(payload: &str) -> Result<SavfUnit, String> {
-    let mut t = Tokens::new(payload);
-    let result = SavfResult {
-        injections: t.next_usize("injections")?,
-        ace_hits: t.next_usize("ace_hits")?,
     };
-    let stats = decode_stats(&mut t)?;
-    let failures = decode_failures(&mut t)?;
-    if !t.finished() {
-        return Err("checkpoint parse error: trailing payload tokens".into());
-    }
-    Ok((result, stats, failures))
-}
-
-fn encode_records_unit(
-    records: &[InjectionRecord],
-    failures: &[(Vec<DffId>, FailureClass)],
-) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "rec {}", records.len());
-    for r in records {
-        let _ = write!(
-            out,
-            " {} {} {} {}",
-            r.edge.index(),
-            r.outcome.statically_reachable,
-            encode_class(r.outcome.class),
-            r.outcome.dynamic_set.len()
-        );
-        for d in &r.outcome.dynamic_set {
-            let _ = write!(out, " {}", d.index());
+    let (items, fractions, orace) = c.identity();
+    let fingerprint =
+        campaign_fingerprint(&kind, t, &cycles, &items, fractions, opts.due_slack, orace);
+    let setup = open_store(&ctx.checkpoint, &kind, fingerprint, knob_hash(opts))?;
+    let threads = resolve_threads(opts.threads, cycles.len());
+    observe_campaign(ctx, &setup, &kind, cycles.len(), threads, |progress| {
+        let store = setup.store.as_ref();
+        let mut acc = c.empty();
+        let mut stats = InjectorStats::default();
+        let mut hits = vec![0; c.estimands()];
+        let mut trials = vec![0; c.estimands()];
+        for round in 0.. {
+            let sites = plan.next_round();
+            if sites.is_empty() {
+                break;
+            }
+            // The round's sites come in ascending order; each cycle's run
+            // of them is one unit, whose body batches one latch boundary.
+            let units: Vec<(usize, Vec<usize>)> = sites
+                .chunk_by(|a, b| a / per_cycle == b / per_cycle)
+                .map(|run| {
+                    let items = run.iter().map(|site| site % per_cycle).collect();
+                    (run[0] / per_cycle, items)
+                })
+                .collect();
+            let costs: Vec<u64> = units
+                .iter()
+                .map(|(pos, items)| {
+                    unit_cost(
+                        t.golden,
+                        cycles[*pos],
+                        items.len() * c.injections_per_site(),
+                    )
+                })
+                .collect();
+            progress.schedule(units.len());
+            let results = run_queue(
+                resolve_threads(opts.threads, units.len()),
+                &units,
+                &queue_order(&costs),
+                |id| Worker {
+                    injector: worker_injector(t, opts),
+                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
+                },
+                |w: &mut Worker<'_, '_, E, S>, (pos, items)| {
+                    let cycle = cycles[*pos];
+                    let key = round_key(round, cycle);
+                    run_unit(c, w, key, cycle, items, &setup.resumed, store)
+                },
+                |w| w.obs.finish(),
+            )?;
+            // Results come back in unit order, so the merge and the plan's
+            // tallies are schedule-invariant.
+            for ((pos, items), unit) in units.iter().zip(results) {
+                for (j, &item) in items.iter().enumerate() {
+                    hits.fill(0);
+                    trials.fill(0);
+                    c.tally_site(&unit, j, &mut hits, &mut trials);
+                    plan.record(pos * per_cycle + item, &hits, &trials);
+                }
+                if let Some(delta) = &unit.stats {
+                    stats.merge(delta);
+                }
+                c.merge(&mut acc, unit);
+            }
+            plan.finish_round();
         }
-    }
-    encode_failures(&mut out, failures);
-    out
-}
-
-type RecordsUnit = (Vec<InjectionRecord>, Vec<(Vec<DffId>, FailureClass)>);
-
-fn decode_records_unit(payload: &str, cycle: u64) -> Result<RecordsUnit, String> {
-    let mut t = Tokens::new(payload);
-    t.expect("rec")?;
-    let m = t.next_usize("record count")?;
-    let mut records = Vec::with_capacity(m);
-    for _ in 0..m {
-        let edge = EdgeId::from_index(t.next_usize("record edge")?);
-        let statically_reachable = t.next_usize("statically reachable count")?;
-        let class_tok = t.next_str("record class")?;
-        let class = decode_class(class_tok.chars().next().unwrap_or(' '))?;
-        let len = t.next_usize("dynamic-set length")?;
-        let mut dynamic_set = Vec::with_capacity(len);
-        for _ in 0..len {
-            dynamic_set.push(DffId::from_index(t.next_usize("dynamic-set dff")?));
+        let adaptive = adaptive.then_some(&plan);
+        if let Some(plan) = adaptive {
+            stats.strata_active = plan.strata_active() as u64;
+            stats.strata_retired_early = plan.strata_retired_early() as u64;
+            stats.adaptive_replays_saved =
+                ((population - plan.sampled_sites()) * c.injections_per_site()) as u64;
         }
-        records.push(InjectionRecord {
-            cycle,
-            edge,
-            outcome: InjectionOutcome {
-                statically_reachable,
-                dynamic_set,
-                visible: class.is_visible(),
-                class,
-            },
-        });
-    }
-    let failures = decode_failures(&mut t)?;
-    if !t.finished() {
-        return Err("checkpoint parse error: trailing payload tokens".into());
-    }
-    Ok((records, failures))
+        Ok(c.finish(acc, stats, adaptive))
+    })
 }
 
-/// Per-bit payloads store one classification per character (each cycle's
-/// for a bit, or each bit's at one cycle for the adaptive campaign), with a
-/// leading `.` so an empty list still yields a token.
-fn encode_classes(classes: &[FailureClass]) -> String {
-    let mut out = String::from("cls .");
-    out.extend(classes.iter().map(|&c| encode_class(c)));
-    out
-}
-
-fn decode_per_bit_unit(payload: &str, expected: usize) -> Result<Vec<FailureClass>, String> {
-    let mut t = Tokens::new(payload);
-    t.expect("cls")?;
-    let tok = t.next_str("class string")?;
-    let body = tok
-        .strip_prefix('.')
-        .ok_or_else(|| format!("checkpoint parse error: bad class string `{tok}`"))?;
-    let classes: Vec<FailureClass> = body.chars().map(decode_class).collect::<Result<_, _>>()?;
-    if classes.len() != expected || !t.finished() {
-        return Err(format!(
-            "checkpoint parse error: {} classes != {expected} expected",
-            classes.len(),
-        ));
+/// Runs one unit — or restores it from the resumed checkpoint — and marks
+/// it done: a fresh unit gets its counter delta and, when checkpointing,
+/// its boundary's failure-cache entries; a restored one preloads them.
+fn run_unit<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
+    c: &C,
+    w: &mut Worker<'_, '_, E, S>,
+    key: u64,
+    cycle: u64,
+    selected: &[usize],
+    resumed: &BTreeMap<u64, String>,
+    store: Option<&Mutex<CheckpointStore>>,
+) -> Result<UnitPayload, String> {
+    let boundary = cycle + C::BOUNDARY;
+    let layout = c.layout(selected.len());
+    if let Some(payload) = resumed.get(&key) {
+        let mut unit = decode_unit(payload, &layout, cycle)?;
+        if let Some(failures) = unit.failures.take() {
+            w.injector.preload_failures(boundary, failures);
+        }
+        w.obs.unit_done(key, None, unit.stats.as_ref())?;
+        return Ok(unit);
     }
-    Ok(classes)
+    let before = w.injector.stats;
+    let mut unit = c.run(w, cycle, selected);
+    if layout.stats {
+        unit.stats = Some(w.injector.stats.delta_since(&before));
+    }
+    let payload = store.is_some().then(|| {
+        if layout.failures {
+            unit.failures = Some(w.injector.snapshot_failures(boundary));
+        }
+        let payload = encode_unit(&unit);
+        unit.failures = None;
+        payload
+    });
+    w.obs.unit_done(key, payload, unit.stats.as_ref())?;
+    Ok(unit)
 }
 
-fn merge_rows(into: &mut [DelayAvfResult], from: &[DelayAvfResult]) {
-    for (row, part) in into.iter_mut().zip(from) {
-        row.merge(part);
+/// Packs a checkpoint key: adaptive rounds may revisit a cycle with a
+/// different site subset, so the key embeds the round number. A uniform
+/// campaign has one round, so its keys are its cycles.
+fn round_key(round: u64, cycle: u64) -> u64 {
+    debug_assert!(cycle < (1 << 44), "trace cycle overflows the round key");
+    (round << 44) | cycle
+}
+
+/// The composed estimate of estimand `e` under an adaptive plan.
+fn adaptive_estimate(plan: &AdaptivePlan, e: usize) -> AdaptiveEstimate {
+    let est = plan.estimate(e);
+    AdaptiveEstimate {
+        point: est.point,
+        lo: est.lo,
+        hi: est.hi,
+        population: plan.population(),
+        sampled: plan.sampled_sites(),
+    }
+}
+
+/// Writes `(visible, total)` of one site's flags as its single estimand.
+fn tally_visible(visible: impl Iterator<Item = bool>, hits: &mut [u64], trials: &mut [u64]) {
+    for v in visible {
+        hits[0] += u64::from(v);
+        trials[0] += 1;
     }
 }
 
@@ -1218,907 +1161,475 @@ fn empty_rows(config: &CampaignConfig) -> Vec<DelayAvfResult> {
         .collect()
 }
 
-/// One DelayAVF work unit: the full fraction sweep at a single trace
-/// cycle. Cycle-outer iteration makes every unit's contribution (row
-/// deltas, counter deltas, the failure-cache entries at boundary
-/// `cycle + 1`) independent of which other units ran — the invariant the
-/// checkpoint layer builds on — and lets all fractions share one golden
-/// waveform build and one cycle reconstruction.
-fn delay_sweep_unit<E: Environment + Clone>(
-    injector: &mut Injector<'_, E>,
-    timing: &TimingModel,
-    edges: &[EdgeId],
-    config: &CampaignConfig,
-    cycle: u64,
-    time_phases: bool,
-    phases: &mut PhaseTotals,
-) -> Vec<DelayAvfResult> {
-    delay_sweep_unit_vis(injector, timing, edges, config, cycle, time_phases, phases).0
-}
-
-/// [`delay_sweep_unit`] additionally returning each injection's
-/// program-visibility flag in tally order (fraction-major, edge-minor) —
-/// the per-site signal the adaptive sampler's stratum tallies consume.
-/// The shared body keeps the two paths' accounting identical by
-/// construction.
-fn delay_sweep_unit_vis<E: Environment + Clone>(
-    injector: &mut Injector<'_, E>,
-    timing: &TimingModel,
-    edges: &[EdgeId],
-    config: &CampaignConfig,
-    cycle: u64,
-    time_phases: bool,
-    phases: &mut PhaseTotals,
-) -> (Vec<DelayAvfResult>, Vec<bool>) {
-    let mut vis = Vec::with_capacity(config.delay_fractions.len() * edges.len());
-    let mut rows = empty_rows(config);
-    // Golden-settle phase: reconstruct the cycle context once for every
-    // fraction and edge injected here (touches no counters, so timing it
-    // separately cannot perturb the deterministic report path).
-    timed(time_phases, &mut phases.golden_settle_us, || {
-        injector.warm_cycle_data(cycle)
-    });
-    if edges.is_empty() {
-        return (rows, vis);
-    }
-    // Phase 1 (timing-aware): one lane-packing pass over the whole cycle.
-    // Every fraction's (edge, extra) pairs are handed to the batch carver
-    // together, fraction-major, so the per-pair filter decisions and the
-    // scalar fallback run in exactly the per-fraction loop's order while
-    // survivors from *different* fractions share lanes whenever their
-    // edges don't conflict (the carver keeps same-edge/different-extra
-    // pairs apart, which the packed engine would retire anyway).
-    let pairs: Vec<(EdgeId, Picos)> = config
-        .delay_fractions
-        .iter()
-        .flat_map(|&fraction| {
-            let extra = fraction_to_picos(timing, fraction);
-            edges.iter().map(move |&edge| (edge, extra))
-        })
-        .collect();
-    let mut parts: Vec<(usize, Vec<DffId>)> =
-        timed(time_phases, &mut phases.timing_step_us, || {
-            injector.dynamically_reachable_batch(cycle, &pairs)
-        });
-    for (fi, parts) in parts.chunks_mut(edges.len()).enumerate() {
-        timed(time_phases, &mut phases.replay_us, || {
-            // Phase 2: batch the whole boundary's replays — group sets and,
-            // for ORACE, the individual bits they contain.
-            injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
-            if config.compute_orace {
-                injector.prefill_failures(
-                    cycle + 1,
-                    parts
-                        .iter()
-                        .flat_map(|(_, set)| set.iter().map(|&d| vec![d])),
-                );
-            }
-            // Phase 3 (cache-served): identical tally order to the scalar
-            // engine's interleaved loop.
-            for (statically_reachable, dynamic_set) in parts.iter_mut() {
-                let outcome = injector.classify_injection(
-                    cycle,
-                    *statically_reachable,
-                    std::mem::take(dynamic_set),
-                );
-                vis.push(outcome.visible);
-                tally(&mut rows[fi], &outcome);
-                if config.compute_orace && !outcome.dynamic_set.is_empty() {
-                    let or = injector.or_ace(cycle + 1, &outcome.dynamic_set);
-                    let o = rows[fi].orace.as_mut().expect("orace rows configured");
-                    if or {
-                        o.or_hits += 1;
-                    }
-                    if or && !outcome.visible {
-                        o.interference += 1;
-                    }
-                    if !or && outcome.visible {
-                        o.compounding += 1;
-                    }
-                }
-            }
-        });
-    }
-    (rows, vis)
-}
-
-/// Runs a DelayAVF sweep: every sampled cycle × every given edge × every
-/// delay fraction. Returns one [`DelayAvfResult`] per delay fraction, in
-/// the configured order.
-///
-/// The denominator of each result counts all (edge, cycle) injections, so
-/// `DelayAvfResult::delay_avf` directly instantiates Equation 3 over the
-/// sample.
-pub fn delay_avf_campaign<E: Environment + Clone>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    edges: &[EdgeId],
-    config: &CampaignConfig,
-) -> Vec<DelayAvfResult> {
-    delay_avf_campaign_with_stats(circuit, topo, timing, golden, edges, config).0
-}
-
-/// Like [`delay_avf_campaign`], also returning the merged engine counters
-/// of all workers (used for §V-C prefilter reporting and by the
-/// determinism tests; identical for every thread count).
-pub fn delay_avf_campaign_with_stats<E: Environment + Clone>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    edges: &[EdgeId],
-    config: &CampaignConfig,
-) -> (Vec<DelayAvfResult>, InjectorStats) {
-    delay_avf_campaign_observed(
-        circuit,
-        topo,
-        timing,
-        golden,
-        edges,
-        config,
-        &RunContext::disabled(),
-    )
-    .expect("campaign without checkpointing is infallible")
-}
-
-/// [`delay_avf_campaign_with_stats`] under a [`RunContext`]: emits the
-/// structured telemetry stream and, when a checkpoint is configured,
-/// periodically snapshots completed cycle units and/or resumes from a
-/// previous snapshot. Resumed runs produce byte-identical reports and
-/// identical merged stats to uninterrupted ones for any
-/// `threads × lanes × timing_lanes` combination (the knob hash rejects
-/// resumes across `lanes`/`timing_lanes`/`collapse` changes, which would
-/// silently break the *stats* identity; `threads` may change freely).
-///
-/// # Errors
-///
-/// Fails on checkpoint I/O errors and on resuming against a mismatched or
-/// corrupt checkpoint file (`checkpoint mismatch` / `checkpoint parse
-/// error`). Never fails when `ctx.checkpoint` is `None`.
-pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    edges: &[EdgeId],
-    config: &CampaignConfig,
-    ctx: &RunContext<'_, S>,
-) -> Result<(Vec<DelayAvfResult>, InjectorStats), String> {
-    if config.ci_target.is_some() {
-        return delay_avf_campaign_adaptive(circuit, topo, timing, golden, edges, config, ctx);
-    }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(config.threads, cycles.len());
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "delay_sweep",
-        circuit,
-        timing,
-        golden,
-        &cycles,
-        &items,
-        &config.delay_fractions,
-        config.due_slack,
-        config.compute_orace,
-    );
-    let knobs = knob_hash(
-        config.lanes,
-        config.timing_lanes,
-        config.collapse,
-        config.ci_target,
-        config.strata,
-        config.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "delay_sweep", fingerprint, knobs)?;
-    let opts = config.replay_options();
-    let costs: Vec<u64> = cycles
-        .iter()
-        .map(|&cycle| unit_cost(golden, cycle, edges.len()))
-        .collect();
-    observe_campaign(
-        ctx,
-        &setup,
-        "delay_sweep",
-        cycles.len(),
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            progress.schedule(cycles.len());
-            let units = run_queue(
-                threads,
-                &cycles,
-                &queue_order(&costs),
-                |id| Worker {
-                    injector: worker_injector(circuit, topo, timing, golden, &opts),
-                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                },
-                |w: &mut Worker<'_, '_, E, S>, &cycle| {
-                    if let Some(payload) = resumed.get(&cycle) {
-                        let (unit_rows, unit_stats, failures) = decode_delay_unit(payload, config)?;
-                        w.injector.preload_failures(cycle + 1, failures);
-                        w.obs.unit_done(cycle, None, Some(&unit_stats))?;
-                        return Ok((unit_rows, unit_stats));
-                    }
-                    let before = w.injector.stats;
-                    let unit_rows = delay_sweep_unit(
-                        &mut w.injector,
-                        timing,
-                        edges,
-                        config,
-                        cycle,
-                        S::ENABLED,
-                        &mut w.obs.phases,
-                    );
-                    let delta = w.injector.stats.delta_since(&before);
-                    let payload = store.is_some().then(|| {
-                        encode_delay_unit(
-                            &unit_rows,
-                            &delta,
-                            &w.injector.snapshot_failures(cycle + 1),
-                        )
-                    });
-                    w.obs.unit_done(cycle, payload, Some(&delta))?;
-                    Ok((unit_rows, delta))
-                },
-                |w| w.obs.finish(),
-            )?;
-            let mut rows = empty_rows(config);
-            let mut stats = InjectorStats::default();
-            for (unit_rows, unit_stats) in &units {
-                merge_rows(&mut rows, unit_rows);
-                stats.merge(unit_stats);
-            }
-            Ok((rows, stats))
-        },
-    )
-}
-
-/// Runs a particle-strike campaign: a single bit flip in each of `dffs` at
-/// every sampled cycle, classic single-bit ACE analysis (Equation 1).
-/// `opts.threads = 0` uses one worker per available core.
-pub fn savf_campaign<E: Environment + Clone>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-) -> SavfResult {
-    savf_campaign_with_stats(circuit, topo, timing, golden, dffs, opts).0
-}
-
-/// Like [`savf_campaign`], also returning the merged engine counters.
-pub fn savf_campaign_with_stats<E: Environment + Clone>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-) -> (SavfResult, InjectorStats) {
-    savf_campaign_observed(
-        circuit,
-        topo,
-        timing,
-        golden,
-        dffs,
-        opts,
-        &RunContext::disabled(),
-    )
-    .expect("campaign without checkpointing is infallible")
-}
-
-/// [`savf_campaign_with_stats`] under a [`RunContext`]; see
-/// [`delay_avf_campaign_observed`] for the checkpoint/resume and telemetry
-/// semantics (work units are trace cycles here too, classified at
-/// boundary `cycle` per the strike-model convention).
-///
-/// # Errors
-///
-/// Same failure modes as [`delay_avf_campaign_observed`].
-pub fn savf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<(SavfResult, InjectorStats), String> {
-    if opts.ci_target.is_some() {
-        return savf_campaign_adaptive(circuit, topo, timing, golden, dffs, opts, ctx);
-    }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, cycles.len());
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "savf",
-        circuit,
-        timing,
-        golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf", fingerprint, knobs)?;
-    let costs: Vec<u64> = cycles
-        .iter()
-        .map(|&cycle| unit_cost(golden, cycle, dffs.len()))
-        .collect();
-    observe_campaign(ctx, &setup, "savf", cycles.len(), threads, |progress| {
-        let store = setup.store.as_ref();
-        let resumed = &setup.resumed;
-        progress.schedule(cycles.len());
-        let units = run_queue(
-            threads,
-            &cycles,
-            &queue_order(&costs),
-            |id| Worker {
-                injector: worker_injector(circuit, topo, timing, golden, &opts),
-                obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-            },
-            |w: &mut Worker<'_, '_, E, S>, &cycle| savf_unit(w, dffs, cycle, resumed, store),
-            |w| w.obs.finish(),
-        )?;
-        let mut result = SavfResult::default();
-        let mut stats = InjectorStats::default();
-        for (unit, unit_stats) in &units {
-            result.merge(unit);
-            stats.merge(unit_stats);
-        }
-        Ok((result, stats))
-    })
-}
-
-/// One particle-strike unit: a single bit flip in each of `dffs` at
-/// `cycle`, classified at boundary `cycle` — or the unit restored from a
-/// resumed checkpoint. Shared by the uniform and adaptive sAVF campaigns.
-fn savf_unit<E: Environment + Clone, S: TelemetrySink>(
-    w: &mut Worker<'_, '_, E, S>,
-    dffs: &[DffId],
-    cycle: u64,
-    resumed: &BTreeMap<u64, String>,
-    store: Option<&Mutex<CheckpointStore>>,
-) -> Result<(SavfResult, InjectorStats), String> {
-    if let Some(payload) = resumed.get(&cycle) {
-        let (unit, unit_stats, failures) = decode_savf_unit(payload)?;
-        w.injector.preload_failures(cycle, failures);
-        w.obs.unit_done(cycle, None, Some(&unit_stats))?;
-        return Ok((unit, unit_stats));
-    }
-    let before = w.injector.stats;
-    let mut unit = SavfResult::default();
-    let injector = &mut w.injector;
-    timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
-        injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-        for &dff in dffs {
-            unit.injections += 1;
-            if injector.bit_ace(cycle, dff) {
-                unit.ace_hits += 1;
-            }
-        }
-    });
-    let delta = w.injector.stats.delta_since(&before);
-    let payload = store
-        .is_some()
-        .then(|| encode_savf_unit(&unit, &delta, &w.injector.snapshot_failures(cycle)));
-    w.obs.unit_done(cycle, payload, Some(&delta))?;
-    Ok((unit, delta))
-}
-
-/// Like [`delay_avf_campaign`] for a **single** delay fraction, but also
-/// returning every injection's record (cycle, edge, dynamic set,
-/// visibility) for downstream analyses such as Razor protection planning
-/// ([`crate::razor`]). Records come back in (cycle, edge) sampling order
-/// regardless of `opts.threads`.
-pub fn delay_avf_campaign_records<E: Environment + Clone>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    edges: &[EdgeId],
-    fraction: f64,
-    opts: ReplayOptions,
-) -> (DelayAvfResult, Vec<InjectionRecord>) {
-    delay_avf_campaign_records_observed(
-        circuit,
-        topo,
-        timing,
-        golden,
-        edges,
-        fraction,
-        opts,
-        &RunContext::disabled(),
-    )
-    .expect("campaign without checkpointing is infallible")
-}
-
-/// [`delay_avf_campaign_records`] under a [`RunContext`]; see
-/// [`delay_avf_campaign_observed`] for the checkpoint/resume and telemetry
-/// semantics. Resumed cycle units replay their serialized records (and the
-/// tallies re-derived from them) instead of re-simulating.
-///
-/// # Errors
-///
-/// Same failure modes as [`delay_avf_campaign_observed`].
-#[allow(clippy::too_many_arguments)]
-pub fn delay_avf_campaign_records_observed<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    edges: &[EdgeId],
-    fraction: f64,
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<(DelayAvfResult, Vec<InjectionRecord>), String> {
-    if opts.ci_target.is_some() {
-        return delay_avf_campaign_records_adaptive(
-            circuit, topo, timing, golden, edges, fraction, opts, ctx,
-        );
-    }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, cycles.len());
-    let extra = fraction_to_picos(timing, fraction);
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "delay_records",
-        circuit,
-        timing,
-        golden,
-        &cycles,
-        &items,
-        &[fraction],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "delay_records", fingerprint, knobs)?;
-    let costs: Vec<u64> = cycles
-        .iter()
-        .map(|&cycle| unit_cost(golden, cycle, edges.len()))
-        .collect();
-    observe_campaign(
-        ctx,
-        &setup,
-        "delay_records",
-        cycles.len(),
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            progress.schedule(cycles.len());
-            let units = run_queue(
-                threads,
-                &cycles,
-                &queue_order(&costs),
-                |id| Worker {
-                    injector: worker_injector(circuit, topo, timing, golden, &opts),
-                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                },
-                |w: &mut Worker<'_, '_, E, S>, &cycle| {
-                    records_unit(w, edges, extra, cycle, resumed, store)
-                },
-                |w| w.obs.finish(),
-            )?;
-            let mut row = DelayAvfResult {
-                delay_fraction: fraction,
-                ..DelayAvfResult::default()
-            };
-            let records: Vec<InjectionRecord> = units.into_iter().flatten().collect();
-            for record in &records {
-                tally(&mut row, &record.outcome);
-            }
-            Ok((row, records))
-        },
-    )
-}
-
-/// One record-keeping unit: every edge of `edges` at `cycle` under one
-/// extra delay, one record per edge in edge order — or the unit's records
-/// restored from a resumed checkpoint. Shared by the uniform and adaptive
-/// record campaigns.
-fn records_unit<E: Environment + Clone, S: TelemetrySink>(
-    w: &mut Worker<'_, '_, E, S>,
-    edges: &[EdgeId],
-    extra: Picos,
-    cycle: u64,
-    resumed: &BTreeMap<u64, String>,
-    store: Option<&Mutex<CheckpointStore>>,
-) -> Result<Vec<InjectionRecord>, String> {
-    if let Some(payload) = resumed.get(&cycle) {
-        let (records, failures) = decode_records_unit(payload, cycle)?;
-        w.injector.preload_failures(cycle + 1, failures);
-        w.obs.unit_done(cycle, None, None)?;
-        return Ok(records);
-    }
-    // Same two-phase structure as the sweep: collect the cycle's dynamic
-    // sets, batch their replays, then record in edge order.
-    let injector = &mut w.injector;
-    let phases = &mut w.obs.phases;
-    timed(S::ENABLED, &mut phases.golden_settle_us, || {
-        injector.warm_cycle_data(cycle)
-    });
-    let pairs: Vec<(EdgeId, Picos)> = edges.iter().map(|&edge| (edge, extra)).collect();
-    let parts: Vec<(usize, Vec<DffId>)> = timed(S::ENABLED, &mut phases.timing_step_us, || {
-        injector.dynamically_reachable_batch(cycle, &pairs)
-    });
-    let records = timed(S::ENABLED, &mut phases.replay_us, || {
-        injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
-        edges
-            .iter()
-            .zip(parts)
-            .map(
-                |(&edge, (statically_reachable, dynamic_set))| InjectionRecord {
-                    cycle,
-                    edge,
-                    outcome: injector.classify_injection(cycle, statically_reachable, dynamic_set),
-                },
-            )
-            .collect::<Vec<_>>()
-    });
-    let payload = store
-        .is_some()
-        .then(|| encode_records_unit(&records, &w.injector.snapshot_failures(cycle + 1)));
-    w.obs.unit_done(cycle, payload, None)?;
-    Ok(records)
-}
-
-/// Per-bit sAVF: like [`savf_campaign`] but reporting each flip-flop's
-/// individual ACE fraction, so designers can locate a structure's
-/// vulnerability *hotspots* (the bits worth hardening first). The returned
-/// order follows `dffs` regardless of `opts.threads`.
-pub fn savf_per_bit_campaign<E: Environment + Clone>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-) -> Vec<(DffId, SavfResult)> {
-    savf_per_bit_campaign_observed(
-        circuit,
-        topo,
-        timing,
-        golden,
-        dffs,
-        opts,
-        &RunContext::disabled(),
-    )
-    .expect("campaign without checkpointing is infallible")
-}
-
-/// [`savf_per_bit_campaign`] under a [`RunContext`]. Checkpoint units are
-/// *bits*: each stores its per-cycle classifications, so a resumed bit
-/// costs no replays. The replays themselves are queued by cycle, each
-/// cycle batching every bit not restored from the checkpoint; the bits are
-/// then tallied and recorded in `dffs` order once every cycle has run.
-/// (Restored bits change which scenarios a cycle's batch carries —
-/// harmless, because per-bit results are batch-shape invariant and this
-/// campaign exposes no stats.)
-///
-/// # Errors
-///
-/// Same failure modes as [`delay_avf_campaign_observed`].
-pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<Vec<(DffId, SavfResult)>, String> {
-    if opts.ci_target.is_some() {
-        return savf_per_bit_campaign_adaptive(circuit, topo, timing, golden, dffs, opts, ctx);
-    }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, cycles.len());
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "savf_per_bit",
-        circuit,
-        timing,
-        golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf_per_bit", fingerprint, knobs)?;
-    observe_campaign(
-        ctx,
-        &setup,
-        "savf_per_bit",
-        dffs.len(),
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            // Resumed bits carry their per-cycle classes; only the rest replay.
-            let restored: Vec<Option<Vec<FailureClass>>> = dffs
-                .iter()
-                .map(|d| {
-                    resumed
-                        .get(&(d.index() as u64))
-                        .map(|payload| decode_per_bit_unit(payload, cycles.len()))
-                        .transpose()
-                })
-                .collect::<Result<_, _>>()?;
-            let pending: Vec<DffId> = dffs
-                .iter()
-                .zip(&restored)
-                .filter(|(_, r)| r.is_none())
-                .map(|(&d, _)| d)
-                .collect();
-            // Replay phase: the queue hands out whole cycles, so each boundary
-            // batches every pending bit's replay together.
-            let costs: Vec<u64> = cycles
-                .iter()
-                .map(|&cycle| unit_cost(golden, cycle, pending.len()))
-                .collect();
-            let by_cycle: Vec<Vec<FailureClass>> = run_queue(
-                threads,
-                &cycles,
-                &queue_order(&costs),
-                |id| Worker {
-                    injector: worker_injector(circuit, topo, timing, golden, &opts),
-                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                },
-                |w: &mut Worker<'_, '_, E, S>, &cycle| {
-                    let injector = &mut w.injector;
-                    Ok(timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
-                        strike_classes(injector, &pending, cycle)
-                    }))
-                },
-                |w| w.obs.finish(),
-            )?;
-            // Tally phase: one unit per bit, in bit order.
-            progress.schedule(dffs.len());
-            let mut obs = WorkerObserver::new(ctx.telemetry, store, progress, 0);
-            let mut fresh = 0;
-            let mut out = Vec::with_capacity(dffs.len());
-            for (&dff, restored) in dffs.iter().zip(restored) {
-                let (classes, payload) = match restored {
-                    Some(classes) => (classes, None),
-                    None => {
-                        let classes: Vec<FailureClass> =
-                            by_cycle.iter().map(|row| row[fresh]).collect();
-                        fresh += 1;
-                        let payload = store.is_some().then(|| encode_classes(&classes));
-                        (classes, payload)
-                    }
-                };
-                out.push((
-                    dff,
-                    SavfResult {
-                        injections: classes.len(),
-                        ace_hits: classes.iter().filter(|c| c.is_visible()).count(),
-                    },
-                ));
-                obs.unit_done(dff.index() as u64, payload, None)?;
-            }
-            Ok(out)
-        },
-    )
-}
-
-/// Batch-replays a single strike on each of `dffs` at boundary `cycle`
-/// and returns their classes in `dffs` order.
-fn strike_classes<E: Environment + Clone>(
-    injector: &mut Injector<'_, E>,
-    dffs: &[DffId],
-    cycle: u64,
-) -> Vec<FailureClass> {
-    injector.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));
-    dffs.iter()
-        .map(|&d| injector.group_failure(cycle, &[d]))
-        .collect()
-}
-
-/// Runs a **spatial double-bit** particle-strike campaign: simultaneous
-/// flips of physically adjacent bit pairs, the multi-bit transient-fault
-/// model of Wilkening et al. that the paper contrasts DelayAVF against
-/// (§VIII). `dffs` must list a structure's bits in physical order;
-/// consecutive entries form the struck pairs.
-///
-/// Unlike an SDF's dynamically reachable set, these pairs are fixed a
-/// priori by layout adjacency — comparing the two campaigns quantifies how
-/// much of delay-fault vulnerability spatial models can(not) capture.
-///
-/// Classification happens at boundary `cycle` (not `cycle + 1` as for
-/// SDFs): a strike corrupts state that is already latched, whereas an SDF
-/// corrupts the values being latched at the end of the faulty cycle — see
-/// the module docs on latch-boundary conventions.
-pub fn spatial_double_strike_campaign<E: Environment + Clone>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-) -> SavfResult {
-    spatial_double_strike_campaign_observed(
-        circuit,
-        topo,
-        timing,
-        golden,
-        dffs,
-        opts,
-        &RunContext::disabled(),
-    )
-    .expect("campaign without checkpointing is infallible")
-}
-
-/// [`spatial_double_strike_campaign`] under a [`RunContext`]. Work units
-/// are cycles; a resumed unit preloads its boundary's pair
-/// classifications and replays the tally loop from the warmed cache.
-///
-/// # Errors
-///
-/// Same failure modes as [`delay_avf_campaign_observed`].
-pub fn spatial_double_strike_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
-    circuit: &Circuit,
-    topo: &Topology,
-    timing: &TimingModel,
-    golden: &GoldenRun<E>,
-    dffs: &[DffId],
-    opts: ReplayOptions,
-    ctx: &RunContext<'_, S>,
-) -> Result<SavfResult, String> {
-    if opts.ci_target.is_some() {
-        return spatial_double_strike_campaign_adaptive(
-            circuit, topo, timing, golden, dffs, opts, ctx,
-        );
-    }
-    let cycles = valid_cycles(golden);
-    let threads = resolve_threads(opts.threads, cycles.len());
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "spatial_double",
-        circuit,
-        timing,
-        golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "spatial_double", fingerprint, knobs)?;
-    let costs: Vec<u64> = cycles
-        .iter()
-        .map(|&cycle| unit_cost(golden, cycle, dffs.len().saturating_sub(1)))
-        .collect();
-    observe_campaign(
-        ctx,
-        &setup,
-        "spatial_double",
-        cycles.len(),
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            progress.schedule(cycles.len());
-            let units = run_queue(
-                threads,
-                &cycles,
-                &queue_order(&costs),
-                |id| Worker {
-                    injector: worker_injector(circuit, topo, timing, golden, &opts),
-                    obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                },
-                |w: &mut Worker<'_, '_, E, S>, &cycle| spatial_unit(w, dffs, cycle, resumed, store),
-                |w| w.obs.finish(),
-            )?;
-            let mut result = SavfResult::default();
-            for unit in &units {
-                result.merge(unit);
-            }
-            Ok(result)
-        },
-    )
-}
-
-/// One spatial double-strike unit: every adjacent pair of `dffs` flipped
-/// together at boundary `cycle`. A resumed unit preloads its boundary's
-/// pair classifications and replays the tally loop from the warmed cache.
-/// Shared by the uniform and adaptive spatial campaigns.
-fn spatial_unit<E: Environment + Clone, S: TelemetrySink>(
-    w: &mut Worker<'_, '_, E, S>,
-    dffs: &[DffId],
-    cycle: u64,
-    resumed: &BTreeMap<u64, String>,
-    store: Option<&Mutex<CheckpointStore>>,
-) -> Result<SavfResult, String> {
-    let was_resumed = if let Some(payload) = resumed.get(&cycle) {
-        let mut t = Tokens::new(payload);
-        let failures = decode_failures(&mut t)?;
-        if !t.finished() {
-            return Err("checkpoint parse error: trailing payload tokens".into());
-        }
-        w.injector.preload_failures(cycle, failures);
-        true
-    } else {
-        false
-    };
-    let mut unit = SavfResult::default();
-    let injector = &mut w.injector;
-    timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
-        injector.prefill_failures(cycle, dffs.windows(2).map(|p| p.to_vec()));
-        for pair in dffs.windows(2) {
-            unit.injections += 1;
-            if injector.group_ace(cycle, pair) {
-                unit.ace_hits += 1;
-            }
-        }
-    });
-    let payload = (store.is_some() && !was_resumed).then(|| {
-        let mut out = String::new();
-        encode_failures(&mut out, &w.injector.snapshot_failures(cycle));
-        out.trim_start().to_owned()
-    });
-    w.obs.unit_done(cycle, payload, None)?;
-    Ok(unit)
-}
-
 fn fraction_to_picos(timing: &TimingModel, fraction: f64) -> Picos {
     (timing.clock_period() as f64 * fraction).round() as Picos
 }
 
+fn edge_items(edges: &[EdgeId]) -> Vec<usize> {
+    edges.iter().map(|e| e.index()).collect()
+}
+
+fn dff_items(dffs: &[DffId]) -> Vec<usize> {
+    dffs.iter().map(|d| d.index()).collect()
+}
+
 // ---------------------------------------------------------------------------
-// Adaptive stratified sampling (`ci_target` set). Injection sites are
-// stratified by cheap static signals — edge static slack and per-cycle
-// toggle activity — the replay budget is allocated Neyman-style from the
-// running per-stratum tallies, and a stratum retires as soon as every
-// estimand's composed Wilson interval is inside the target half-width.
-// The uniform paths above are untouched: `ci_target: None` (the default)
-// never reaches this section, so legacy reports stay byte-identical.
+// The five campaigns.
 // ---------------------------------------------------------------------------
 
-/// Validates the adaptive knob pair, normalizing `ci_target` out of its
-/// `Option` (callers only branch here when it is set).
-fn checked_adaptive(ci_target: Option<f64>, strata: usize) -> Result<(f64, usize), String> {
-    let target = validate_ci_target(ci_target.expect("adaptive path requires ci_target"))?;
-    let buckets = validate_strata(strata)?;
-    Ok((target, buckets))
+/// The DelayAVF sweep: every (cycle, edge) site under every delay
+/// fraction. A unit is the full fraction sweep over its edges at one
+/// cycle, so all fractions share one golden waveform build and one cycle
+/// reconstruction.
+struct Sweep<'a> {
+    edges: &'a [EdgeId],
+    config: &'a CampaignConfig,
+    /// Each delay fraction's extra delay.
+    extras: Vec<Picos>,
+}
+
+impl Campaign for Sweep<'_> {
+    type Acc = Vec<DelayAvfResult>;
+    type Out = (Vec<DelayAvfResult>, InjectorStats);
+    const BOUNDARY: u64 = 1;
+
+    fn kind(&self) -> &'static str {
+        "delay_sweep"
+    }
+
+    fn identity(&self) -> (Vec<usize>, &[f64], bool) {
+        let c = self.config;
+        (edge_items(self.edges), &c.delay_fractions, c.compute_orace)
+    }
+
+    fn sites_per_cycle(&self) -> usize {
+        self.edges.len()
+    }
+
+    fn injections_per_site(&self) -> usize {
+        self.extras.len()
+    }
+
+    fn estimands(&self) -> usize {
+        self.extras.len()
+    }
+
+    /// Edge static slack × cycle toggle activity.
+    fn strata<E: Environment + Clone>(
+        &self,
+        t: &Target<'_, E>,
+        cycles: &[u64],
+        buckets: usize,
+    ) -> Vec<usize> {
+        let toggles: Vec<u64> = cycles
+            .iter()
+            .map(|&cycle| toggle_activity(t.golden, cycle))
+            .collect();
+        let slacks: Vec<u64> = self
+            .edges
+            .iter()
+            .map(|&edge| edge_static_slack(t.timing, t.circuit, t.topo, edge))
+            .collect();
+        let tb = bucket_axis(&toggles, buckets);
+        let sb = bucket_axis(&slacks, buckets);
+        let width = self.edges.len().max(1);
+        (0..cycles.len() * self.edges.len())
+            .map(|site| sb[site % width] * buckets + tb[site / width])
+            .collect()
+    }
+
+    fn layout(&self, sites: usize) -> Layout<'_> {
+        Layout {
+            rows: Some((&self.config.delay_fractions, self.config.compute_orace)),
+            vis: Some(sites * self.extras.len()),
+            stats: true,
+            failures: true,
+            ..Layout::default()
+        }
+    }
+
+    fn run<E: Environment + Clone, S: TelemetrySink>(
+        &self,
+        w: &mut Worker<'_, '_, E, S>,
+        cycle: u64,
+        selected: &[usize],
+    ) -> UnitPayload {
+        let config = self.config;
+        let injector = &mut w.injector;
+        let phases = &mut w.obs.phases;
+        let mut vis = Vec::with_capacity(self.extras.len() * selected.len());
+        let mut rows = empty_rows(config);
+        // Golden-settle phase: reconstruct the cycle context once for every
+        // fraction and edge injected here (touches no counters, so timing it
+        // separately cannot perturb the deterministic report path).
+        timed(S::ENABLED, &mut phases.golden_settle_us, || {
+            injector.warm_cycle_data(cycle)
+        });
+        // Phase 1 (timing-aware): one lane-packing pass over the whole cycle.
+        // Every fraction's (edge, extra) pairs are handed to the batch carver
+        // together, fraction-major, so the per-pair filter decisions and the
+        // scalar fallback run in exactly the per-fraction loop's order while
+        // survivors from *different* fractions share lanes whenever their
+        // edges don't conflict (the carver keeps same-edge/different-extra
+        // pairs apart, which the packed engine would retire anyway).
+        let pairs: Vec<(EdgeId, Picos)> = self
+            .extras
+            .iter()
+            .flat_map(|&extra| selected.iter().map(move |&i| (self.edges[i], extra)))
+            .collect();
+        let mut parts: Vec<(usize, Vec<DffId>)> =
+            timed(S::ENABLED, &mut phases.timing_step_us, || {
+                injector.dynamically_reachable_batch(cycle, &pairs)
+            });
+        for (fi, parts) in parts.chunks_mut(selected.len().max(1)).enumerate() {
+            timed(S::ENABLED, &mut phases.replay_us, || {
+                // Phase 2: batch the whole boundary's replays — group sets and,
+                // for ORACE, the individual bits they contain.
+                injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
+                if config.compute_orace {
+                    injector.prefill_failures(
+                        cycle + 1,
+                        parts
+                            .iter()
+                            .flat_map(|(_, set)| set.iter().map(|&d| vec![d])),
+                    );
+                }
+                // Phase 3 (cache-served): identical tally order to the scalar
+                // engine's interleaved loop.
+                for (statically_reachable, dynamic_set) in parts.iter_mut() {
+                    let outcome = injector.classify_injection(
+                        cycle,
+                        *statically_reachable,
+                        std::mem::take(dynamic_set),
+                    );
+                    vis.push(outcome.visible);
+                    tally(&mut rows[fi], &outcome);
+                    if config.compute_orace && !outcome.dynamic_set.is_empty() {
+                        let or = injector.or_ace(cycle + 1, &outcome.dynamic_set);
+                        let o = rows[fi].orace.as_mut().expect("orace rows configured");
+                        if or {
+                            o.or_hits += 1;
+                        }
+                        if or && !outcome.visible {
+                            o.interference += 1;
+                        }
+                        if !or && outcome.visible {
+                            o.compounding += 1;
+                        }
+                    }
+                }
+            });
+        }
+        UnitPayload {
+            rows: Some(rows),
+            vis: Some(vis),
+            ..UnitPayload::default()
+        }
+    }
+
+    /// One trial per fraction; the flags are fraction-major.
+    fn tally_site(&self, unit: &UnitPayload, j: usize, hits: &mut [u64], trials: &mut [u64]) {
+        let vis = unit.vis.as_deref().unwrap_or_default();
+        let width = vis.len() / hits.len().max(1);
+        for (fi, (h, t)) in hits.iter_mut().zip(trials).enumerate() {
+            *h = u64::from(vis[fi * width + j]);
+            *t = 1;
+        }
+    }
+
+    fn empty(&self) -> Vec<DelayAvfResult> {
+        empty_rows(self.config)
+    }
+
+    fn merge(&self, rows: &mut Vec<DelayAvfResult>, unit: UnitPayload) {
+        for (row, part) in rows.iter_mut().zip(unit.rows.iter().flatten()) {
+            row.merge(part);
+        }
+    }
+
+    fn finish(
+        &self,
+        mut rows: Vec<DelayAvfResult>,
+        stats: InjectorStats,
+        adaptive: Option<&AdaptivePlan>,
+    ) -> Self::Out {
+        if let Some(plan) = adaptive {
+            for (fi, row) in rows.iter_mut().enumerate() {
+                row.adaptive = Some(adaptive_estimate(plan, fi));
+            }
+        }
+        (rows, stats)
+    }
+}
+
+/// One delay fraction over every edge at each cycle site, keeping every
+/// injection's record, in edge order.
+struct Records<'a> {
+    edges: &'a [EdgeId],
+    fraction: [f64; 1],
+    extra: Picos,
+}
+
+impl Campaign for Records<'_> {
+    type Acc = (DelayAvfResult, Vec<InjectionRecord>);
+    type Out = (DelayAvfResult, Vec<InjectionRecord>);
+    const BOUNDARY: u64 = 1;
+
+    fn kind(&self) -> &'static str {
+        "delay_records"
+    }
+
+    fn identity(&self) -> (Vec<usize>, &[f64], bool) {
+        (edge_items(self.edges), &self.fraction, false)
+    }
+
+    fn injections_per_site(&self) -> usize {
+        self.edges.len()
+    }
+
+    fn layout(&self, _sites: usize) -> Layout<'_> {
+        Layout {
+            records: Some(self.edges.len()),
+            failures: true,
+            ..Layout::default()
+        }
+    }
+
+    fn run<E: Environment + Clone, S: TelemetrySink>(
+        &self,
+        w: &mut Worker<'_, '_, E, S>,
+        cycle: u64,
+        _selected: &[usize],
+    ) -> UnitPayload {
+        // Same two-phase structure as the sweep: collect the cycle's dynamic
+        // sets, batch their replays, then record in edge order.
+        let injector = &mut w.injector;
+        let phases = &mut w.obs.phases;
+        timed(S::ENABLED, &mut phases.golden_settle_us, || {
+            injector.warm_cycle_data(cycle)
+        });
+        let pairs: Vec<(EdgeId, Picos)> = self.edges.iter().map(|&e| (e, self.extra)).collect();
+        let parts: Vec<(usize, Vec<DffId>)> = timed(S::ENABLED, &mut phases.timing_step_us, || {
+            injector.dynamically_reachable_batch(cycle, &pairs)
+        });
+        let records = timed(S::ENABLED, &mut phases.replay_us, || {
+            injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
+            self.edges
+                .iter()
+                .zip(parts)
+                .map(
+                    |(&edge, (statically_reachable, dynamic_set))| InjectionRecord {
+                        cycle,
+                        edge,
+                        outcome: injector.classify_injection(
+                            cycle,
+                            statically_reachable,
+                            dynamic_set,
+                        ),
+                    },
+                )
+                .collect()
+        });
+        UnitPayload {
+            records: Some(records),
+            ..UnitPayload::default()
+        }
+    }
+
+    fn tally_site(&self, unit: &UnitPayload, _j: usize, hits: &mut [u64], trials: &mut [u64]) {
+        let records = unit.records.iter().flatten();
+        tally_visible(records.map(|r| r.outcome.visible), hits, trials);
+    }
+
+    fn empty(&self) -> Self::Acc {
+        let row = DelayAvfResult {
+            delay_fraction: self.fraction[0],
+            ..DelayAvfResult::default()
+        };
+        (row, Vec::new())
+    }
+
+    fn merge(&self, (row, records): &mut Self::Acc, unit: UnitPayload) {
+        for record in unit.records.into_iter().flatten() {
+            tally(row, &record.outcome);
+            records.push(record);
+        }
+    }
+
+    fn finish(
+        &self,
+        (mut row, records): Self::Acc,
+        _stats: InjectorStats,
+        adaptive: Option<&AdaptivePlan>,
+    ) -> Self::Out {
+        row.adaptive = adaptive.map(|plan| adaptive_estimate(plan, 0));
+        (row, records)
+    }
+}
+
+/// Particle strikes at each cycle site: every run of `width` adjacent
+/// items struck together — each item alone for sAVF, each adjacent pair
+/// for the spatial double strike.
+struct Strikes<'a> {
+    kind: &'static str,
+    dffs: &'a [DffId],
+    width: usize,
+}
+
+impl Strikes<'_> {
+    /// The struck flip sets, in strike order.
+    fn groups(&self) -> std::slice::Windows<'_, DffId> {
+        self.dffs.windows(self.width)
+    }
+}
+
+impl Campaign for Strikes<'_> {
+    type Acc = SavfResult;
+    type Out = (SavfResult, InjectorStats);
+    const BOUNDARY: u64 = 0;
+
+    fn kind(&self) -> &'static str {
+        self.kind
+    }
+
+    fn identity(&self) -> (Vec<usize>, &[f64], bool) {
+        (dff_items(self.dffs), &[], false)
+    }
+
+    fn injections_per_site(&self) -> usize {
+        self.groups().len()
+    }
+
+    fn layout(&self, _sites: usize) -> Layout<'_> {
+        Layout {
+            classes: Some(self.groups().len()),
+            stats: true,
+            failures: true,
+            ..Layout::default()
+        }
+    }
+
+    fn run<E: Environment + Clone, S: TelemetrySink>(
+        &self,
+        w: &mut Worker<'_, '_, E, S>,
+        cycle: u64,
+        _selected: &[usize],
+    ) -> UnitPayload {
+        UnitPayload {
+            classes: Some(strike_classes(w, cycle, self.groups())),
+            ..UnitPayload::default()
+        }
+    }
+
+    fn tally_site(&self, unit: &UnitPayload, _j: usize, hits: &mut [u64], trials: &mut [u64]) {
+        let classes = unit.classes.iter().flatten();
+        tally_visible(classes.map(|c| c.is_visible()), hits, trials);
+    }
+
+    fn empty(&self) -> SavfResult {
+        SavfResult::default()
+    }
+
+    fn merge(&self, acc: &mut SavfResult, unit: UnitPayload) {
+        for class in unit.classes.into_iter().flatten() {
+            acc.injections += 1;
+            acc.ace_hits += usize::from(class.is_visible());
+        }
+    }
+
+    fn finish(&self, acc: SavfResult, stats: InjectorStats, _: Option<&AdaptivePlan>) -> Self::Out {
+        (acc, stats)
+    }
+}
+
+/// Per-bit sAVF: every item struck alone at each cycle site, with each
+/// bit its own estimand, so a cycle keeps drawing budget until every bit's
+/// interval is tight.
+struct PerBit<'a> {
+    dffs: &'a [DffId],
+}
+
+impl Campaign for PerBit<'_> {
+    type Acc = Vec<(DffId, SavfResult)>;
+    type Out = Vec<(DffId, SavfResult)>;
+    const BOUNDARY: u64 = 0;
+
+    fn kind(&self) -> &'static str {
+        "savf_per_bit"
+    }
+
+    fn identity(&self) -> (Vec<usize>, &[f64], bool) {
+        (dff_items(self.dffs), &[], false)
+    }
+
+    fn injections_per_site(&self) -> usize {
+        self.dffs.len()
+    }
+
+    fn estimands(&self) -> usize {
+        self.dffs.len().max(1)
+    }
+
+    fn layout(&self, _sites: usize) -> Layout<'_> {
+        Layout {
+            classes: Some(self.dffs.len()),
+            ..Layout::default()
+        }
+    }
+
+    fn run<E: Environment + Clone, S: TelemetrySink>(
+        &self,
+        w: &mut Worker<'_, '_, E, S>,
+        cycle: u64,
+        _selected: &[usize],
+    ) -> UnitPayload {
+        UnitPayload {
+            classes: Some(strike_classes(w, cycle, self.dffs.windows(1))),
+            ..UnitPayload::default()
+        }
+    }
+
+    fn tally_site(&self, unit: &UnitPayload, _j: usize, hits: &mut [u64], trials: &mut [u64]) {
+        let classes = unit.classes.iter().flatten();
+        for ((h, t), class) in hits.iter_mut().zip(trials).zip(classes) {
+            *h = u64::from(class.is_visible());
+            *t = 1;
+        }
+    }
+
+    fn empty(&self) -> Self::Acc {
+        self.dffs
+            .iter()
+            .map(|&d| (d, SavfResult::default()))
+            .collect()
+    }
+
+    fn merge(&self, acc: &mut Self::Acc, unit: UnitPayload) {
+        for ((_, r), class) in acc.iter_mut().zip(unit.classes.into_iter().flatten()) {
+            r.injections += 1;
+            r.ace_hits += usize::from(class.is_visible());
+        }
+    }
+
+    fn finish(&self, acc: Self::Acc, _: InjectorStats, _: Option<&AdaptivePlan>) -> Self::Out {
+        acc
+    }
+}
+
+/// Batch-replays each flip set of `groups` struck at boundary `cycle` and
+/// returns their classes in order.
+fn strike_classes<'d, E: Environment + Clone, S: TelemetrySink>(
+    w: &mut Worker<'_, '_, E, S>,
+    cycle: u64,
+    groups: impl Iterator<Item = &'d [DffId]> + Clone,
+) -> Vec<FailureClass> {
+    let injector = &mut w.injector;
+    timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
+        injector.prefill_failures(cycle, groups.clone().map(<[DffId]>::to_vec));
+        groups
+            .map(|set| injector.group_failure(cycle, set))
+            .collect()
+    })
 }
 
 /// Number of flip-flop bits that toggled entering `cycle`: the XOR
@@ -2168,19 +1679,67 @@ fn cycle_strata<E: Environment + Clone>(
         .collect()
 }
 
-/// Packs a sweep checkpoint key: adaptive rounds may revisit a cycle with
-/// a different edge subset, so the unit key embeds the round number.
-fn round_key(round: u64, cycle: u64) -> u64 {
-    debug_assert!(cycle < (1 << 44), "trace cycle overflows the round key");
-    (round << 44) | cycle
+// ---------------------------------------------------------------------------
+// Public entry points.
+// ---------------------------------------------------------------------------
+
+/// Runs a DelayAVF sweep: every sampled cycle × every given edge × every
+/// delay fraction. Returns one [`DelayAvfResult`] per delay fraction, in
+/// the configured order.
+///
+/// The denominator of each result counts all (edge, cycle) injections, so
+/// `DelayAvfResult::delay_avf` directly instantiates Equation 3 over the
+/// sample.
+pub fn delay_avf_campaign<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    edges: &[EdgeId],
+    config: &CampaignConfig,
+) -> Vec<DelayAvfResult> {
+    delay_avf_campaign_with_stats(circuit, topo, timing, golden, edges, config).0
 }
 
-/// Adaptive counterpart of [`delay_avf_campaign_observed`]: sites are
-/// (cycle, edge) pairs stratified by edge static slack × cycle toggle
-/// activity, and each round's selected sites are grouped per cycle so the
-/// batched unit body (and its caches) still see one latch boundary at a
-/// time. Work units are (round, cycle) groups.
-fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
+/// Like [`delay_avf_campaign`], also returning the merged engine counters
+/// of all workers (used for §V-C prefilter reporting and by the
+/// determinism tests; identical for every thread count).
+pub fn delay_avf_campaign_with_stats<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    edges: &[EdgeId],
+    config: &CampaignConfig,
+) -> (Vec<DelayAvfResult>, InjectorStats) {
+    delay_avf_campaign_observed(
+        circuit,
+        topo,
+        timing,
+        golden,
+        edges,
+        config,
+        &RunContext::disabled(),
+    )
+    .expect("campaign without checkpointing is infallible")
+}
+
+/// [`delay_avf_campaign_with_stats`] under a [`RunContext`]: emits the
+/// structured telemetry stream and, when a checkpoint is configured,
+/// periodically snapshots completed units and/or resumes from a previous
+/// snapshot. Resumed runs produce byte-identical reports and identical
+/// merged stats to uninterrupted ones for any `threads × lanes ×
+/// timing_lanes` combination (the knob hash rejects resumes across
+/// `lanes`/`timing_lanes`/`collapse` changes, which would silently break
+/// the *stats* identity; `threads` may change freely).
+///
+/// # Errors
+///
+/// Fails on checkpoint I/O errors, on resuming against a mismatched or
+/// corrupt checkpoint file (`checkpoint mismatch` / `checkpoint parse
+/// error`), and on an invalid `ci_target`/`strata` pair. Never fails
+/// otherwise when `ctx.checkpoint` is `None`.
+pub fn delay_avf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     circuit: &Circuit,
     topo: &Topology,
     timing: &TimingModel,
@@ -2189,174 +1748,68 @@ fn delay_avf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     config: &CampaignConfig,
     ctx: &RunContext<'_, S>,
 ) -> Result<(Vec<DelayAvfResult>, InjectorStats), String> {
-    let (ci_target, buckets) = checked_adaptive(config.ci_target, config.strata)?;
-    let cycles = valid_cycles(golden);
-    let nf = config.delay_fractions.len();
-    let toggles: Vec<u64> = cycles
-        .iter()
-        .map(|&cycle| toggle_activity(golden, cycle))
-        .collect();
-    let slacks: Vec<u64> = edges
-        .iter()
-        .map(|&edge| edge_static_slack(timing, circuit, topo, edge))
-        .collect();
-    let tb = bucket_axis(&toggles, buckets);
-    let sb = bucket_axis(&slacks, buckets);
-    let site_stratum: Vec<usize> = (0..cycles.len() * edges.len())
-        .map(|site| sb[site % edges.len().max(1)] * buckets + tb[site / edges.len().max(1)])
-        .collect();
-    let mut plan = AdaptivePlan::new(
-        site_stratum,
-        buckets * buckets,
-        nf,
-        ci_target,
-        config.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "delay_sweep_adaptive",
+    let sweep = Sweep {
+        edges,
+        config,
+        extras: config
+            .delay_fractions
+            .iter()
+            .map(|&fraction| fraction_to_picos(timing, fraction))
+            .collect(),
+    };
+    let target = Target {
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &config.delay_fractions,
-        config.due_slack,
-        config.compute_orace,
-    );
-    let knobs = knob_hash(
-        config.lanes,
-        config.timing_lanes,
-        config.collapse,
-        config.ci_target,
-        config.strata,
-        config.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "delay_sweep_adaptive", fingerprint, knobs)?;
-    let threads = resolve_threads(config.threads, cycles.len());
-    let opts = config.replay_options();
-    observe_campaign(
-        ctx,
-        &setup,
-        "delay_sweep_adaptive",
-        population,
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut rows = empty_rows(config);
-            let mut stats = InjectorStats::default();
-            let mut round: u64 = 0;
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                // Group the round's sites per cycle: the unit body batches one
-                // latch boundary, and grouping keeps per-unit work independent
-                // of how sites landed across strata.
-                let mut by_cycle: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                for site in sites {
-                    by_cycle
-                        .entry(site / edges.len().max(1))
-                        .or_default()
-                        .push(site % edges.len().max(1));
-                }
-                let groups: Vec<(usize, Vec<usize>)> = by_cycle.into_iter().collect();
-                let costs: Vec<u64> = groups
-                    .iter()
-                    .map(|(cyclepos, selected)| {
-                        unit_cost(golden, cycles[*cyclepos], selected.len())
-                    })
-                    .collect();
-                progress.schedule(groups.len());
-                let units = run_queue(
-                    resolve_threads(config.threads, groups.len()),
-                    &groups,
-                    &queue_order(&costs),
-                    |id| Worker {
-                        injector: worker_injector(circuit, topo, timing, golden, &opts),
-                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                    },
-                    |w: &mut Worker<'_, '_, E, S>, (cyclepos, edge_positions)| {
-                        let cycle = cycles[*cyclepos];
-                        let key = round_key(round, cycle);
-                        if let Some(payload) = resumed.get(&key) {
-                            let (unit_rows, vis, unit_stats, failures) =
-                                decode_adaptive_sweep_unit(payload, config, edge_positions.len())?;
-                            w.injector.preload_failures(cycle + 1, failures);
-                            w.obs.unit_done(key, None, Some(&unit_stats))?;
-                            return Ok((unit_rows, unit_stats, vis));
-                        }
-                        let selected: Vec<EdgeId> =
-                            edge_positions.iter().map(|&ei| edges[ei]).collect();
-                        let before = w.injector.stats;
-                        let (unit_rows, vis) = delay_sweep_unit_vis(
-                            &mut w.injector,
-                            timing,
-                            &selected,
-                            config,
-                            cycle,
-                            S::ENABLED,
-                            &mut w.obs.phases,
-                        );
-                        let delta = w.injector.stats.delta_since(&before);
-                        let payload = store.is_some().then(|| {
-                            encode_adaptive_sweep_unit(
-                                &unit_rows,
-                                &vis,
-                                &delta,
-                                &w.injector.snapshot_failures(cycle + 1),
-                            )
-                        });
-                        w.obs.unit_done(key, payload, Some(&delta))?;
-                        Ok((unit_rows, delta, vis))
-                    },
-                    |w| w.obs.finish(),
-                )?;
-                // Units come back in `groups` order, so the plan tallies
-                // are schedule-invariant.
-                let trials = vec![1u64; nf];
-                for ((cyclepos, edge_positions), (unit_rows, unit_stats, vis)) in
-                    groups.iter().zip(&units)
-                {
-                    merge_rows(&mut rows, unit_rows);
-                    stats.merge(unit_stats);
-                    let width = edge_positions.len();
-                    for (j, &ei) in edge_positions.iter().enumerate() {
-                        let site = cyclepos * edges.len() + ei;
-                        let hits: Vec<u64> =
-                            (0..nf).map(|fi| u64::from(vis[fi * width + j])).collect();
-                        plan.record(site, &hits, &trials);
-                    }
-                }
-                plan.finish_round();
-                round += 1;
-            }
-            stats.strata_active = plan.strata_active() as u64;
-            stats.strata_retired_early = plan.strata_retired_early() as u64;
-            stats.adaptive_replays_saved = ((population - plan.sampled_sites()) * nf) as u64;
-            for (fi, row) in rows.iter_mut().enumerate() {
-                let est = plan.estimate(fi);
-                row.adaptive = Some(AdaptiveEstimate {
-                    point: est.point,
-                    lo: est.lo,
-                    hi: est.hi,
-                    population,
-                    sampled: plan.sampled_sites(),
-                });
-            }
-            Ok((rows, stats))
-        },
-    )
+    };
+    drive(&sweep, &target, &config.replay_options(), ctx)
 }
 
-/// Adaptive counterpart of [`savf_campaign_observed`]: sites are trace
-/// cycles stratified by toggle activity × trace phase; each sampled cycle
-/// runs the full per-bit strike unit, so the estimand is the same ACE
-/// fraction the uniform campaign reports.
-fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
+/// Runs a particle-strike campaign: a single bit flip in each of `dffs` at
+/// every sampled cycle, classic single-bit ACE analysis (Equation 1).
+/// `opts.threads = 0` uses one worker per available core.
+pub fn savf_campaign<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    dffs: &[DffId],
+    opts: ReplayOptions,
+) -> SavfResult {
+    savf_campaign_with_stats(circuit, topo, timing, golden, dffs, opts).0
+}
+
+/// Like [`savf_campaign`], also returning the merged engine counters.
+pub fn savf_campaign_with_stats<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    dffs: &[DffId],
+    opts: ReplayOptions,
+) -> (SavfResult, InjectorStats) {
+    savf_campaign_observed(
+        circuit,
+        topo,
+        timing,
+        golden,
+        dffs,
+        opts,
+        &RunContext::disabled(),
+    )
+    .expect("campaign without checkpointing is infallible")
+}
+
+/// [`savf_campaign_with_stats`] under a [`RunContext`]; see
+/// [`delay_avf_campaign_observed`] for the checkpoint/resume and telemetry
+/// semantics (units are classified at boundary `cycle` per the
+/// strike-model convention).
+///
+/// # Errors
+///
+/// Same failure modes as [`delay_avf_campaign_observed`].
+pub fn savf_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     circuit: &Circuit,
     topo: &Topology,
     timing: &TimingModel,
@@ -2365,93 +1818,58 @@ fn savf_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<(SavfResult, InjectorStats), String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        1,
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "savf_adaptive",
+    let target = Target {
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf_adaptive", fingerprint, knobs)?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(
-        ctx,
-        &setup,
-        "savf_adaptive",
-        population,
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut result = SavfResult::default();
-            let mut stats = InjectorStats::default();
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                let costs: Vec<u64> = sites
-                    .iter()
-                    .map(|&site| unit_cost(golden, cycles[site], dffs.len()))
-                    .collect();
-                progress.schedule(sites.len());
-                let units = run_queue(
-                    resolve_threads(opts.threads, sites.len()),
-                    &sites,
-                    &queue_order(&costs),
-                    |id| Worker {
-                        injector: worker_injector(circuit, topo, timing, golden, &opts),
-                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                    },
-                    |w: &mut Worker<'_, '_, E, S>, &site| {
-                        savf_unit(w, dffs, cycles[site], resumed, store)
-                    },
-                    |w| w.obs.finish(),
-                )?;
-                for (&site, (unit, unit_stats)) in sites.iter().zip(&units) {
-                    result.merge(unit);
-                    stats.merge(unit_stats);
-                    plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
-                }
-                plan.finish_round();
-            }
-            stats.strata_active = plan.strata_active() as u64;
-            stats.strata_retired_early = plan.strata_retired_early() as u64;
-            stats.adaptive_replays_saved =
-                ((population - plan.sampled_sites()) * dffs.len()) as u64;
-            Ok((result, stats))
-        },
-    )
+    };
+    let strikes = Strikes {
+        kind: "savf",
+        dffs,
+        width: 1,
+    };
+    drive(&strikes, &target, &opts, ctx)
 }
 
-/// Adaptive counterpart of [`delay_avf_campaign_records_observed`]. The
-/// returned row carries the stratified estimate; records cover the sampled
-/// cycles only, in (round, cycle, edge) order.
+/// Like [`delay_avf_campaign`] for a **single** delay fraction, but also
+/// returning every injection's record (cycle, edge, dynamic set,
+/// visibility) for downstream analyses such as Razor protection planning
+/// ([`crate::razor`]). Records come back in (cycle, edge) sampling order
+/// regardless of `opts.threads`; an adaptive run returns the sampled
+/// cycles' records in (round, cycle, edge) order.
+pub fn delay_avf_campaign_records<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    edges: &[EdgeId],
+    fraction: f64,
+    opts: ReplayOptions,
+) -> (DelayAvfResult, Vec<InjectionRecord>) {
+    delay_avf_campaign_records_observed(
+        circuit,
+        topo,
+        timing,
+        golden,
+        edges,
+        fraction,
+        opts,
+        &RunContext::disabled(),
+    )
+    .expect("campaign without checkpointing is infallible")
+}
+
+/// [`delay_avf_campaign_records`] under a [`RunContext`]; see
+/// [`delay_avf_campaign_observed`] for the checkpoint/resume and telemetry
+/// semantics. Resumed units return their serialized records (and the
+/// tallies re-derived from them) instead of re-simulating.
+///
+/// # Errors
+///
+/// Same failure modes as [`delay_avf_campaign_observed`].
 #[allow(clippy::too_many_arguments)]
-fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>(
+pub fn delay_avf_campaign_records_observed<E: Environment + Clone, S: TelemetrySink>(
     circuit: &Circuit,
     topo: &Topology,
     timing: &TimingModel,
@@ -2461,113 +1879,53 @@ fn delay_avf_campaign_records_adaptive<E: Environment + Clone, S: TelemetrySink>
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<(DelayAvfResult, Vec<InjectionRecord>), String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let extra = fraction_to_picos(timing, fraction);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        1,
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = edges.iter().map(|e| e.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "delay_records_adaptive",
+    let records = Records {
+        edges,
+        fraction: [fraction],
+        extra: fraction_to_picos(timing, fraction),
+    };
+    let target = Target {
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &[fraction],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(
-        &ctx.checkpoint,
-        "delay_records_adaptive",
-        fingerprint,
-        knobs,
-    )?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(
-        ctx,
-        &setup,
-        "delay_records_adaptive",
-        population,
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut row = DelayAvfResult {
-                delay_fraction: fraction,
-                ..DelayAvfResult::default()
-            };
-            let mut records: Vec<InjectionRecord> = Vec::new();
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                let costs: Vec<u64> = sites
-                    .iter()
-                    .map(|&site| unit_cost(golden, cycles[site], edges.len()))
-                    .collect();
-                progress.schedule(sites.len());
-                let units = run_queue(
-                    resolve_threads(opts.threads, sites.len()),
-                    &sites,
-                    &queue_order(&costs),
-                    |id| Worker {
-                        injector: worker_injector(circuit, topo, timing, golden, &opts),
-                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                    },
-                    |w: &mut Worker<'_, '_, E, S>, &site| {
-                        records_unit(w, edges, extra, cycles[site], resumed, store)
-                    },
-                    |w| w.obs.finish(),
-                )?;
-                // Units come back in `sites` order; each site's visible
-                // count feeds the plan tallies.
-                for (&site, unit) in sites.iter().zip(units) {
-                    for record in &unit {
-                        tally(&mut row, &record.outcome);
-                    }
-                    let hits = unit.iter().filter(|r| r.outcome.visible).count() as u64;
-                    plan.record(site, &[hits], &[edges.len() as u64]);
-                    records.extend(unit);
-                }
-                plan.finish_round();
-            }
-            row.adaptive = {
-                let est = plan.estimate(0);
-                Some(AdaptiveEstimate {
-                    point: est.point,
-                    lo: est.lo,
-                    hi: est.hi,
-                    population,
-                    sampled: plan.sampled_sites(),
-                })
-            };
-            Ok((row, records))
-        },
-    )
+    };
+    drive(&records, &target, &opts, ctx)
 }
 
-/// Adaptive counterpart of [`savf_per_bit_campaign_observed`]. Work units
-/// are *cycles* here (the uniform campaign checkpoints bits): every bit is
-/// an estimand, and a cycle retires only when all bits' intervals are
-/// tight, so hotspot bits keep drawing budget.
-fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
+/// Per-bit sAVF: like [`savf_campaign`] but reporting each flip-flop's
+/// individual ACE fraction, so designers can locate a structure's
+/// vulnerability *hotspots* (the bits worth hardening first). The returned
+/// order follows `dffs` regardless of `opts.threads`.
+pub fn savf_per_bit_campaign<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    dffs: &[DffId],
+    opts: ReplayOptions,
+) -> Vec<(DffId, SavfResult)> {
+    savf_per_bit_campaign_observed(
+        circuit,
+        topo,
+        timing,
+        golden,
+        dffs,
+        opts,
+        &RunContext::disabled(),
+    )
+    .expect("campaign without checkpointing is infallible")
+}
+
+/// [`savf_per_bit_campaign`] under a [`RunContext`]. Units are cycles,
+/// like every campaign's: each strikes every bit at its cycle in one
+/// batch and stores the bits' classes, so a resumed cycle costs no
+/// replays.
+///
+/// # Errors
+///
+/// Same failure modes as [`delay_avf_campaign_observed`].
+pub fn savf_per_bit_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     circuit: &Circuit,
     topo: &Topology,
     timing: &TimingModel,
@@ -2576,108 +1934,57 @@ fn savf_per_bit_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<Vec<(DffId, SavfResult)>, String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        dffs.len().max(1),
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "savf_per_bit_adaptive",
+    let target = Target {
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(&ctx.checkpoint, "savf_per_bit_adaptive", fingerprint, knobs)?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(
-        ctx,
-        &setup,
-        "savf_per_bit_adaptive",
-        population,
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut out: Vec<(DffId, SavfResult)> =
-                dffs.iter().map(|&d| (d, SavfResult::default())).collect();
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                let costs: Vec<u64> = sites
-                    .iter()
-                    .map(|&site| unit_cost(golden, cycles[site], dffs.len()))
-                    .collect();
-                progress.schedule(sites.len());
-                let units = run_queue(
-                    resolve_threads(opts.threads, sites.len()),
-                    &sites,
-                    &queue_order(&costs),
-                    |id| Worker {
-                        injector: worker_injector(circuit, topo, timing, golden, &opts),
-                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                    },
-                    |w: &mut Worker<'_, '_, E, S>, &site| {
-                        let cycle = cycles[site];
-                        if let Some(payload) = resumed.get(&cycle) {
-                            let classes = decode_per_bit_unit(payload, dffs.len())?;
-                            w.obs.unit_done(cycle, None, None)?;
-                            return Ok(classes);
-                        }
-                        let injector = &mut w.injector;
-                        let classes = timed(S::ENABLED, &mut w.obs.phases.replay_us, || {
-                            strike_classes(injector, dffs, cycle)
-                        });
-                        let payload = store.is_some().then(|| encode_classes(&classes));
-                        w.obs.unit_done(cycle, payload, None)?;
-                        Ok(classes)
-                    },
-                    |w| w.obs.finish(),
-                )?;
-                let trials = vec![1u64; dffs.len().max(1)];
-                for (&site, classes) in sites.iter().zip(&units) {
-                    let hits: Vec<u64> =
-                        classes.iter().map(|c| u64::from(c.is_visible())).collect();
-                    for ((_, r), &ace) in out.iter_mut().zip(&hits) {
-                        r.injections += 1;
-                        r.ace_hits += ace as usize;
-                    }
-                    if dffs.is_empty() {
-                        plan.record(site, &[0], &[0]);
-                    } else {
-                        plan.record(site, &hits, &trials);
-                    }
-                }
-                plan.finish_round();
-            }
-            Ok(out)
-        },
-    )
+    };
+    drive(&PerBit { dffs }, &target, &opts, ctx)
 }
 
-/// Adaptive counterpart of [`spatial_double_strike_campaign_observed`]:
-/// cycle sites, one estimand (the pairwise ACE fraction).
-fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetrySink>(
+/// Runs a **spatial double-bit** particle-strike campaign: simultaneous
+/// flips of physically adjacent bit pairs, the multi-bit transient-fault
+/// model of Wilkening et al. that the paper contrasts DelayAVF against
+/// (§VIII). `dffs` must list a structure's bits in physical order;
+/// consecutive entries form the struck pairs.
+///
+/// Unlike an SDF's dynamically reachable set, these pairs are fixed a
+/// priori by layout adjacency — comparing the two campaigns quantifies how
+/// much of delay-fault vulnerability spatial models can(not) capture.
+///
+/// Classification happens at boundary `cycle` (not `cycle + 1` as for
+/// SDFs): a strike corrupts state that is already latched, whereas an SDF
+/// corrupts the values being latched at the end of the faulty cycle — see
+/// the module docs on latch-boundary conventions.
+pub fn spatial_double_strike_campaign<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    timing: &TimingModel,
+    golden: &GoldenRun<E>,
+    dffs: &[DffId],
+    opts: ReplayOptions,
+) -> SavfResult {
+    spatial_double_strike_campaign_observed(
+        circuit,
+        topo,
+        timing,
+        golden,
+        dffs,
+        opts,
+        &RunContext::disabled(),
+    )
+    .expect("campaign without checkpointing is infallible")
+}
+
+/// [`spatial_double_strike_campaign`] under a [`RunContext`]; see
+/// [`delay_avf_campaign_observed`] for the checkpoint/resume and telemetry
+/// semantics. A resumed unit returns its pairs' stored classes.
+///
+/// # Errors
+///
+/// Same failure modes as [`delay_avf_campaign_observed`].
+pub fn spatial_double_strike_campaign_observed<E: Environment + Clone, S: TelemetrySink>(
     circuit: &Circuit,
     topo: &Topology,
     timing: &TimingModel,
@@ -2686,85 +1993,18 @@ fn spatial_double_strike_campaign_adaptive<E: Environment + Clone, S: TelemetryS
     opts: ReplayOptions,
     ctx: &RunContext<'_, S>,
 ) -> Result<SavfResult, String> {
-    let (ci_target, buckets) = checked_adaptive(opts.ci_target, opts.strata)?;
-    let cycles = valid_cycles(golden);
-    let mut plan = AdaptivePlan::new(
-        cycle_strata(golden, &cycles, buckets),
-        buckets * buckets,
-        1,
-        ci_target,
-        opts.sample_seed,
-    );
-    let population = plan.population();
-    let items: Vec<usize> = dffs.iter().map(|d| d.index()).collect();
-    let fingerprint = campaign_fingerprint(
-        "spatial_double_adaptive",
+    let target = Target {
         circuit,
+        topo,
         timing,
         golden,
-        &cycles,
-        &items,
-        &[],
-        opts.due_slack,
-        false,
-    );
-    let knobs = knob_hash(
-        opts.lanes,
-        opts.timing_lanes,
-        opts.collapse,
-        opts.ci_target,
-        opts.strata,
-        opts.sample_seed,
-    );
-    let setup = open_store(
-        &ctx.checkpoint,
-        "spatial_double_adaptive",
-        fingerprint,
-        knobs,
-    )?;
-    let threads = resolve_threads(opts.threads, cycles.len());
-    observe_campaign(
-        ctx,
-        &setup,
-        "spatial_double_adaptive",
-        population,
-        threads,
-        |progress| {
-            let store = setup.store.as_ref();
-            let resumed = &setup.resumed;
-            let mut result = SavfResult::default();
-            loop {
-                let sites = plan.next_round();
-                if sites.is_empty() {
-                    break;
-                }
-                let costs: Vec<u64> = sites
-                    .iter()
-                    .map(|&site| unit_cost(golden, cycles[site], dffs.len().saturating_sub(1)))
-                    .collect();
-                progress.schedule(sites.len());
-                let units = run_queue(
-                    resolve_threads(opts.threads, sites.len()),
-                    &sites,
-                    &queue_order(&costs),
-                    |id| Worker {
-                        injector: worker_injector(circuit, topo, timing, golden, &opts),
-                        obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
-                    },
-                    |w: &mut Worker<'_, '_, E, S>, &site| {
-                        spatial_unit(w, dffs, cycles[site], resumed, store)
-                    },
-                    |w| w.obs.finish(),
-                )?;
-                for (&site, unit) in sites.iter().zip(&units) {
-                    result.merge(unit);
-                    plan.record(site, &[unit.ace_hits as u64], &[unit.injections as u64]);
-                }
-                plan.finish_round();
-            }
-            Ok(result)
-        },
-    )
+    };
+    let strikes = Strikes {
+        kind: "spatial_double",
+        dffs,
+        width: 2,
+    };
+    Ok(drive(&strikes, &target, &opts, ctx)?.0)
 }
 
 #[cfg(test)]
@@ -3047,6 +2287,238 @@ mod tests {
                         "{s:?}, {threads} threads, ci_target {ci_target:?}, collapse {collapse}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Empty inputs — no edges, no dffs, a single dff for the pairs —
+    /// report the same empty tallies under the exhaustive and the adaptive
+    /// plan (apart from the adaptive estimate and footer themselves).
+    #[test]
+    fn empty_inputs_report_the_same_in_both_modes() {
+        let (c, topo, timing) = fixture();
+        let env = crate::testenv::ObservingEnv::new(5, 20);
+        let golden = prepare_golden(&c, &topo, &env, 100, 4);
+        let one: Vec<DffId> = c.dffs().map(|(d, _)| d).take(1).collect();
+        let plain = |mut stats: InjectorStats| {
+            stats.strata_active = 0;
+            stats.strata_retired_early = 0;
+            stats.adaptive_replays_saved = 0;
+            stats
+        };
+        let run = |ci_target: Option<f64>| {
+            let config = CampaignConfig {
+                delay_fractions: vec![0.5],
+                compute_orace: true,
+                due_slack: 30,
+                threads: 2,
+                ci_target,
+                strata: 2,
+                ..CampaignConfig::default()
+            };
+            let opts = config.replay_options();
+            let (mut rows, stats) =
+                delay_avf_campaign_with_stats(&c, &topo, &timing, &golden, &[], &config);
+            rows.iter_mut().for_each(|r| r.adaptive = None);
+            let (savf, savf_stats) =
+                savf_campaign_with_stats(&c, &topo, &timing, &golden, &[], opts);
+            let (mut rec_row, records) =
+                delay_avf_campaign_records(&c, &topo, &timing, &golden, &[], 0.5, opts);
+            rec_row.adaptive = None;
+            (
+                (rows, plain(stats)),
+                (savf, plain(savf_stats)),
+                (rec_row, records),
+                savf_per_bit_campaign(&c, &topo, &timing, &golden, &[], opts),
+                spatial_double_strike_campaign(&c, &topo, &timing, &golden, &one, opts),
+            )
+        };
+        let uniform = run(None);
+        assert_eq!(uniform, run(Some(0.2)));
+        let ((rows, _), (savf, _), (rec_row, records), per_bit, spatial) = uniform;
+        assert_eq!(rows[0].injections, 0);
+        assert_eq!(savf.injections, 0);
+        assert_eq!(rec_row.injections, 0);
+        assert!(records.is_empty() && per_bit.is_empty());
+        assert_eq!(spatial.injections, 0);
+    }
+
+    /// The one unit codec, driven by every campaign kind's layout.
+    mod codec {
+        use super::*;
+        use crate::checkpoint::{decode_unit, encode_unit, Layout, UnitPayload};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Tokens a corrupt payload is assembled from: every tag, counts
+        /// small and huge, flag strings good and bad, non-ASCII.
+        const SOUP: &[&str] = &[
+            "rows",
+            "vis",
+            "rec",
+            "cls",
+            "stats",
+            "fc",
+            ".",
+            ".0110",
+            ".MSD",
+            ".MX",
+            "0",
+            "1",
+            "2",
+            "3",
+            "7",
+            "25",
+            "1152921504606846975",
+            "18446744073709551616",
+            "-1",
+            "M",
+            "S",
+            "D",
+            "SX",
+            "é",
+            ".é",
+        ];
+
+        /// Runs `f` on the layout of every campaign kind (the sweep with
+        /// and without ORACE, at `sites` selected edges).
+        fn each_layout(sites: usize, mut f: impl FnMut(&str, Layout<'_>)) {
+            let edges: Vec<EdgeId> = (0..5).map(EdgeId::from_index).collect();
+            let dffs: Vec<DffId> = (0..4).map(DffId::from_index).collect();
+            for compute_orace in [false, true] {
+                let config = CampaignConfig {
+                    delay_fractions: vec![0.3, 0.9],
+                    compute_orace,
+                    ..CampaignConfig::default()
+                };
+                let sweep = Sweep {
+                    edges: &edges,
+                    config: &config,
+                    extras: vec![0; 2],
+                };
+                f("delay_sweep", sweep.layout(sites));
+            }
+            let records = Records {
+                edges: &edges,
+                fraction: [0.9],
+                extra: 0,
+            };
+            f("delay_records", records.layout(1));
+            for (kind, width) in [("savf", 1), ("spatial_double", 2)] {
+                let strikes = Strikes {
+                    kind,
+                    dffs: &dffs,
+                    width,
+                };
+                f(kind, strikes.layout(1));
+            }
+            f("savf_per_bit", PerBit { dffs: &dffs }.layout(1));
+        }
+
+        fn class(rng: &mut StdRng) -> FailureClass {
+            [FailureClass::Masked, FailureClass::Sdc, FailureClass::Due][rng.gen_range(0..3)]
+        }
+
+        fn flip_set(rng: &mut StdRng) -> Vec<DffId> {
+            let len = rng.gen_range(0..4);
+            (0..len)
+                .map(|_| DffId::from_index(rng.gen_range(0..5000)))
+                .collect()
+        }
+
+        /// A random payload holding exactly `layout`'s sections.
+        fn random_unit(layout: &Layout<'_>, cycle: u64, rng: &mut StdRng) -> UnitPayload {
+            let mut unit = UnitPayload::default();
+            if let Some((fractions, orace)) = layout.rows {
+                let mut n = || rng.gen_range(0..1_000_000usize);
+                let rows = fractions.iter().map(|&delay_fraction| DelayAvfResult {
+                    delay_fraction,
+                    injections: n(),
+                    static_hits: n(),
+                    dynamic_hits: n(),
+                    delay_ace_hits: n(),
+                    sdc_hits: n(),
+                    due_hits: n(),
+                    multi_bit_hits: n(),
+                    orace: orace.then(|| OraceStats {
+                        or_hits: n(),
+                        interference: n(),
+                        compounding: n(),
+                    }),
+                    adaptive: None,
+                });
+                unit.rows = Some(rows.collect());
+            }
+            if let Some(n) = layout.vis {
+                unit.vis = Some((0..n).map(|_| rng.gen_range(0..2) == 1).collect());
+            }
+            if let Some(n) = layout.records {
+                let mut records = Vec::new();
+                for _ in 0..n {
+                    let class = class(rng);
+                    records.push(InjectionRecord {
+                        cycle,
+                        edge: EdgeId::from_index(rng.gen_range(0..5000)),
+                        outcome: InjectionOutcome {
+                            statically_reachable: rng.gen_range(0..64),
+                            dynamic_set: flip_set(rng),
+                            visible: class.is_visible(),
+                            class,
+                        },
+                    });
+                }
+                unit.records = Some(records);
+            }
+            if let Some(n) = layout.classes {
+                unit.classes = Some((0..n).map(|_| class(rng)).collect());
+            }
+            if layout.stats {
+                let values = std::array::from_fn(|_| rng.gen::<u64>());
+                unit.stats = Some(InjectorStats::from_values(values));
+            }
+            if layout.failures {
+                let len = rng.gen_range(0..6);
+                unit.failures = Some((0..len).map(|_| (flip_set(rng), class(rng))).collect());
+            }
+            unit
+        }
+
+        proptest! {
+            #[test]
+            fn every_kinds_payload_round_trips(seed: u64, sites in 1usize..6) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                each_layout(sites, |kind, layout| {
+                    let unit = random_unit(&layout, 42, &mut rng);
+                    let line = encode_unit(&unit);
+                    assert!(!line.contains('\n'), "{kind}: one line per unit");
+                    assert_eq!(decode_unit(&line, &layout, 42), Ok(unit), "{kind}: {line}");
+                });
+            }
+
+            #[test]
+            fn arbitrary_bytes_are_errors(bytes in prop::collection::vec(any::<u8>(), 0..160)) {
+                let text = String::from_utf8_lossy(&bytes);
+                each_layout(2, |kind, layout| {
+                    assert!(decode_unit(&text, &layout, 1).is_err(), "{kind}: {text:?}");
+                });
+            }
+
+            #[test]
+            fn corrupt_payloads_never_panic(seed: u64) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                each_layout(3, |_, layout| {
+                    // Token soup, and a valid line with one token swapped.
+                    let soup: Vec<&str> = (0..rng.gen_range(0..40))
+                        .map(|_| SOUP[rng.gen_range(0..SOUP.len())])
+                        .collect();
+                    let _ = decode_unit(&soup.join(" "), &layout, 1);
+                    let line = encode_unit(&random_unit(&layout, 1, &mut rng));
+                    let mut toks: Vec<&str> = line.split(' ').collect();
+                    let i = rng.gen_range(0..toks.len());
+                    toks[i] = SOUP[rng.gen_range(0..SOUP.len())];
+                    let _ = decode_unit(&toks.join(" "), &layout, 1);
+                });
             }
         }
     }

@@ -3,23 +3,23 @@
 //!
 //! # Model
 //!
-//! Every campaign's queue axis (trace cycles, or bits for the per-bit
-//! campaign) doubles as its **work-unit** axis, and the engine is
-//! structured so each unit's contribution — result-row deltas, engine
-//! counter deltas, failure-cache entries, records — is independent of
-//! which other units ran, on which worker and in what order (see the
-//! campaign module docs). A checkpoint is therefore just the set of completed units with
-//! their serialized contributions: resuming replays the stored
-//! contributions for completed units and computes the rest, and the merged
-//! report is bit-for-bit the uninterrupted run's under any `threads ×
-//! lanes × timing_lanes` combination.
+//! Every campaign runs in *work units* — the selected injection sites of
+//! one trace cycle in one sampling round — and the engine is structured so
+//! each unit's contribution (result-row deltas, engine counter deltas,
+//! failure-cache entries, records) is independent of which other units
+//! ran, on which worker and in what order (see the campaign module docs).
+//! A checkpoint is therefore just the set of completed units with their
+//! serialized contributions: resuming replays the stored contributions for
+//! completed units and computes the rest, and the merged report is
+//! bit-for-bit the uninterrupted run's under any `threads × lanes ×
+//! timing_lanes` combination.
 //!
 //! # File format
 //!
 //! A plain-text, line-oriented format (the workspace is offline; no serde):
 //!
 //! ```text
-//! delayavf-checkpoint v3 <kind>
+//! delayavf-checkpoint v4 <kind>
 //! fingerprint <hex16>
 //! knobs <hex16>
 //! unit <key> <payload tokens...>
@@ -30,9 +30,15 @@
 //! determines the results (netlist + timing digest, golden trace, item
 //! list, fractions, DUE slack), and `knobs` pins the engine knobs that
 //! shape the *counters* without changing results (`lanes`, `timing_lanes`,
-//! `collapse` — but **not** `threads`, which the stats are invariant to). Resuming against a file whose kind, fingerprint or knob hash
-//! differs fails with a pinned `checkpoint mismatch` error instead of
-//! silently merging foreign tallies.
+//! `collapse` — but **not** `threads`, which the stats are invariant to).
+//! Resuming against a file whose kind, fingerprint or knob hash differs
+//! fails with a pinned `checkpoint mismatch` error instead of silently
+//! merging foreign tallies.
+//!
+//! A unit's key is `round << 44 | cycle` (so a uniform campaign's keys are
+//! its cycles) and its payload is a `UnitPayload`: the tagged sections
+//! its kind carries (`rows`, `vis`, `rec`, `cls`, `stats`, `fc`), always
+//! in that order.
 //!
 //! # Atomicity
 //!
@@ -42,13 +48,20 @@
 //! snapshot or the new one, never a torn file.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use delayavf_netlist::{DffId, EdgeId};
+
+use crate::injector::{FailureClass, InjectionOutcome, InjectorStats};
+use crate::razor::InjectionRecord;
+use crate::result::{DelayAvfResult, OraceStats};
+
 /// Checkpoint file format version; bumped on any layout change. A version
 /// mismatch on resume is rejected like any other stale checkpoint.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 3;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 4;
 
 const MAGIC: &str = "delayavf-checkpoint";
 
@@ -312,36 +325,36 @@ fn parse_checkpoint(
 }
 
 /// A whitespace-token cursor over one unit payload, with contextual error
-/// messages (shared by the campaign decoders).
-pub(crate) struct Tokens<'a> {
+/// messages.
+struct Tokens<'a> {
     it: std::str::SplitWhitespace<'a>,
 }
 
 impl<'a> Tokens<'a> {
-    pub(crate) fn new(payload: &'a str) -> Self {
+    fn new(payload: &'a str) -> Self {
         Tokens {
             it: payload.split_whitespace(),
         }
     }
 
-    pub(crate) fn next_str(&mut self, what: &str) -> Result<&'a str, String> {
+    fn next_str(&mut self, what: &str) -> Result<&'a str, String> {
         self.it
             .next()
             .ok_or_else(|| format!("checkpoint parse error: missing {what}"))
     }
 
-    pub(crate) fn next_u64(&mut self, what: &str) -> Result<u64, String> {
+    fn next_u64(&mut self, what: &str) -> Result<u64, String> {
         let tok = self.next_str(what)?;
         tok.parse()
             .map_err(|e| format!("checkpoint parse error: bad {what} `{tok}`: {e}"))
     }
 
-    pub(crate) fn next_usize(&mut self, what: &str) -> Result<usize, String> {
+    fn next_usize(&mut self, what: &str) -> Result<usize, String> {
         Ok(self.next_u64(what)? as usize)
     }
 
     /// Asserts the next token equals `tag` (payload section marker).
-    pub(crate) fn expect(&mut self, tag: &str) -> Result<(), String> {
+    fn expect(&mut self, tag: &str) -> Result<(), String> {
         let tok = self.next_str(tag)?;
         if tok != tag {
             return Err(format!(
@@ -352,8 +365,288 @@ impl<'a> Tokens<'a> {
     }
 
     /// Peeks whether any token remains.
-    pub(crate) fn finished(&mut self) -> bool {
+    fn finished(&mut self) -> bool {
         self.it.clone().next().is_none()
+    }
+
+    /// A netlist id index, which must fit the ids' `u32` range.
+    fn next_id(&mut self, what: &str) -> Result<usize, String> {
+        let tok = self.next_str(what)?;
+        tok.parse::<u32>()
+            .map(|i| i as usize)
+            .map_err(|e| format!("checkpoint parse error: bad {what} `{tok}`: {e}"))
+    }
+
+    /// A length-prefixed flip set (`<len> <dff>...`).
+    fn next_dffs(&mut self) -> Result<Vec<DffId>, String> {
+        let len = self.next_usize("flip-set length")?;
+        let mut dffs = Vec::new();
+        for _ in 0..len {
+            dffs.push(DffId::from_index(self.next_id("flip-set dff")?));
+        }
+        Ok(dffs)
+    }
+
+    /// A `.`-prefixed string of one-character flags, each decoded by `f`.
+    fn next_chars<T>(
+        &mut self,
+        what: &str,
+        f: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let tok = self.next_str(what)?;
+        let body = tok
+            .strip_prefix('.')
+            .ok_or_else(|| format!("checkpoint parse error: bad {what} `{tok}`"))?;
+        body.char_indices()
+            .map(|(i, c)| f(&body[i..i + c.len_utf8()]))
+            .collect()
+    }
+}
+
+/// One completed unit's contribution: what the campaign merges, and what
+/// its checkpoint line stores. A kind fills the sections its [`Layout`]
+/// names and leaves the rest `None`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct UnitPayload {
+    /// Result rows, one per delay fraction (`rows`).
+    pub(crate) rows: Option<Vec<DelayAvfResult>>,
+    /// Per-injection program visibility, fraction-major over the unit's
+    /// sites (`vis`).
+    pub(crate) vis: Option<Vec<bool>>,
+    /// Injection records, in site order (`rec`).
+    pub(crate) records: Option<Vec<InjectionRecord>>,
+    /// One failure class per struck flip set, in strike order (`cls`).
+    pub(crate) classes: Option<Vec<FailureClass>>,
+    /// The unit's engine-counter delta (`stats`).
+    pub(crate) stats: Option<InjectorStats>,
+    /// The failure-cache entries at the unit's latch boundary, sorted by
+    /// flip set (`fc`).
+    pub(crate) failures: Option<Vec<(Vec<DffId>, FailureClass)>>,
+}
+
+/// The sections one campaign kind's payloads carry, with the sizes the
+/// decoder checks them against.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Layout<'a> {
+    /// Rows for these delay fractions, with ORACE counters when `true`.
+    pub(crate) rows: Option<(&'a [f64], bool)>,
+    /// Number of visibility flags.
+    pub(crate) vis: Option<usize>,
+    /// Number of records.
+    pub(crate) records: Option<usize>,
+    /// Number of classes.
+    pub(crate) classes: Option<usize>,
+    /// Whether the stats section is present.
+    pub(crate) stats: bool,
+    /// Whether the failure-cache section is present.
+    pub(crate) failures: bool,
+}
+
+fn encode_class(class: FailureClass) -> char {
+    match class {
+        FailureClass::Masked => 'M',
+        FailureClass::Sdc => 'S',
+        FailureClass::Due => 'D',
+    }
+}
+
+/// The one class-token decoder: exactly `M`, `S` or `D`.
+fn decode_class(tok: &str) -> Result<FailureClass, String> {
+    match tok {
+        "M" => Ok(FailureClass::Masked),
+        "S" => Ok(FailureClass::Sdc),
+        "D" => Ok(FailureClass::Due),
+        other => Err(format!(
+            "checkpoint parse error: bad failure class `{other}`"
+        )),
+    }
+}
+
+/// Serializes a unit: its present sections, tagged, in the fixed order.
+pub(crate) fn encode_unit(unit: &UnitPayload) -> String {
+    let mut out = String::new();
+    let tag = |out: &mut String, tag: &str| {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(tag);
+    };
+    if let Some(rows) = &unit.rows {
+        tag(&mut out, "rows");
+        let _ = write!(out, " {}", rows.len());
+        for r in rows {
+            let _ = write!(
+                out,
+                " {} {} {} {} {} {} {}",
+                r.injections,
+                r.static_hits,
+                r.dynamic_hits,
+                r.delay_ace_hits,
+                r.sdc_hits,
+                r.due_hits,
+                r.multi_bit_hits
+            );
+            if let Some(o) = &r.orace {
+                let _ = write!(out, " {} {} {}", o.or_hits, o.interference, o.compounding);
+            }
+        }
+    }
+    if let Some(vis) = &unit.vis {
+        // A leading `.` keeps an empty string a token.
+        tag(&mut out, "vis .");
+        out.extend(vis.iter().map(|&v| if v { '1' } else { '0' }));
+    }
+    if let Some(records) = &unit.records {
+        tag(&mut out, "rec");
+        let _ = write!(out, " {}", records.len());
+        for r in records {
+            let o = &r.outcome;
+            let _ = write!(
+                out,
+                " {} {} {} {}",
+                r.edge.index(),
+                o.statically_reachable,
+                encode_class(o.class),
+                o.dynamic_set.len()
+            );
+            for d in &o.dynamic_set {
+                let _ = write!(out, " {}", d.index());
+            }
+        }
+    }
+    if let Some(classes) = &unit.classes {
+        tag(&mut out, "cls .");
+        out.extend(classes.iter().map(|&c| encode_class(c)));
+    }
+    if let Some(stats) = &unit.stats {
+        tag(&mut out, "stats");
+        for v in stats.values() {
+            let _ = write!(out, " {v}");
+        }
+    }
+    if let Some(failures) = &unit.failures {
+        tag(&mut out, "fc");
+        let _ = write!(out, " {}", failures.len());
+        for (set, class) in failures {
+            let _ = write!(out, " {} {}", encode_class(*class), set.len());
+            for d in set {
+                let _ = write!(out, " {}", d.index());
+            }
+        }
+    }
+    out
+}
+
+/// Parses a unit payload of a kind with the given `layout`, rebuilding
+/// records at `cycle`. Every section the layout names must be present, in
+/// order and of the expected size, and nothing else. Counts read from the
+/// payload never size an allocation: vectors grow as their tokens arrive.
+pub(crate) fn decode_unit(
+    payload: &str,
+    layout: &Layout<'_>,
+    cycle: u64,
+) -> Result<UnitPayload, String> {
+    let mut t = Tokens::new(payload);
+    let mut unit = UnitPayload::default();
+    if let Some((fractions, orace)) = layout.rows {
+        t.expect("rows")?;
+        expect_count(t.next_usize("row count")?, fractions.len(), "rows")?;
+        let mut rows = Vec::new();
+        for &delay_fraction in fractions {
+            rows.push(DelayAvfResult {
+                delay_fraction,
+                injections: t.next_usize("injections")?,
+                static_hits: t.next_usize("static_hits")?,
+                dynamic_hits: t.next_usize("dynamic_hits")?,
+                delay_ace_hits: t.next_usize("delay_ace_hits")?,
+                sdc_hits: t.next_usize("sdc_hits")?,
+                due_hits: t.next_usize("due_hits")?,
+                multi_bit_hits: t.next_usize("multi_bit_hits")?,
+                orace: if orace {
+                    Some(OraceStats {
+                        or_hits: t.next_usize("or_hits")?,
+                        interference: t.next_usize("interference")?,
+                        compounding: t.next_usize("compounding")?,
+                    })
+                } else {
+                    None
+                },
+                adaptive: None,
+            });
+        }
+        unit.rows = Some(rows);
+    }
+    if let Some(n) = layout.vis {
+        t.expect("vis")?;
+        let vis = t.next_chars("visibility flags", |tok| match tok {
+            "1" => Ok(true),
+            "0" => Ok(false),
+            other => Err(format!(
+                "checkpoint parse error: bad visibility flag `{other}`"
+            )),
+        })?;
+        expect_count(vis.len(), n, "visibility flags")?;
+        unit.vis = Some(vis);
+    }
+    if let Some(n) = layout.records {
+        t.expect("rec")?;
+        expect_count(t.next_usize("record count")?, n, "records")?;
+        let mut records = Vec::new();
+        for _ in 0..n {
+            let edge = EdgeId::from_index(t.next_id("record edge")?);
+            let statically_reachable = t.next_usize("statically reachable count")?;
+            let class = decode_class(t.next_str("record class")?)?;
+            let dynamic_set = t.next_dffs()?;
+            records.push(InjectionRecord {
+                cycle,
+                edge,
+                outcome: InjectionOutcome {
+                    statically_reachable,
+                    dynamic_set,
+                    visible: class.is_visible(),
+                    class,
+                },
+            });
+        }
+        unit.records = Some(records);
+    }
+    if let Some(n) = layout.classes {
+        t.expect("cls")?;
+        let classes = t.next_chars("class string", decode_class)?;
+        expect_count(classes.len(), n, "classes")?;
+        unit.classes = Some(classes);
+    }
+    if layout.stats {
+        t.expect("stats")?;
+        let mut values = [0; InjectorStats::COUNT];
+        for (v, name) in values.iter_mut().zip(InjectorStats::NAMES) {
+            *v = t.next_u64(name)?;
+        }
+        unit.stats = Some(InjectorStats::from_values(values));
+    }
+    if layout.failures {
+        t.expect("fc")?;
+        let entries = t.next_usize("failure-cache entry count")?;
+        let mut failures = Vec::new();
+        for _ in 0..entries {
+            let class = decode_class(t.next_str("failure class")?)?;
+            failures.push((t.next_dffs()?, class));
+        }
+        unit.failures = Some(failures);
+    }
+    if !t.finished() {
+        return Err("checkpoint parse error: trailing payload tokens".into());
+    }
+    Ok(unit)
+}
+
+fn expect_count(got: usize, want: usize, what: &str) -> Result<(), String> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!(
+            "checkpoint parse error: {got} {what} != {want} expected"
+        ))
     }
 }
 
@@ -429,8 +722,8 @@ mod tests {
             "",
             "not a checkpoint\n",
             "delayavf-checkpoint v999 savf\nfingerprint 0\nknobs 0\n",
-            "delayavf-checkpoint v3 savf\nfingerprint zz\nknobs 0\n",
-            "delayavf-checkpoint v3 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
+            "delayavf-checkpoint v4 savf\nfingerprint zz\nknobs 0\n",
+            "delayavf-checkpoint v4 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
         ] {
             fs::write(&path, garbage).unwrap();
             let resume = CheckpointSpec::new(&path, 1, true);

@@ -330,6 +330,27 @@ impl AdaptivePlan {
         // Roughly an eighth of the population per round, clamped so tiny
         // populations still finish in one round and huge ones still adapt.
         let round_budget = population.div_ceil(8).max(16).min(population.max(1));
+        Self::with_order(site_stratum, order, num_estimands, ci_target, round_budget)
+    }
+
+    /// The exhaustive plan: one stratum holding every site, visited in
+    /// ascending order in a single round. Uniform sampling is this plan,
+    /// so the uniform and adaptive campaigns share one driver.
+    pub fn exhaustive(population: usize, num_estimands: usize) -> Self {
+        let order = vec![(0..population).collect()];
+        // A fully visited stratum has a zero-width interval, so any target
+        // retires it; `0` never retires one early.
+        Self::with_order(vec![0; population], order, num_estimands, 0.0, population)
+    }
+
+    fn with_order(
+        site_stratum: Vec<usize>,
+        order: Vec<Vec<usize>>,
+        num_estimands: usize,
+        ci_target: f64,
+        round_budget: usize,
+    ) -> Self {
+        let num_strata = order.len();
         AdaptivePlan {
             site_stratum,
             retired: order.iter().map(Vec::is_empty).collect(),
@@ -833,6 +854,28 @@ mod tests {
         // (stratified weighting: 400/440 · 0 + 40/440 · 0.5 ≈ 0.045).
         let est = plan.estimate(0);
         assert!(est.lo <= 0.0455 && 0.0455 <= est.hi, "{est:?}");
+    }
+
+    #[test]
+    fn the_exhaustive_plan_is_one_ascending_round() {
+        let mut plan = AdaptivePlan::exhaustive(5, 2);
+        assert_eq!(plan.population(), 5);
+        assert_eq!(plan.next_round(), vec![0, 1, 2, 3, 4]);
+        for site in 0..5 {
+            plan.record(site, &[1, 0], &[1, 1]);
+        }
+        plan.finish_round();
+        assert!(plan.next_round().is_empty(), "then an empty round");
+        assert_eq!(plan.sampled_sites(), 5);
+        assert_eq!(plan.strata_active(), 1);
+        assert_eq!(plan.strata_retired_early(), 0);
+        // Every site was visited, so the estimate is the exact tally.
+        let est = plan.estimate(0);
+        assert_eq!((est.point, est.lo, est.hi), (1.0, 1.0, 1.0));
+        // No sites: no round at all.
+        let mut empty = AdaptivePlan::exhaustive(0, 1);
+        assert!(empty.next_round().is_empty());
+        assert_eq!(empty.strata_active(), 0);
     }
 
     #[test]

@@ -72,7 +72,9 @@ pub enum TelemetryEvent<'a> {
     CampaignStart {
         /// Campaign kind label (`delay_sweep`, `savf`, ...).
         campaign: &'a str,
-        /// Total work units (cycles, or bits for the per-bit campaign).
+        /// Trace cycles the campaign injects at. A uniform campaign runs
+        /// one unit per cycle; an adaptive one schedules its units round
+        /// by round (see `ShardHeartbeat::total`).
         units: usize,
         /// Resolved worker-thread count.
         threads: usize,

@@ -677,13 +677,13 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
     .unwrap();
     assert_eq!(resumed, want, "cross-thread-count resume differs");
 
-    // A checkpoint of the previous file format (v2, whose unit payloads
-    // carried two more counters) is rejected as a mismatch before any unit
-    // is parsed.
+    // A checkpoint of the previous file format (v3, whose per-bit campaign
+    // checkpointed bits rather than cycles) is rejected as a mismatch
+    // before any unit is parsed.
     let current = fs::read_to_string(&path).unwrap();
-    let v2 = current.replacen(&format!(" v{CHECKPOINT_FORMAT_VERSION} "), " v2 ", 1);
-    assert_ne!(v2, current, "the header names the format version");
-    fs::write(&path, v2).unwrap();
+    let v3 = current.replacen(&format!(" v{CHECKPOINT_FORMAT_VERSION} "), " v3 ", 1);
+    assert_ne!(v3, current, "the header names the format version");
+    fs::write(&path, v3).unwrap();
     let err = delay_avf_campaign_observed(
         &s.core.circuit,
         &s.topo,
@@ -695,8 +695,8 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
     )
     .unwrap_err();
     assert!(
-        err.contains("checkpoint mismatch") && err.contains("format version v2"),
-        "v2 checkpoint not pinned: {err}"
+        err.contains("checkpoint mismatch") && err.contains("format version v3"),
+        "v3 checkpoint not pinned: {err}"
     );
 
     // A torn file (no atomic rename ever produces one, but disks lie) is a
@@ -716,6 +716,103 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
     assert!(
         err.contains("checkpoint parse error"),
         "torn file not pinned: {err}"
+    );
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// Rewrites token `index` of the file's first `unit` line with `edit`.
+fn corrupt_first_unit(path: &Path, edit: impl Fn(&[&str]) -> (usize, String)) {
+    let text = fs::read_to_string(path).unwrap();
+    let mut out = String::new();
+    let mut done = false;
+    for line in text.lines() {
+        if !done && line.starts_with("unit ") {
+            let mut toks: Vec<&str> = line.split(' ').collect();
+            let (index, replacement) = edit(&toks);
+            toks[index] = &replacement;
+            out.push_str(&toks.join(" "));
+            done = true;
+        } else {
+            out.push_str(line);
+        }
+        out.push('\n');
+    }
+    assert!(done, "no unit line in {}", path.display());
+    fs::write(path, out).unwrap();
+}
+
+/// A corrupt unit payload is a `checkpoint parse error` on resume, never a
+/// panic or a silent misread: a count near 2⁶⁰ must not size an
+/// allocation, and a class token must be exactly one class letter.
+#[test]
+fn corrupt_unit_payloads_are_parse_errors() {
+    let s = setup();
+    let dir = tmpdir();
+    let edges = sample_edges(
+        &s.topo.structure_edges(&s.core.circuit, "decoder").unwrap(),
+        12,
+        17,
+    );
+    let dffs: Vec<DffId> = s
+        .core
+        .circuit
+        .structure("lsu")
+        .unwrap()
+        .dffs()
+        .iter()
+        .copied()
+        .take(6)
+        .collect();
+    let opts = ReplayOptions::new(500, 2);
+
+    // A failure-cache entry count far past the tokens that follow it.
+    let path = dir.join("savf.ckpt");
+    let savf = |resume| {
+        savf_campaign_observed(
+            &s.core.circuit,
+            &s.topo,
+            &s.timing,
+            &s.golden,
+            &dffs,
+            opts,
+            &ctx(&path, 1, resume),
+        )
+    };
+    savf(false).unwrap();
+    corrupt_first_unit(&path, |toks| {
+        let fc = toks.iter().position(|&t| t == "fc").expect("an fc section");
+        (fc + 1, "1152921504606846975".to_string())
+    });
+    let err = savf(true).unwrap_err();
+    assert!(
+        err.contains("checkpoint parse error"),
+        "huge count not pinned: {err}"
+    );
+
+    // A record class token with a trailing character.
+    let path = dir.join("records.ckpt");
+    let records = |resume| {
+        delay_avf_campaign_records_observed(
+            &s.core.circuit,
+            &s.topo,
+            &s.timing,
+            &s.golden,
+            &edges,
+            0.9,
+            opts,
+            &ctx(&path, 1, resume),
+        )
+    };
+    records(false).unwrap();
+    // `unit <key> rec <count> <edge> <static> <class> ...`
+    corrupt_first_unit(&path, |toks| {
+        assert_eq!(toks[2], "rec");
+        (6, format!("{}X", toks[6]))
+    });
+    let err = records(true).unwrap_err();
+    assert!(
+        err.contains("checkpoint parse error") && err.contains("bad failure class"),
+        "multi-character class token not pinned: {err}"
     );
     fs::remove_dir_all(dir).unwrap();
 }

@@ -16,10 +16,12 @@ use std::path::PathBuf;
 
 use delayavf::{
     delay_avf_campaign_observed, delay_avf_campaign_with_stats, prepare_golden_seeded,
-    sample_edges, validate_line, CampaignConfig, CheckpointSpec, JsonlTelemetry, RunContext,
+    sample_edges, savf_per_bit_campaign, savf_per_bit_campaign_observed, valid_cycles,
+    validate_line, CampaignConfig, CheckpointSpec, JsonlTelemetry, ReplayOptions, RunContext,
     TELEMETRY_SCHEMA_VERSION,
 };
 use delayavf_bench::{fig10, Harness, Observability, Opts};
+use delayavf_netlist::DffId;
 use delayavf_netlist::Topology;
 use delayavf_rvcore::{CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
 use delayavf_timing::{TechLibrary, TimingModel};
@@ -172,6 +174,53 @@ fn check_heartbeats(text: &str) {
         }
     }
     assert!(campaigns > 0, "no campaign in the stream");
+}
+
+/// The per-bit campaign's units are cycles, like every campaign's: its
+/// heartbeats arrive as the cycles replay, and both the announced unit
+/// count and the last heartbeat's total are the cycle count, not the bit
+/// count.
+#[test]
+fn per_bit_heartbeats_count_cycles() {
+    let core = delayavf_rvcore::build_core(CoreConfig::default());
+    let topo = Topology::new(&core.circuit);
+    let timing = TimingModel::analyze(&core.circuit, &topo, &TechLibrary::nangate45_like());
+    let w = Kernel::Libfibcall.build(Scale::Tiny);
+    let p = w.assemble().expect("workload assembles");
+    let env = MemEnv::new(&core.circuit, DEFAULT_RAM_BYTES, &p);
+    let golden = prepare_golden_seeded(&core.circuit, &topo, &env, w.max_cycles, 8, 17);
+    let dffs: Vec<DffId> = core
+        .circuit
+        .structure("lsu")
+        .unwrap()
+        .dffs()
+        .iter()
+        .copied()
+        .take(12)
+        .collect();
+    let cycles = valid_cycles(&golden).len();
+    assert_ne!(dffs.len(), cycles, "bits and cycles must be told apart");
+    let opts = ReplayOptions::new(500, 2);
+    let want = savf_per_bit_campaign(&core.circuit, &topo, &timing, &golden, &dffs, opts);
+
+    let sink = JsonlTelemetry::new(Vec::new());
+    let ctx = RunContext::new(&sink, None);
+    let got =
+        savf_per_bit_campaign_observed(&core.circuit, &topo, &timing, &golden, &dffs, opts, &ctx)
+            .unwrap();
+    assert_eq!(got, want, "observation changed the report");
+
+    let text = String::from_utf8(sink.into_inner()).unwrap();
+    validate_stream(&text);
+    check_heartbeats(&text);
+    let of = |event: &str| {
+        let tag = format!("\"event\":\"{event}\"");
+        text.lines().filter(move |l| l.contains(&tag))
+    };
+    let start = of("campaign_start").next().unwrap();
+    assert_eq!(field(start, "units"), cycles as f64, "{start}");
+    let last = of("shard_heartbeat").next_back().unwrap();
+    assert_eq!(field(last, "total"), cycles as f64, "{last}");
 }
 
 #[test]
