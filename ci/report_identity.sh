@@ -17,7 +17,7 @@ trap 'rm -rf "$work"' EXIT
 # label | repro flags for fig10 | config keys (';'-separated)
 variants=(
   "collapse off|--no-collapse|collapse = off"
-  "scalar lanes|--lanes 1 --timing-lanes 1|lanes = 1;timing_lanes = 1"
+  "one-lane batches|--lanes 1 --timing-lanes 1|lanes = 1;timing_lanes = 1"
   "timing_lanes 1|--timing-lanes 1|timing_lanes = 1"
   "lanes 64|--lanes 64 --timing-lanes 64|lanes = 64;timing_lanes = 64"
   "lanes 256|--lanes 256 --timing-lanes 256|lanes = 256;timing_lanes = 256"

@@ -7,7 +7,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use delayavf::{prepare_golden, CollapsePlan, Injector};
 use delayavf_netlist::{EdgeId, Topology};
 use delayavf_rvcore::{build_core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
-use delayavf_sim::{settle, CycleSim, DeltaEventSim, DiffSim, EventSim, FaultSpec, GoldenWave};
+use delayavf_sim::{
+    settle, BatchSim, CycleSim, DeltaEventSim, Environment, EventSim, FaultSpec, GoldenWave,
+};
 use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
 
@@ -221,11 +223,13 @@ fn bench_early_exit_ablation(c: &mut Criterion) {
 }
 
 fn bench_replay_ablation(c: &mut Criterion) {
-    // Ablation at the simulator level: the divergence-cone replay
-    // (`DiffSim`) vs a full cycle-by-cycle replay (`CycleSim`) of the same
-    // eight single-bit strikes, each stepped for the same window from the
-    // golden checkpoint. Both compute the same states; only the gates
-    // evaluated per cycle change.
+    // Ablation at the simulator level: the production replay engine run as
+    // a one-lane batch (`BatchSim`, stepping the strike's own environment on
+    // the lane's outputs) vs a full cycle-by-cycle replay (`CycleSim`) of
+    // the same eight single-bit strikes, each stepped for the same window
+    // from the golden checkpoint: the single-scenario cost of a replay.
+    // Both compute the same states; only the gates evaluated per cycle
+    // change.
     let f = fix();
     let env = MemEnv::new(&f.core.circuit, DEFAULT_RAM_BYTES, &f.program);
     let golden = prepare_golden(&f.core.circuit, &f.topo, &env, 100_000, 6);
@@ -242,14 +246,19 @@ fn bench_replay_ablation(c: &mut Criterion) {
         .copied()
         .take(8)
         .collect();
-    let mut diff = DiffSim::new(&f.core.circuit, &f.topo);
-    c.bench_function("replay_8_strikes_diff_sim", |b| {
+    let mut batch = BatchSim::new(&f.core.circuit, &f.topo);
+    let mut inputs = vec![0u64; f.core.circuit.input_ports().len()];
+    c.bench_function("replay_8_strikes_one_lane_batch", |b| {
         b.iter(|| {
             for &d in &dffs {
                 let mut env = cp.env.clone();
-                diff.begin(boundary, &[d], &golden.trace);
+                batch.begin(boundary, &[vec![d]], &golden.trace);
                 for _ in 0..window {
-                    diff.step(&mut env, &golden.trace);
+                    inputs.fill(0);
+                    let outputs = batch.lane_outputs(0, &golden.trace);
+                    env.step(batch.cycle(), &outputs, &mut inputs);
+                    batch.set_lane_inputs(0, &inputs, &golden.trace);
+                    batch.step(&golden.trace);
                 }
             }
         })

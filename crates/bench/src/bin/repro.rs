@@ -49,8 +49,8 @@ options:
                   provably masked/ACE flip groups (identical results)
   --lanes N       bit-parallel replay lanes per batch, 1-512 (default
                   512; widths above 64 ride the 256/512-bit carriers);
-                  AVF numbers are identical for every N, --lanes 1 is the
-                  exact scalar baseline
+                  AVF numbers are identical for every N, --lanes 1
+                  replays every scenario in a one-lane batch
   --timing-lanes N  lane-packed timing-aware replay lanes per batch,
                   1-512 (default 512); AVF numbers are identical for
                   every N, --timing-lanes 1 is the exact scalar baseline

@@ -73,7 +73,7 @@ pub struct ExperimentSpec {
     pub threads: usize,
     /// Bit-parallel replay lanes per batch (1–512; widths above 64 ride
     /// the 256/512-bit wide-word carriers). AVF numbers are identical for
-    /// every value; `1` runs the exact scalar baseline.
+    /// every value; `1` replays every scenario in a one-lane batch.
     pub lanes: usize,
     /// Lane-packed timing-aware replay lanes per batch (1–512; widths
     /// above 64 ride the 256/512-bit wide-word carriers). AVF numbers are

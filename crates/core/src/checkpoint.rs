@@ -19,7 +19,7 @@
 //! A plain-text, line-oriented format (the workspace is offline; no serde):
 //!
 //! ```text
-//! delayavf-checkpoint v4 <kind>
+//! delayavf-checkpoint v5 <kind>
 //! fingerprint <hex16>
 //! knobs <hex16>
 //! unit <key> <payload tokens...>
@@ -61,7 +61,7 @@ use crate::result::{DelayAvfResult, OraceStats};
 
 /// Checkpoint file format version; bumped on any layout change. A version
 /// mismatch on resume is rejected like any other stale checkpoint.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 4;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 5;
 
 const MAGIC: &str = "delayavf-checkpoint";
 
@@ -722,8 +722,8 @@ mod tests {
             "",
             "not a checkpoint\n",
             "delayavf-checkpoint v999 savf\nfingerprint 0\nknobs 0\n",
-            "delayavf-checkpoint v4 savf\nfingerprint zz\nknobs 0\n",
-            "delayavf-checkpoint v4 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
+            "delayavf-checkpoint v5 savf\nfingerprint zz\nknobs 0\n",
+            "delayavf-checkpoint v5 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
         ] {
             fs::write(&path, garbage).unwrap();
             let resume = CheckpointSpec::new(&path, 1, true);

@@ -6,8 +6,8 @@ use std::collections::{HashMap, HashSet};
 
 use delayavf_netlist::{Circuit, DffId, EdgeId, NetId, Topology};
 use delayavf_sim::{
-    pack_bits, BatchDeltaSim, BatchSim, CycleSim, DeltaEventSim, DiffSim, Environment, FaultSpec,
-    GoldenWave, LaneMask, LaneWord, MAX_LANES, MAX_TIMING_LANES,
+    BatchDeltaSim, BatchSim, DeltaEventSim, Environment, FaultSpec, GoldenWave, LaneMask, LaneWord,
+    MAX_LANES, MAX_TIMING_LANES,
 };
 use delayavf_timing::{Picos, TimingModel};
 
@@ -24,6 +24,25 @@ const DISCHARGE_HORIZON: u64 = 64;
 /// nets per propagated cycle); wider cones fall back to a real replay, where
 /// the divergence-cone engine handles them better anyway.
 const DISCHARGE_CONE_CAP: usize = 4096;
+
+/// Most private environments one replay batch holds at once. A lane gets
+/// one when its outputs leave the golden words or it outlives the trace;
+/// each is a clone of the golden environment (a `MemEnv` carries 64 KiB of
+/// RAM), so this bounds a batch's extra memory at `PRIVATE_ENV_CAP` clones.
+/// Lanes that need an environment beyond it are parked and finished in
+/// follow-up batches. A constant, not a knob: parking never changes
+/// results.
+const PRIVATE_ENV_CAP: usize = 64;
+
+/// The private-environment cap in force: [`PRIVATE_ENV_CAP`], or the
+/// override of the test-only `tests::env_cap::with`.
+fn private_env_cap() -> usize {
+    #[cfg(test)]
+    if let Some(cap) = tests::env_cap::get() {
+        return cap;
+    }
+    PRIVATE_ENV_CAP
+}
 
 /// Program-level classification of a fault's effect (paper §II-A: a
 /// program-visible failure is either a silent data corruption or a detected
@@ -104,9 +123,10 @@ struct CycleData {
 /// Each step has one production engine. Step 1 (timing-aware) runs on
 /// [`BatchDeltaSim`], with [`DeltaEventSim`] for scalar queries and retired
 /// lanes; both read the one [`GoldenWave`] the injector builds per cycle.
-/// Step 2 (timing-agnostic) runs on [`BatchSim`], handing stragglers to the
-/// divergence-cone [`DiffSim`]; [`CycleSim`] only finishes replays that
-/// outlive the golden trace.
+/// Step 2 (timing-agnostic) runs on [`BatchSim`] alone: every replay,
+/// including a single cache miss, is a batch whose lanes stay in it until
+/// they are classified, on private environments once their outputs leave
+/// the golden words or they outlive the trace.
 pub struct Injector<'a, E: Environment + Clone> {
     circuit: &'a Circuit,
     topo: &'a Topology,
@@ -117,14 +137,11 @@ pub struct Injector<'a, E: Environment + Clone> {
     gold: GoldenWave<'a>,
     delta: DeltaEventSim<'a>,
     batch_delta: BatchDeltaSim<'a>,
-    /// Past-trace fallback of the replay engines.
-    replay: CycleSim<'a>,
-    diff: DiffSim<'a>,
     batch: BatchSim<'a>,
     due_slack: u64,
     early_exit: bool,
     toggle_filter: bool,
-    /// Lane width for bit-parallel batch replays (1 = scalar only).
+    /// Lane width for bit-parallel batch replays (1 = one-lane batches).
     lanes: usize,
     /// Lane width for lane-packed timing-aware batch replays (1 = scalar
     /// only).
@@ -224,35 +241,38 @@ injector_stats! {
     toggle_filtered,
     /// Timing-aware (event-driven) simulations actually run.
     event_sims,
-    /// Timing-agnostic replays actually run (cache misses): scalar
-    /// divergence-cone replays plus the scenarios retired through the batch
-    /// engine (`lanes_occupied`).
+    /// Timing-agnostic replays actually run (cache misses), one per
+    /// scenario lane of the batch engine.
     replays,
     /// Replay results served from the cache.
     replay_cache_hits,
     /// Cycles stepped across all replays; `gates_evaluated` can be compared
     /// against `replay_cycles * num_gates`, the work a full replay would do.
     replay_cycles,
-    /// Faulty-cone gate evaluations performed by the divergence-cone replay
-    /// engine. The divergence cone of a replay is fully determined by its
-    /// boundary and flips, so this counter is thread-count invariant like
-    /// the rest. Golden-side work is not counted: each trace cycle's golden
-    /// settle is computed once per golden trace and shared by every replay
-    /// crossing it, amortizing to one golden run.
+    /// Gate-word evaluations of the batch replay engine: the gates its
+    /// divergence-cone path visited plus every gate of each full sweep.
+    /// One evaluation covers every lane of its batch, so the count depends
+    /// on the lane width and on how batches are composed, but it is a pure
+    /// function of the batches run and therefore thread-count invariant
+    /// for cycle-unit campaigns. Golden-side work is not counted: each
+    /// trace cycle's golden settle is computed once per golden trace and
+    /// shared by every replay crossing it, amortizing to one golden run.
     gates_evaluated,
-    /// Replays that ran past the end of the golden trace and finished on
-    /// the full cycle simulator (no golden baseline to diff against).
+    /// Replays still diverged when they reached the end of the golden
+    /// trace, which then ran on from their materialized state with no
+    /// golden baseline to diff against.
     full_replay_fallbacks,
     /// Bit-parallel batch replays executed (each covers up to `lanes`
-    /// scenarios). Zero when `lanes <= 1`. Depends on the configured lane
-    /// width — fewer, fuller batches at higher widths — but not on the
-    /// thread count for cycle-unit campaigns.
+    /// scenarios; a cache miss outside a prefill is a one-lane batch).
+    /// Depends on the configured lane width — fewer, fuller batches at
+    /// higher widths — but not on the thread count for cycle-unit
+    /// campaigns.
     batched_replays,
     /// Scenario lanes actually occupied across all batch replays: the
-    /// number of distinct uncached scenarios retired through the batch
-    /// engine. Invariant across lane widths > 1 (deduplication and cache
-    /// checks happen before lane chunking) and across thread counts for
-    /// cycle-unit campaigns.
+    /// number of distinct uncached scenarios replayed. Invariant across
+    /// lane widths > 1 (deduplication and cache checks happen before lane
+    /// chunking) and across thread counts for cycle-unit campaigns; at
+    /// `lanes = 1` it equals `replays`.
     lanes_occupied,
     /// Total lane slots *scheduled* across all batch replays (the sum of
     /// chunk sizes, not `batched_replays * lanes` — a partially-filled
@@ -341,6 +361,12 @@ injector_stats! {
     /// times the per-site injection multiplier. Zero when adaptive
     /// sampling is off (the uniform path visits every site).
     adaptive_replays_saved,
+    /// Replay lanes that needed a private environment while their batch
+    /// already held the most it may (a fixed cap), and finished in a
+    /// follow-up batch instead. Results never depend on parking. Depends on
+    /// the lane width like `batched_replays`; thread-count invariant for
+    /// cycle-unit campaigns.
+    parked_lanes,
 }
 
 impl InjectorStats {
@@ -382,6 +408,32 @@ fn mismatches(latched: &[bool], next_state: &[bool]) -> Vec<DffId> {
         .filter(|&(_, (a, b))| a != b)
         .map(|(i, _)| DffId::from_index(i))
         .collect()
+}
+
+/// A replay lane's own environment and the output words it observes in
+/// its next step. Lanes without one follow the golden trajectory.
+struct PrivateEnv<E> {
+    env: E,
+    outputs: Vec<u64>,
+}
+
+/// A replay lane that needed a private environment while its batch was at
+/// the cap: it resumes at `boundary` with these flips and pending output
+/// words once the batch is done.
+struct Parked {
+    /// The lane's index in its chunk.
+    id: usize,
+    boundary: u64,
+    flips: Vec<DffId>,
+    outputs: Vec<u64>,
+}
+
+/// The lanes holding a private environment.
+fn with_env<E>(own: &[Option<PrivateEnv<E>>]) -> LaneMask {
+    own.iter()
+        .enumerate()
+        .filter(|(_, p)| p.is_some())
+        .fold(LaneMask::ZERO, |m, (lane, _)| m | LaneMask::lane_mask(lane))
 }
 
 /// Iterates the set bit positions of a lane mask, lowest first.
@@ -429,8 +481,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             gold: GoldenWave::new(circuit, topo, timing),
             delta: DeltaEventSim::new(circuit, topo, timing),
             batch_delta: BatchDeltaSim::new(circuit, topo, timing),
-            replay: CycleSim::new(circuit, topo),
-            diff: DiffSim::new(circuit, topo),
             batch: BatchSim::new(circuit, topo),
             due_slack,
             early_exit: true,
@@ -470,9 +520,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         self.early_exit = enabled;
     }
 
-    /// Sets the lane width for bit-parallel batch replays. `1` disables
-    /// batching entirely (the exact scalar baseline, byte-identical reports);
-    /// `0` selects the maximum width. Values are clamped to
+    /// Sets the lane width for bit-parallel batch replays. `1` replays
+    /// every scenario in a one-lane batch; `0` selects the maximum width. Values are clamped to
     /// [`delayavf_sim::MAX_LANES`]. Batching never changes campaign results
     /// — a fidelity property the differential test suites check — it only
     /// lets up to `lanes` pending replays share each pass over the netlist.
@@ -913,15 +962,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                 return class;
             }
         }
-        self.stats.replays += 1;
-        let mut env = self.resolve_env(boundary);
-        self.diff.begin(boundary, &flips, &self.golden.trace);
-        let class = self.run_diff_loop(&mut env);
-        self.failure_cache
-            .entry(boundary)
-            .or_default()
-            .insert(flips, class);
-        class
+        self.batch_replay(boundary, std::slice::from_ref(&flips))[0]
     }
 
     /// The semi-formal masking check: tries to classify the flip group
@@ -1096,84 +1137,22 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         env
     }
 
-    /// The full cycle-by-cycle classification loop, starting from the
-    /// current state of `self.replay`: the fallback once a divergence-cone
-    /// replay outlives the trace.
-    fn run_full_loop(&mut self, env: &mut E) -> FailureClass {
-        let trace = &self.golden.trace;
-        let limit = trace.num_cycles() + self.due_slack;
-        loop {
-            let cyc = self.replay.cycle();
-            if env.halted() {
-                break self.classify_halted(env);
-            }
-            if self.early_exit
-                && trace.converged_at(
-                    cyc,
-                    &pack_bits(self.replay.state()),
-                    env.fingerprint(),
-                    self.replay.last_outputs(),
-                )
-            {
-                break FailureClass::Masked;
-            }
-            if cyc >= limit {
-                break self.classify_budget_exhausted(env);
-            }
-            self.replay.step(env);
-            self.stats.replay_cycles += 1;
-        }
-    }
-
-    /// The divergence-cone classification loop, starting from the current
-    /// state of `self.diff` (primed by `begin` or `begin_with_outputs`).
-    /// Each cycle only re-evaluates the fan-out cone of the state diverging
-    /// from the golden trace, with the decision sequence of
-    /// [`Injector::run_full_loop`]; once the replay outlives the trace the
-    /// materialized state is handed to the full simulator.
-    fn run_diff_loop(&mut self, env: &mut E) -> FailureClass {
-        let trace = &self.golden.trace;
-        let n = trace.num_cycles();
-        let limit = n + self.due_slack;
-        let class = loop {
-            let cyc = self.diff.cycle();
-            if env.halted() {
-                break self.classify_halted(env);
-            }
-            if self.early_exit && self.diff.converged(trace, env.fingerprint()) {
-                break FailureClass::Masked;
-            }
-            if cyc >= limit {
-                break self.classify_budget_exhausted(env);
-            }
-            if cyc >= n {
-                self.stats.full_replay_fallbacks += 1;
-                self.stats.gates_evaluated += self.diff.gates_evaluated();
-                let state = self.diff.state_bits(trace);
-                let outputs = self.diff.outputs().to_vec();
-                self.replay.restore(cyc, &state, &outputs);
-                return self.run_full_loop(env);
-            }
-            self.diff.step(env, trace);
-            self.stats.replay_cycles += 1;
-        };
-        self.stats.gates_evaluated += self.diff.gates_evaluated();
-        class
-    }
-
-    /// Batch-replays every not-yet-cached flip set in `sets` at `boundary`
-    /// through the bit-parallel engine, filling the failure cache so later
-    /// scalar queries ([`Injector::group_failure`], [`Injector::bit_ace`],
-    /// ...) are hits. A no-op at `lanes <= 1` — campaigns call this
-    /// unconditionally and the scalar baseline stays byte-identical.
+    /// Batch-replays every not-yet-cached flip set in `sets` at `boundary`,
+    /// up to `lanes` per batch, filling the failure cache so later queries
+    /// ([`Injector::group_failure`], [`Injector::bit_ace`], ...) are hits.
+    /// Campaigns call this ahead of their per-site classification sweep;
+    /// skipping it never changes results, since a cache miss replays its
+    /// flip set as a one-lane batch. A no-op at `lanes <= 1`, where every
+    /// query replays on demand: ORACE stops at the first ACE bit, so the
+    /// query-by-query run replays exactly the sets a one-at-a-time
+    /// analysis needs.
     ///
-    /// Results are bit-for-bit identical to scalar replays: each lane's
-    /// decision sequence (halt, convergence early-exit, budget, end-of-trace
-    /// fallback) mirrors [`Injector::run_diff_loop`] exactly, and lanes
-    /// whose output ports diverge from the recorded words retire to the
-    /// scalar engine at the boundary where the divergence appeared (their
-    /// environments can no longer be assumed to follow the golden
-    /// trajectory).
+    /// Results are bit-for-bit identical to scalar replays: each lane keeps
+    /// the decision sequence of a cycle-by-cycle replay (halt, convergence
+    /// early-exit, budget, step) and stays in the batch until it is
+    /// classified — on the recorded golden inputs while its outputs match
+    /// the golden words, on its own environment after they diverge or once
+    /// it outlives the trace.
     pub fn prefill_failures<I>(&mut self, boundary: u64, sets: I)
     where
         I: IntoIterator<Item = Vec<DffId>>,
@@ -1202,9 +1181,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             }
         }
         // Semi-formal discharges run before lane chunking, so discharged
-        // sets never occupy lanes — exactly the sets the scalar path
-        // (`lanes <= 1`) discharges one query at a time, which keeps every
-        // counter lane-width invariant.
+        // sets never occupy lanes — exactly the sets a query-by-query run
+        // discharges, which keeps every counter lane-width invariant.
         if self.collapse {
             let mut kept = Vec::with_capacity(pending.len());
             for set in pending {
@@ -1220,93 +1198,202 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             }
             pending = kept;
         }
-        for chunk_start in (0..pending.len()).step_by(self.lanes) {
-            let chunk_end = (chunk_start + self.lanes).min(pending.len());
-            self.batch_replay(boundary, &pending[chunk_start..chunk_end]);
+        for chunk in pending.chunks(self.lanes) {
+            self.batch_replay(boundary, chunk);
         }
     }
 
-    /// Replays one batch of up to `lanes` normalized, uncached flip sets and
-    /// caches their classifications.
-    fn batch_replay(&mut self, boundary: u64, chunk: &[Vec<DffId>]) {
-        let trace = &self.golden.trace;
-        let n = trace.num_cycles();
+    /// Replays one batch of up to `lanes` normalized, uncached flip sets at
+    /// `boundary`, caches their classifications and returns them in chunk
+    /// order.
+    ///
+    /// Lanes that need a private environment while the batch already holds
+    /// [`PRIVATE_ENV_CAP`] of them are parked and finished afterwards in
+    /// follow-up batches, one per park boundary. A resumed lane rebuilds
+    /// its environment by advancing the golden one along the recorded
+    /// outputs to its park boundary, which is exact because the lane
+    /// followed the golden trajectory until then; its own step count and
+    /// decisions are unchanged, so only `parked_lanes` records the detour.
+    fn batch_replay(&mut self, boundary: u64, chunk: &[Vec<DffId>]) -> Vec<FailureClass> {
         self.stats.batched_replays += 1;
         self.stats.lanes_occupied += chunk.len() as u64;
         self.stats.lane_slots += chunk.len() as u64;
         self.stats.replays += chunk.len() as u64;
-        self.batch.begin(boundary, chunk, trace);
-        let mut live = LaneMask::prefix(chunk.len());
         let mut classes = vec![FailureClass::Masked; chunk.len()];
-        // One shared environment serves every lane: while a lane's outputs
-        // match the golden words its environment trajectory is identical to
-        // the recorded one (environments are deterministic in what they
-        // observe), so the clone is advanced lazily along the trace and
-        // cloned again per retiring lane.
-        let mut env = self.resolve_env(boundary);
-        let mut env_at = boundary;
-        while live.any() {
-            let cyc = self.batch.cycle();
-            // Same decision order as the scalar loops. A golden-trajectory
-            // environment is halted at a boundary iff the recorded run
-            // halted and the boundary is the end of the trace.
-            if cyc >= n && trace.halted() {
-                self.advance_env(&mut env, &mut env_at, n);
-                let class = self.classify_halted(&env);
-                for lane in iter_lanes(live) {
-                    classes[lane] = class;
-                }
-                break;
-            }
-            if self.early_exit {
-                // Live lanes have golden outputs and fingerprints, so state
-                // reconvergence alone is the full convergence predicate.
-                live = live & self.batch.divergence_mask();
-                if !live.any() {
-                    break;
-                }
-            }
-            if cyc >= n {
-                self.advance_env(&mut env, &mut env_at, n);
-                for lane in iter_lanes(live) {
-                    let flips = self.batch.lane_divergence(lane, trace);
-                    let outputs = self.batch.lane_outputs(lane, trace);
-                    classes[lane] = self.finish_lane(n, &flips, &outputs, env.clone());
-                }
-                break;
-            }
-            // Straggler handoff: a batch step evaluates every gate of the
-            // netlist regardless of occupancy, so once only a few lanes
-            // remain live (e.g. one DUE-bound scenario that never converges)
-            // the scalar engine's small divergence cones are cheaper. The
-            // handoff is exact: these lanes never out-diverged, so their
-            // pending outputs are the golden words and the shared
-            // golden-trajectory environment clone is theirs too.
-            if self.early_exit && (live.count_ones() as usize) * 4 <= chunk.len() {
-                self.advance_env(&mut env, &mut env_at, cyc);
-                for lane in iter_lanes(live) {
-                    let flips = self.batch.lane_divergence(lane, trace);
-                    let outputs = self.batch.lane_outputs(lane, trace);
-                    classes[lane] = self.finish_lane(cyc, &flips, &outputs, env.clone());
-                }
-                break;
-            }
-            let out_div = self.batch.step(trace) & live;
-            self.stats.replay_cycles += u64::from(live.count_ones());
-            if out_div.any() {
-                self.advance_env(&mut env, &mut env_at, cyc + 1);
-                for lane in iter_lanes(out_div) {
-                    let flips = self.batch.lane_divergence(lane, trace);
-                    let outputs = self.batch.lane_outputs(lane, trace);
-                    classes[lane] = self.finish_lane(cyc + 1, &flips, &outputs, env.clone());
-                }
-                live = live & !out_div;
+        let lanes = chunk
+            .iter()
+            .enumerate()
+            .map(|(id, flips)| (id, flips.clone(), None))
+            .collect();
+        let shared = self.resolve_env(boundary);
+        let mut parked = self.run_batch(boundary, shared, lanes, &mut classes);
+        self.stats.parked_lanes += parked.len() as u64;
+        parked.sort_by_key(|p| (p.boundary, p.id));
+        for group in parked.chunk_by(|a, b| a.boundary == b.boundary) {
+            let at = group[0].boundary;
+            let mut env = self.resolve_env(boundary);
+            self.advance_env(&mut env, &mut boundary.clone(), at);
+            for part in group.chunks(private_env_cap()) {
+                let lanes = part
+                    .iter()
+                    .map(|p| {
+                        let own = PrivateEnv {
+                            env: env.clone(),
+                            outputs: p.outputs.clone(),
+                        };
+                        (p.id, p.flips.clone(), Some(own))
+                    })
+                    .collect();
+                let again = self.run_batch(at, env.clone(), lanes, &mut classes);
+                debug_assert!(again.is_empty(), "resumed lanes bring their environments");
             }
         }
         let map = self.failure_cache.entry(boundary).or_default();
-        for (set, class) in chunk.iter().zip(classes) {
+        for (set, &class) in chunk.iter().zip(&classes) {
             map.insert(set.clone(), class);
         }
+        classes
+    }
+
+    /// Runs one batch from `boundary` until every lane is classified into
+    /// `classes` (indexed by lane id) or parked; returns the parked lanes.
+    /// `shared` is the golden-trajectory environment at `boundary`, which
+    /// serves every lane without a private one.
+    ///
+    /// Each cycle, every live lane takes the decisions of a cycle-by-cycle
+    /// replay in order: halted; converged (state equal to the golden state,
+    /// environment fingerprint and pending outputs golden, up to and
+    /// including the trace's last boundary); cycle budget spent; step.
+    fn run_batch(
+        &mut self,
+        boundary: u64,
+        mut shared: E,
+        start: Vec<(usize, Vec<DffId>, Option<PrivateEnv<E>>)>,
+        classes: &mut [FailureClass],
+    ) -> Vec<Parked> {
+        let trace = &self.golden.trace;
+        let n = trace.num_cycles();
+        let limit = n + self.due_slack;
+        let cap = private_env_cap();
+        let flips: Vec<Vec<DffId>> = start.iter().map(|(_, f, _)| f.clone()).collect();
+        self.batch.begin(boundary, &flips, trace);
+        let (mut ids, mut own): (Vec<usize>, Vec<Option<PrivateEnv<E>>>) =
+            start.into_iter().map(|(id, _, p)| (id, p)).unzip();
+        let mut live = LaneMask::prefix(ids.len());
+        let mut shared_at = boundary;
+        let mut parked = Vec::new();
+        let mut out_div = LaneMask::ZERO;
+        let mut inputs = vec![0u64; self.circuit.input_ports().len()];
+        loop {
+            let cyc = self.batch.cycle();
+            let settled = if self.early_exit && cyc <= n {
+                !self.batch.divergence_mask()
+            } else {
+                LaneMask::ZERO
+            };
+            // A lane needs its own environment from here on if its outputs
+            // left the golden words in the last step (it observes them
+            // now), or if it steps on past the end of the trace.
+            let mut needs = out_div & !with_env(&own);
+            if cyc == n && !trace.halted() && cyc < limit {
+                needs = needs | (live & !settled & !with_env(&own));
+            }
+            let mut done = LaneMask::ZERO;
+            let mut held = own.iter().flatten().count();
+            for lane in iter_lanes(needs) {
+                let outputs = self.batch.lane_outputs(lane, trace);
+                if held == cap {
+                    let flips = self.batch.lane_divergence(lane, trace);
+                    parked.push(Parked {
+                        id: ids[lane],
+                        boundary: cyc,
+                        flips,
+                        outputs,
+                    });
+                    done = done | LaneMask::lane_mask(lane);
+                } else {
+                    self.advance_env(&mut shared, &mut shared_at, cyc);
+                    let env = shared.clone();
+                    own[lane] = Some(PrivateEnv { env, outputs });
+                    held += 1;
+                }
+            }
+            let private = with_env(&own);
+            for lane in iter_lanes(live & private) {
+                let p = own[lane].as_ref().expect("private lane");
+                classes[ids[lane]] = if p.env.halted() {
+                    self.classify_halted(&p.env)
+                } else if settled.get(lane)
+                    && p.env.fingerprint() == trace.fingerprint_at(cyc)
+                    && p.outputs == trace.outputs_at(cyc - 1)
+                {
+                    FailureClass::Masked
+                } else if cyc >= limit {
+                    self.classify_budget_exhausted(&p.env)
+                } else {
+                    continue;
+                };
+                done = done | LaneMask::lane_mask(lane);
+            }
+            // Lanes on the shared golden-trajectory environment: it is
+            // halted only at the end of a halted recording, and their
+            // fingerprint and pending outputs are golden by construction.
+            let golden = live & !private & !done;
+            let halted = cyc == n && trace.halted();
+            for lane in iter_lanes(if halted || cyc >= limit {
+                golden
+            } else {
+                golden & settled
+            }) {
+                classes[ids[lane]] = if !halted && settled.get(lane) {
+                    FailureClass::Masked
+                } else {
+                    self.advance_env(&mut shared, &mut shared_at, n);
+                    if halted {
+                        self.classify_halted(&shared)
+                    } else {
+                        self.classify_budget_exhausted(&shared)
+                    }
+                };
+                done = done | LaneMask::lane_mask(lane);
+            }
+            live = live & !done;
+            if !live.any() {
+                break;
+            }
+            if cyc == n {
+                self.stats.full_replay_fallbacks += u64::from(live.count_ones());
+            }
+            if done.any() {
+                for lane in iter_lanes(done) {
+                    own[lane] = None;
+                }
+                match self.batch.narrow(live) {
+                    Some(keep) => {
+                        ids = keep.iter().map(|&l| ids[l]).collect();
+                        own = keep.iter().map(|&l| own[l].take()).collect();
+                        live = LaneMask::prefix(keep.len());
+                    }
+                    None => self.batch.clear_lanes(done),
+                }
+            }
+            for (lane, p) in own.iter_mut().enumerate() {
+                if let Some(p) = p {
+                    inputs.fill(0);
+                    p.env.step(cyc, &p.outputs, &mut inputs);
+                    self.batch.set_lane_inputs(lane, &inputs, trace);
+                }
+            }
+            out_div = self.batch.step(trace) & live;
+            self.stats.replay_cycles += u64::from(live.count_ones());
+            for (lane, p) in own.iter_mut().enumerate() {
+                if let Some(p) = p {
+                    p.outputs = self.batch.lane_outputs(lane, trace);
+                }
+            }
+        }
+        self.stats.gates_evaluated += self.batch.gates_evaluated();
+        parked
     }
 
     /// Advances the shared golden-trajectory environment from boundary
@@ -1327,21 +1414,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             );
             *env_at += 1;
         }
-    }
-
-    /// Finishes one lane retired from a batch: a scalar divergence-cone
-    /// replay from `boundary` with the lane's materialized divergence and
-    /// pending output words, against its own environment clone.
-    fn finish_lane(
-        &mut self,
-        boundary: u64,
-        flips: &[DffId],
-        outputs: &[u64],
-        mut env: E,
-    ) -> FailureClass {
-        self.diff
-            .begin_with_outputs(boundary, flips, outputs, &self.golden.trace);
-        self.run_diff_loop(&mut env)
     }
 
     /// True when at least one flip-flop or primary input in the fan-in cone
@@ -1445,6 +1517,29 @@ mod tests {
     use delayavf_sim::ConstEnvironment;
     use delayavf_timing::TechLibrary;
 
+    /// Test-only override of the private-environment cap for every replay
+    /// batch run on the calling thread, so tests can force lanes to park.
+    pub(super) mod env_cap {
+        use std::cell::Cell;
+
+        thread_local! {
+            static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+        }
+
+        /// Runs `f` with the cap set to `cap` (at least 1) on this thread.
+        pub(crate) fn with<R>(cap: usize, f: impl FnOnce() -> R) -> R {
+            assert!(cap >= 1, "a batch needs room for one environment");
+            OVERRIDE.with(|o| o.set(Some(cap)));
+            let r = f();
+            OVERRIDE.with(|o| o.set(None));
+            r
+        }
+
+        pub(in crate::injector) fn get() -> Option<usize> {
+            OVERRIDE.with(Cell::get)
+        }
+    }
+
     /// A 4-bit accumulator with a parity check: the parity register is a
     /// "detector" — flipping accumulator bits changes outputs (visible),
     /// but the circuit has no feedback correction.
@@ -1536,6 +1631,73 @@ mod tests {
         let _ = inj.bit_ace(cycle, c.dffs().next().unwrap().0);
         assert_eq!(inj.stats.replays, replays);
         assert!(inj.stats.replay_cache_hits > 0);
+    }
+
+    /// Parking is invisible in results: on the real core, an md5 ALU sweep
+    /// and an sAVF campaign report and count at private-environment caps 1
+    /// and 2 exactly what they do at the default cap, apart from
+    /// `parked_lanes` itself and `gates_evaluated` (which counts per batch,
+    /// and resumed lanes run in batches of their own) — and lanes do park.
+    #[test]
+    fn parked_lanes_change_nothing_but_their_counters() {
+        use crate::campaign::{
+            delay_avf_campaign_with_stats, savf_campaign_with_stats, CampaignConfig, ReplayOptions,
+        };
+        use crate::golden::prepare_golden_seeded;
+        use crate::sampling::sample_edges;
+        use delayavf_rvcore::{build_core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
+        use delayavf_workloads::{Kernel, Scale};
+
+        let core = build_core(CoreConfig::default());
+        let c = &core.circuit;
+        let topo = Topology::new(c);
+        let timing = TimingModel::analyze(c, &topo, &TechLibrary::nangate45_like());
+        let workload = Kernel::Md5.build(Scale::Tiny);
+        let program = workload.assemble().expect("md5 assembles");
+        let env = MemEnv::new(c, DEFAULT_RAM_BYTES, &program);
+        let golden = prepare_golden_seeded(c, &topo, &env, workload.max_cycles, 12, 7);
+        let edges = sample_edges(&topo.structure_edges(c, "alu").unwrap(), 240, 7);
+        let dffs: Vec<DffId> = c.structure("lsu").unwrap().dffs().to_vec();
+        let config = CampaignConfig {
+            delay_fractions: (1..=9).map(|i| f64::from(i) / 10.0).collect(),
+            compute_orace: true,
+            due_slack: 2_000,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let run = || {
+            let sweep = delay_avf_campaign_with_stats(c, &topo, &timing, &golden, &edges, &config);
+            let opts = ReplayOptions::new(config.due_slack, 1);
+            let savf = savf_campaign_with_stats(c, &topo, &timing, &golden, &dffs, opts);
+            (sweep, savf)
+        };
+        let without_batch_counters = |mut s: InjectorStats| {
+            s.parked_lanes = 0;
+            s.gates_evaluated = 0;
+            s
+        };
+        let ((base_rows, base_sweep), (base_savf, base_savf_stats)) = run();
+        assert!(base_savf_stats.replays > 0, "the strikes replay");
+        for cap in [1, 2] {
+            let ((rows, sweep), (savf, savf_stats)) = env_cap::with(cap, run);
+            assert_eq!(rows, base_rows, "sweep rows at cap {cap}");
+            assert_eq!(savf, base_savf, "sAVF at cap {cap}");
+            assert_eq!(
+                without_batch_counters(sweep),
+                without_batch_counters(base_sweep),
+                "sweep counters at cap {cap}"
+            );
+            assert_eq!(
+                without_batch_counters(savf_stats),
+                without_batch_counters(base_savf_stats),
+                "sAVF counters at cap {cap}"
+            );
+            assert!(sweep.parked_lanes > 0, "sweep lanes park at cap {cap}");
+            assert!(
+                savf_stats.parked_lanes > 0,
+                "strike lanes park at cap {cap}"
+            );
+        }
     }
 
     #[test]

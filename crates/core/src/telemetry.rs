@@ -36,7 +36,7 @@ use crate::injector::InjectorStats;
 
 /// Version stamped into every emitted line as `"v"`; bumped whenever an
 /// event gains, loses or renames a field.
-pub const TELEMETRY_SCHEMA_VERSION: u64 = 6;
+pub const TELEMETRY_SCHEMA_VERSION: u64 = 7;
 
 /// Per-worker wall-clock totals of the three phases of a DelayAVF work
 /// unit, in microseconds. Only accumulated when the sink is enabled.
@@ -569,11 +569,11 @@ mod tests {
         assert!(validate_line(r#"{"v":99,"t_ms":0,"event":"campaign_end"}"#)
             .unwrap_err()
             .contains("schema version"));
-        assert!(validate_line(r#"{"v":6,"t_ms":0,"event":"wat"}"#)
+        assert!(validate_line(r#"{"v":7,"t_ms":0,"event":"wat"}"#)
             .unwrap_err()
             .contains("unknown event"));
         assert!(
-            validate_line(r#"{"v":6,"t_ms":0,"event":"checkpoint_flush"}"#)
+            validate_line(r#"{"v":7,"t_ms":0,"event":"checkpoint_flush"}"#)
                 .unwrap_err()
                 .contains("completed_units")
         );

@@ -8,24 +8,24 @@
 //!   combinational logic once per cycle in topological order, supports
 //!   state-element error injection at cycle boundaries, per-cycle state
 //!   hashing for early convergence detection, and checkpoint/restore.
-//!   This engine determines whether a set of state-element errors is
-//!   *GroupACE* and also serves as the particle-strike (sAVF) injection
-//!   engine.
+//!   It records the [`GoldenTrace`] and is the plain reference the replay
+//!   engine below is checked against.
 //! * [`EventSim`] — a **timing-aware**, event-driven simulator for a single
 //!   clock cycle with per-edge transport delays from a
 //!   [`delayavf_timing::TimingModel`]. A small delay fault is injected as an
 //!   extra delay on one fanout edge; the values latched at the clock edge
 //!   (honoring setup time) determine the *dynamically reachable set*.
-//! * [`DiffSim`] — an **incremental** variant of the timing-agnostic replay
-//!   (concurrent fault simulation): it tracks only the divergence from a
-//!   recorded [`GoldenTrace`] and re-evaluates just the dirty fan-out cone
-//!   each cycle, which is what makes large GroupACE campaigns affordable.
-//! * [`BatchSim`] — a **bit-parallel** replay engine (parallel-pattern
-//!   single-fault propagation): up to [`MAX_LANES`] independent fault
-//!   scenarios packed into the bit lanes of `u64` net words, replayed
-//!   simultaneously against the shared golden trace with straight-line
-//!   bitwise gate evaluation. Lanes whose outputs diverge from the recorded
-//!   words retire to a scalar engine; the rest ride along for nearly free.
+//! * [`BatchSim`] — the **bit-parallel** replay engine (parallel-pattern
+//!   single-fault propagation) that classifies every GroupACE and strike
+//!   replay: up to [`MAX_LANES`] independent fault scenarios packed into
+//!   the bit lanes of lane-carrier words and stepped together, cycle by
+//!   cycle, against the shared golden trace. While a lane's state diverges
+//!   from the trace only a little, a divergence-cone worklist re-evaluates
+//!   just the dirty fan-out cone (concurrent fault simulation); otherwise a
+//!   straight-line sweep evaluates every gate. Lanes whose outputs diverge
+//!   receive input words from their own environments, and lanes that
+//!   outlive the trace keep stepping densely from their materialized state,
+//!   so one batch carries each scenario until it is classified.
 //! * [`DeltaEventSim`] — an **incremental** variant of the timing-aware
 //!   engine: each trace cycle's fault-free timed waveform is simulated once
 //!   into a [`GoldenWave`] of per-net transition lists, and every faulty
@@ -56,7 +56,6 @@ mod batch;
 mod batch_delta;
 mod cycle;
 mod delta;
-mod diff;
 mod env;
 mod event;
 mod pack;
@@ -68,7 +67,6 @@ pub use batch::{BatchSim, LaneMask, MAX_LANES};
 pub use batch_delta::{BatchDeltaOutcome, BatchDeltaSim, MAX_TIMING_LANES};
 pub use cycle::{settle, CycleSim, RunSummary, StopReason};
 pub use delta::{DeltaEventSim, DeltaOutcome, GoldenWave};
-pub use diff::DiffSim;
 pub use env::{ConstEnvironment, Environment};
 pub use event::{EventSim, FaultSpec};
 pub use pack::{eval_lanes, LaneWord, Wide, W256, W512};

@@ -13,9 +13,9 @@
 //!   strikes with conflicting extras) carry golden values, retire only
 //!   when a genuine conflict precedes them, and replay exactly on the
 //!   scalar engine — the caller's fallback contract.
-//! * **Replay trio** — [`CycleSim`] vs [`DiffSim`] vs [`BatchSim`]: lockstep
-//!   state/output equivalence, cycle by cycle, for random flip scenarios
-//!   replayed from a random boundary of a recorded random trace.
+//! * **Replay pair** — [`CycleSim`] vs [`BatchSim`]: lockstep state/output
+//!   equivalence, cycle by cycle, for random flip scenarios replayed from a
+//!   random boundary of a recorded random trace.
 //!
 //! The generator seeds every circuit family with constant nets and forces
 //! reconvergent fan-out gates (see `testutil::GateSpec`), the two classic
@@ -26,8 +26,8 @@
 use delayavf_netlist::{DffId, EdgeId, Topology};
 use delayavf_sim::testutil::{pick_flips, random_circuit, GateSpec, SeqEnvironment};
 use delayavf_sim::{
-    settle, BatchDeltaSim, BatchSim, CycleSim, DeltaEventSim, DiffSim, EventSim, FaultSpec,
-    GoldenTrace, GoldenWave,
+    settle, BatchDeltaSim, BatchSim, CycleSim, DeltaEventSim, EventSim, FaultSpec, GoldenTrace,
+    GoldenWave,
 };
 use delayavf_timing::{TechLibrary, TimingModel};
 use proptest::prelude::*;
@@ -203,12 +203,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Replay trio: for every flip scenario, the bit-parallel batch lane,
-    /// the divergence-cone incremental replay and the full scalar replay
-    /// hold identical state and identical outputs at every cycle of a
-    /// random recorded trace.
+    /// Replay pair: for every flip scenario, the bit-parallel batch lane
+    /// and the full scalar replay hold identical state and identical
+    /// outputs at every cycle of a random recorded trace.
     #[test]
-    fn cycle_diff_and_batch_replays_lockstep_on_random_traces(
+    fn cycle_and_batch_replays_lockstep_on_random_traces(
         gates in prop::collection::vec(any::<GateSpec>(), 6..30),
         rows in prop::collection::vec(any::<u64>(), 2..6),
         boundary_sel: u16,
@@ -223,7 +222,7 @@ proptest! {
 
         let mut batch = BatchSim::new(&c, &topo);
         batch.begin(boundary, &scenarios, &trace);
-        let mut lanes: Vec<(CycleSim, DiffSim, SeqEnvironment, SeqEnvironment)> = scenarios
+        let mut lanes: Vec<(CycleSim, SeqEnvironment)> = scenarios
             .iter()
             .map(|flips| {
                 let mut full = CycleSim::new(&c, &topo);
@@ -235,19 +234,11 @@ proptest! {
                 for &f in flips {
                     full.flip_dff(f);
                 }
-                let mut diff = DiffSim::new(&c, &topo);
-                diff.begin(boundary, flips, &trace);
-                (full, diff, env.clone(), env.clone())
+                (full, env.clone())
             })
             .collect();
 
-        for (lane, (full, diff, _, _)) in lanes.iter().enumerate() {
-            prop_assert_eq!(
-                diff.state_bits(&trace),
-                full.state(),
-                "diff vs full at the boundary, lane {}",
-                lane
-            );
+        for (lane, (full, _)) in lanes.iter().enumerate() {
             prop_assert_eq!(
                 batch.lane_state_bits(lane, &trace),
                 full.state().to_vec(),
@@ -259,29 +250,13 @@ proptest! {
         while batch.cycle() < trace.num_cycles() {
             batch.step(&trace);
             let cyc = batch.cycle();
-            for (lane, (full, diff, env_full, env_diff)) in lanes.iter_mut().enumerate() {
+            for (lane, (full, env_full)) in lanes.iter_mut().enumerate() {
                 full.step(env_full);
-                diff.step(env_diff, &trace);
                 prop_assert_eq!(full.cycle(), cyc);
-                prop_assert_eq!(diff.cycle(), cyc);
-                prop_assert_eq!(
-                    diff.state_bits(&trace),
-                    full.state(),
-                    "diff vs full state at cycle {}, lane {}",
-                    cyc,
-                    lane
-                );
                 prop_assert_eq!(
                     batch.lane_state_bits(lane, &trace),
                     full.state().to_vec(),
                     "batch vs full state at cycle {}, lane {}",
-                    cyc,
-                    lane
-                );
-                prop_assert_eq!(
-                    diff.outputs(),
-                    full.last_outputs(),
-                    "diff vs full outputs at cycle {}, lane {}",
                     cyc,
                     lane
                 );

@@ -132,7 +132,9 @@ fn prefilled_failure_classes_match_scalar_under_every_knob_combination() {
                 }
             }
             if lanes == 1 {
-                assert_eq!(injector.stats.batched_replays, 0);
+                let stats = &injector.stats;
+                assert_eq!(stats.lane_slots, stats.batched_replays, "one-lane batches");
+                assert_eq!(stats.lanes_occupied, stats.replays);
             } else {
                 assert!(
                     injector.stats.batched_replays > 0,

@@ -217,8 +217,11 @@ fn replay_lane_width_never_changes_batched_outcomes() {
         }
         let stats = &inj.stats;
         if lanes == 1 {
-            assert_eq!(stats.batched_replays, 0, "no batches at width 1");
-            assert_eq!(stats.lanes_occupied, 0, "no lanes at width 1");
+            assert_eq!(stats.lane_slots, stats.batched_replays, "one-lane batches");
+            assert_eq!(
+                stats.lanes_occupied, stats.replays,
+                "every replay in a lane"
+            );
         } else {
             assert!(
                 stats.batched_replays > 0,

@@ -88,9 +88,11 @@ fn strike_flips_match_the_reference_and_savf_is_thread_invariant() {
     assert!(one_stats.replays > 0, "the campaign did real work");
     let (scalar, scalar_stats) = run(ReplayOptions::new(opts.due_slack, 1).with_lanes(1));
     assert_eq!(scalar, one, "sAVF result, lanes 1 vs default");
-    assert_eq!(scalar_stats.batched_replays, 0);
-    // The divergence-cone engine does far fewer gate evaluations than a
-    // full replay's every-gate-every-cycle schedule.
+    // At one lane every replay is its own one-lane batch.
+    assert_eq!(scalar_stats.lane_slots, scalar_stats.batched_replays);
+    assert_eq!(scalar_stats.lanes_occupied, scalar_stats.replays);
+    // The batch engine's divergence-cone path does far fewer gate
+    // evaluations than a full replay's every-gate-every-cycle schedule.
     let full_work = one_stats.replay_cycles * circuit.num_gates() as u64;
     assert!(
         one_stats.gates_evaluated < full_work / 2,

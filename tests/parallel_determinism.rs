@@ -309,11 +309,18 @@ fn batch_counters_are_thread_invariant_at_every_lane_width() {
         }
     }
 
-    // lanes = 1 never batches; wide configurations do.
+    // lanes = 1 replays every scenario in its own one-lane batch; wide
+    // configurations pack them.
     for stats_by_lanes in [&sweep_stats_by_lanes, &savf_stats_by_lanes] {
         let scalar = &stats_by_lanes[&1];
-        assert_eq!(scalar.batched_replays, 0, "no batches at lanes = 1");
-        assert_eq!(scalar.lanes_occupied, 0, "no lanes at lanes = 1");
+        assert_eq!(
+            scalar.lane_slots, scalar.batched_replays,
+            "one lane per batch at lanes = 1"
+        );
+        assert_eq!(
+            scalar.lanes_occupied, scalar.replays,
+            "every replay occupies a lane at lanes = 1"
+        );
         let wide = &stats_by_lanes[&64];
         assert!(wide.batched_replays > 0, "wide config batches: {wide:?}");
         assert!(wide.lanes_occupied > 0, "wide config occupies lanes");
