@@ -43,10 +43,13 @@
 //! the plan's per-site tallies), all counters are integers merged by
 //! addition, and every cache-shareable replay of a unit is keyed by the
 //! unit's own latch boundary, so no cache entry carried in a worker's
-//! injector from one unit to the next can serve another unit: even the
-//! cache-hit counters do not depend on which worker ran which unit, or
-//! when. Checkpoints are keyed by unit, so their content does not depend
-//! on the schedule either.
+//! injector from one unit to the next can serve another unit. The one
+//! thing a unit inherits is the driver's boundary class store: the failure
+//! classes earlier adaptive rounds settled at its boundary, seeded into
+//! its worker's injector before it runs. The store changes only between
+//! rounds, so even the cache-hit counters do not depend on which worker
+//! ran which unit, or when. Checkpoints are keyed by unit, so their
+//! content does not depend on the schedule either.
 //!
 //! # Latch-boundary conventions
 //!
@@ -73,7 +76,7 @@
 //! byte-identically. A unit's batches never leave its worker, so the batch
 //! counters in [`InjectorStats`] merge schedule-invariantly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -773,10 +776,17 @@ impl<'a, S: TelemetrySink> WorkerObserver<'a, S> {
         Ok(())
     }
 
-    /// Emits the worker's phase-timer totals (once, when it runs out of
-    /// units).
+    /// Emits the counters merged since the worker's last stats delta, so a
+    /// stream's deltas add up to the campaign's counters, and the worker's
+    /// phase-timer totals (once, when it runs out of units).
     fn finish(self) {
         if S::ENABLED {
+            if self.pending_stats != InjectorStats::default() {
+                self.telemetry.emit(&TelemetryEvent::StatsDelta {
+                    shard: self.worker,
+                    stats: self.pending_stats,
+                });
+            }
             self.telemetry.emit(&TelemetryEvent::PhaseTimers {
                 shard: self.worker,
                 phases: self.phases,
@@ -987,6 +997,11 @@ fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
     let threads = resolve_threads(opts.threads, cycles.len());
     observe_campaign(ctx, &setup, &kind, cycles.len(), threads, |progress| {
         let store = setup.store.as_ref();
+        // Later rounds revisit a boundary only in an adaptive campaign with
+        // several sites per cycle (the sweep): the exhaustive plan runs one
+        // round, and the other kinds' sites are whole cycles. Only then
+        // are settled classes kept for later rounds.
+        let mut settled = (adaptive && per_cycle > 1).then(BoundaryClasses::default);
         let mut acc = c.empty();
         let mut stats = InjectorStats::default();
         let mut hits = vec![0; c.estimands()];
@@ -1027,13 +1042,17 @@ fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
                 |w: &mut Worker<'_, '_, E, S>, (pos, items)| {
                     let cycle = cycles[*pos];
                     let key = round_key(round, cycle);
-                    run_unit(c, w, key, cycle, items, &setup.resumed, store)
+                    run_unit(c, w, key, cycle, items, &setup, settled.as_ref())
                 },
                 |w| w.obs.finish(),
             )?;
-            // Results come back in unit order, so the merge and the plan's
-            // tallies are schedule-invariant.
-            for ((pos, items), unit) in units.iter().zip(results) {
+            // Results come back in unit order, so the merge, the plan's
+            // tallies and the settled classes are schedule-invariant.
+            for ((pos, items), mut unit) in units.iter().zip(results) {
+                if let (Some(settled), Some(fresh)) = (&mut settled, unit.failures.take()) {
+                    let boundary = cycles[*pos] + C::BOUNDARY;
+                    settled.entry(boundary).or_default().extend(fresh);
+                }
                 for (j, &item) in items.iter().enumerate() {
                     hits.fill(0);
                     trials.fill(0);
@@ -1059,43 +1078,56 @@ fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
 }
 
 /// Runs one unit — or restores it from the resumed checkpoint — and marks
-/// it done: a fresh unit gets its counter delta and, when checkpointing,
-/// its boundary's failure-cache entries; a restored one preloads them.
+/// it done. A fresh unit starts from the classes `known` holds at its
+/// boundary and gets its counter delta. When its kind has a failure
+/// section and it checkpoints or `known` is kept, its `failures` are the
+/// classes it settled that `known` did not hold; a restored unit reads
+/// them back from its payload, so a resumed run rebuilds the same `known`.
 fn run_unit<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
     c: &C,
     w: &mut Worker<'_, '_, E, S>,
     key: u64,
     cycle: u64,
     selected: &[usize],
-    resumed: &BTreeMap<u64, String>,
-    store: Option<&Mutex<CheckpointStore>>,
+    setup: &ObservedSetup,
+    known: Option<&BoundaryClasses>,
 ) -> Result<UnitPayload, String> {
     let boundary = cycle + C::BOUNDARY;
     let layout = c.layout(selected.len());
-    if let Some(payload) = resumed.get(&key) {
-        let mut unit = decode_unit(payload, &layout, cycle)?;
-        if let Some(failures) = unit.failures.take() {
-            w.injector.preload_failures(boundary, failures);
-        }
+    if let Some(payload) = setup.resumed.get(&key) {
+        let unit = decode_unit(payload, &layout, cycle)?;
         w.obs.unit_done(key, None, unit.stats.as_ref())?;
         return Ok(unit);
+    }
+    let carried = known.and_then(|k| k.get(&boundary));
+    if let Some(entries) = carried {
+        w.injector.preload_failures(boundary, entries);
     }
     let before = w.injector.stats;
     let mut unit = c.run(w, cycle, selected);
     if layout.stats {
         unit.stats = Some(w.injector.stats.delta_since(&before));
     }
-    let payload = store.is_some().then(|| {
-        if layout.failures {
-            unit.failures = Some(w.injector.snapshot_failures(boundary));
+    let checkpointing = setup.store.is_some();
+    if layout.failures && (known.is_some() || checkpointing) {
+        let mut fresh = w.injector.take_failures(boundary);
+        if let Some(entries) = carried {
+            fresh.retain(|(set, _)| !entries.contains_key(set));
         }
-        let payload = encode_unit(&unit);
-        unit.failures = None;
-        payload
-    });
+        unit.failures = Some(fresh);
+    }
+    let payload = checkpointing.then(|| encode_unit(&unit));
     w.obs.unit_done(key, payload, unit.stats.as_ref())?;
     Ok(unit)
 }
+
+/// The failure classes a campaign has settled at each latch boundary
+/// (boundary -> flip set -> class), by replay or by formal discharge: what
+/// later adaptive rounds start from. `drive` changes it only between
+/// rounds, adding each unit's new entries in unit order, so every unit
+/// sees exactly the earlier rounds' classes whatever the schedule and
+/// thread count.
+type BoundaryClasses = HashMap<u64, HashMap<Vec<DffId>, FailureClass>>;
 
 /// Packs a checkpoint key: adaptive rounds may revisit a cycle with a
 /// different site subset, so the key embeds the round number. A uniform
@@ -2271,10 +2303,23 @@ mod tests {
             )
         };
         // Collapsing on discharges every flip group of this fixture
-        // formally; off, the replay engines run.
-        for (ci_target, collapse) in [(None, true), (None, false), (Some(0.2), false)] {
+        // formally; off, the replay engines run. A target no stratum meets
+        // walks every site over several rounds that split each cycle's
+        // edges, so later rounds start from the classes earlier rounds
+        // settled at the same boundary: the sweep then replays exactly the
+        // uniform sweep's distinct flip sets, no more.
+        let uniform_replays = run(1, None, false).0 .1.replays;
+        for (ci_target, collapse) in [
+            (None, true),
+            (None, false),
+            (Some(0.2), false),
+            (Some(1e-9), false),
+        ] {
             let serial = run(1, ci_target, collapse);
             assert!(collapse || serial.1 .1.replays > 0, "the strikes replay");
+            if ci_target == Some(1e-9) {
+                assert_eq!(serial.0 .1.replays, uniform_replays, "carried classes");
+            }
             for s in [
                 Schedule::Reversed,
                 Schedule::Shuffled(3),

@@ -212,11 +212,12 @@ macro_rules! injector_stats {
             /// Adds another worker's counters into this one.
             ///
             /// The campaign engine hands out work in whole units, each at
-            /// one latch boundary, and every cache key is scoped to a
-            /// single latch boundary, so cache hit/miss counts do not
-            /// depend on which worker ran which unit: the merged totals
-            /// are identical to a serial run's for any thread count and
-            /// schedule.
+            /// one latch boundary, every cache key is scoped to a single
+            /// latch boundary, and the classes a unit inherits from
+            /// earlier adaptive rounds change only between rounds, so
+            /// cache hit/miss counts do not depend on which worker ran
+            /// which unit: the merged totals are identical to a serial
+            /// run's for any thread count and schedule.
             pub fn merge(&mut self, other: &InjectorStats) {
                 $(self.$name += other.$name;)*
             }
@@ -250,11 +251,15 @@ injector_stats! {
     /// against `replay_cycles * num_gates`, the work a full replay would do.
     replay_cycles,
     /// Gate-word evaluations of the batch replay engine: the gates its
-    /// divergence-cone path visited plus every gate of each full sweep.
-    /// One evaluation covers every lane of its batch, so the count depends
-    /// on the lane width and on how batches are composed, but it is a pure
-    /// function of the batches run and therefore thread-count invariant
-    /// for cycle-unit campaigns. Golden-side work is not counted: each
+    /// divergence-cone path visited plus every gate of each full sweep,
+    /// which counts the whole netlist although a straight-line gate-word
+    /// costs about an eighth of a cone visit (the engine picks the path
+    /// per step by that ratio). So this is a work count, not a cost, and
+    /// fewer evaluations need not mean less time. One evaluation covers
+    /// every lane of its batch, so the count depends on the lane width and
+    /// on how batches are composed, but it is a pure function of the
+    /// batches run and therefore thread-count invariant for cycle-unit
+    /// campaigns. Golden-side work is not counted: each
     /// trace cycle's golden settle is computed once per golden trace and
     /// shared by every replay crossing it, amortizing to one golden run.
     gates_evaluated,
@@ -1460,31 +1465,33 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         self.ensure_cycle_data(cycle);
     }
 
-    /// Every cached classification at `boundary`, sorted by flip set — the
-    /// deterministic order checkpoint payloads are serialized in.
-    pub fn snapshot_failures(&self, boundary: u64) -> Vec<(Vec<DffId>, FailureClass)> {
+    /// Removes every cached classification at `boundary` and returns them
+    /// sorted by flip set — the deterministic order checkpoint payloads are
+    /// serialized in.
+    pub fn take_failures(&mut self, boundary: u64) -> Vec<(Vec<DffId>, FailureClass)> {
         let mut entries: Vec<(Vec<DffId>, FailureClass)> = self
             .failure_cache
-            .get(&boundary)
-            .map(|m| m.iter().map(|(k, &v)| (k.clone(), v)).collect())
+            .remove(&boundary)
+            .map(|m| m.into_iter().collect())
             .unwrap_or_default();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         entries
     }
 
-    /// Seeds the failure cache at `boundary` with classifications restored
-    /// from a checkpoint, so resumed units cost no replays. Entries must be
-    /// normalized (sorted, deduplicated) flip sets — which
-    /// [`Injector::snapshot_failures`] guarantees.
-    pub fn preload_failures(
+    /// Seeds the failure cache at `boundary` with classifications settled
+    /// elsewhere (an earlier sampling round, a checkpoint), so queries for
+    /// them are cache hits. Entries must be normalized (sorted,
+    /// deduplicated) flip sets — which [`Injector::take_failures`]
+    /// guarantees.
+    pub fn preload_failures<'s>(
         &mut self,
         boundary: u64,
-        entries: impl IntoIterator<Item = (Vec<DffId>, FailureClass)>,
+        entries: impl IntoIterator<Item = (&'s Vec<DffId>, &'s FailureClass)>,
     ) {
         let map = self.failure_cache.entry(boundary).or_default();
-        for (set, class) in entries {
+        for (set, &class) in entries {
             debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "normalized flip set");
-            map.insert(set, class);
+            map.insert(set.clone(), class);
         }
     }
 

@@ -112,7 +112,8 @@ pub enum TelemetryEvent<'a> {
         phases: PhaseTotals,
     },
     /// Engine-counter delta since the previous `stats_delta` of the same
-    /// worker (emitted with heartbeats, for campaigns that track stats).
+    /// worker (emitted with heartbeats and when the worker runs out of
+    /// units, for campaigns that track stats).
     StatsDelta {
         /// Worker index.
         shard: usize,

@@ -24,10 +24,12 @@
 //!   only gates reached by dirty nets.
 //!
 //! The path is chosen per cycle from the size of the diverged seed
-//! (flip-flops plus deviating input bits): when only a few differ across
-//! all lanes (the common case for persistent single-bit state corruptions)
-//! the sparse path costs the union of the lanes' divergence cones instead
-//! of the whole netlist.
+//! (flip-flops plus deviating input bits) times the gates the batch's
+//! sparse steps have visited per seed net so far: when the predicted cone
+//! visits cost less than one sweep of the whole netlist (the common case
+//! for persistent single-bit state corruptions) the sparse path costs the
+//! union of the lanes' divergence cones instead. Wide-fanout structures
+//! switch to the dense sweep at fewer seeds than narrow-cone ones.
 //!
 //! **Environments.** The [`crate::Environment`] contract is deterministic
 //! given the outputs it observes, so while a lane's output ports match the
@@ -66,10 +68,18 @@ pub const MAX_LANES: usize = 512;
 /// (narrower carriers report their lanes in the low bits).
 pub type LaneMask = W512;
 
-/// A sparse cycle runs when `seed nets × this ≤ gates`: the worklist costs
-/// a small constant factor per visited gate, so it must beat the
-/// straight-line table by leaving most of the netlist untouched.
-const SPARSE_SEED_FACTOR: usize = 16;
+/// Dense gate-words one sparse gate visit costs. The worklist's scheduling
+/// and scattered reads make a visit about eight straight-line gate-words:
+/// timed per step on the 64-lane carrier over the perfbench replay
+/// workloads, sparse steps with 20 or more seed nets cost 32–44 ns per
+/// visited gate and dense steps 4.2–5.2 ns per gate.
+const SPARSE_VISIT_COST: u64 = 8;
+
+/// The visits-per-seed estimate a batch starts from, as pseudo-counts
+/// `(visits, seeds)`: two visits per seed net, so that at
+/// [`SPARSE_VISIT_COST`] a fresh batch takes the sparse path for at most
+/// one seed per 16 gates until its own sparse steps say otherwise.
+const PRIOR_VISITS_PER_SEED: (u64, u64) = (2, 1);
 
 /// One primary-port bit: the net carrying it and its position in the port
 /// word.
@@ -551,6 +561,11 @@ pub struct BatchSim<'c> {
     dense_last: bool,
     /// Gate-word evaluations since `begin`.
     gates_evaluated: u64,
+    /// Gates visited and seed nets seeded by this batch's sparse steps, on
+    /// top of [`PRIOR_VISITS_PER_SEED`]; reset by `begin`, so the path
+    /// choices depend on the batch alone.
+    sparse_visits: u64,
+    sparse_seeds: u64,
 }
 
 impl<'c> BatchSim<'c> {
@@ -600,6 +615,8 @@ impl<'c> BatchSim<'c> {
             stepped: false,
             dense_last: false,
             gates_evaluated: 0,
+            sparse_visits: PRIOR_VISITS_PER_SEED.0,
+            sparse_seeds: PRIOR_VISITS_PER_SEED.1,
         }
     }
 
@@ -642,6 +659,7 @@ impl<'c> BatchSim<'c> {
         self.stepped = false;
         self.dense_last = false;
         self.gates_evaluated = 0;
+        (self.sparse_visits, self.sparse_seeds) = PRIOR_VISITS_PER_SEED;
     }
 
     /// The current cycle number (the boundary all lanes sit at).
@@ -651,10 +669,11 @@ impl<'c> BatchSim<'c> {
     }
 
     /// Gate-word evaluations since [`BatchSim::begin`]: the gates the
-    /// sparse path visited plus every gate of each dense step. One
-    /// evaluation covers every lane of the batch. Golden-side work is not
-    /// counted: each trace cycle's golden settle is computed once per
-    /// trace and shared by every replay crossing it.
+    /// sparse path visited plus every gate of each dense step, counted at
+    /// full netlist size although a dense gate-word costs about an eighth
+    /// of a sparse visit. One evaluation covers every lane of the batch.
+    /// Golden-side work is not counted: each trace cycle's golden settle is
+    /// computed once per trace and shared by every replay crossing it.
     #[inline]
     pub fn gates_evaluated(&self) -> u64 {
         self.gates_evaluated
@@ -698,12 +717,20 @@ impl<'c> BatchSim<'c> {
     /// golden words.
     pub fn step(&mut self, trace: &GoldenTrace) -> LaneMask {
         self.stepped = true;
-        let gates = self.topo.plan().len();
+        // The sparse path runs when its predicted visits — the seed nets
+        // times the batch's visits per seed so far — cost no more than
+        // one dense sweep.
+        let gates = self.topo.plan().len() as u64;
+        let seeds =
+            with_core!(self, core => core.dirty_dffs.len() + core.dirty_inputs.len()) as u64;
         let sparse = self.cycle < trace.num_cycles()
-            && with_core!(self, core =>
-                (core.dirty_dffs.len() + core.dirty_inputs.len()) * SPARSE_SEED_FACTOR <= gates);
+            && seeds * self.sparse_visits * SPARSE_VISIT_COST <= gates * self.sparse_seeds;
         if sparse {
-            self.step_sparse(trace)
+            let before = self.gates_evaluated;
+            let out = self.step_sparse(trace);
+            self.sparse_visits += self.gates_evaluated - before;
+            self.sparse_seeds += seeds;
+            out
         } else {
             self.step_dense(trace)
         }
@@ -1097,6 +1124,38 @@ mod tests {
         let scenarios = spread_scenarios(&c, 300);
         check_lockstep(&scenarios, Path::Auto, None, 0);
         check_lockstep(&scenarios, Path::Sparse, None, 0);
+    }
+
+    /// The sparse/dense choice learns visits per seed within one batch: a
+    /// batch's gate-word count is the same on a fresh engine as after
+    /// other batches ran on it.
+    #[test]
+    fn path_choices_depend_on_the_batch_alone() {
+        let c = fixture();
+        let topo = Topology::new(&c);
+        let trace = golden(&c, &topo, &ConstEnvironment::new(vec![3]), 10);
+        let run = |batch: &mut BatchSim, scenarios: &[Vec<DffId>]| {
+            batch.begin(1, scenarios, &trace);
+            while batch.cycle() < trace.num_cycles() {
+                batch.step(&trace);
+            }
+            batch.gates_evaluated()
+        };
+        let dffs: Vec<DffId> = c.dffs().map(|(id, _)| id).collect();
+        let earlier = [
+            spread_scenarios(&c, 40),
+            vec![dffs.clone()],
+            vec![vec![dffs[4]]; 8],
+        ];
+        for scenarios in [small_scenarios(&c), vec![vec![dffs[8]]; 3]] {
+            let fresh = run(&mut BatchSim::new(&c, &topo), &scenarios);
+            assert!(fresh > 0);
+            for before in &earlier {
+                let mut reused = BatchSim::new(&c, &topo);
+                run(&mut reused, before);
+                assert_eq!(run(&mut reused, &scenarios), fresh);
+            }
+        }
     }
 
     #[test]

@@ -299,6 +299,48 @@ fn adaptive_saves_replays_at_a_moderate_target() {
     }
 }
 
+/// Sampling must never cost more replays than the exhaustive sweep of the
+/// same population: later rounds revisit cycles with other edges, and the
+/// classes earlier rounds settled at a boundary serve them instead of
+/// being replayed again. Checked on runs of three or more rounds (a round
+/// draws about an eighth of the population).
+#[test]
+fn adaptive_replays_never_exceed_the_uniform_sweeps() {
+    let f = fixture(48);
+    let (_, uniform) = delay_avf_campaign_with_stats(
+        &f.circuit,
+        &f.topo,
+        &f.timing,
+        &f.golden,
+        &f.edges,
+        &config(None, 0),
+    );
+    assert!(uniform.replays > 0, "the uniform sweep replays");
+    for (seed, target) in [(3u64, 0.01), (7, 0.01), (11, 0.02)] {
+        let cfg = CampaignConfig {
+            sample_seed: seed,
+            ..config(Some(target), 0)
+        };
+        let (rows, stats) = delay_avf_campaign_with_stats(
+            &f.circuit, &f.topo, &f.timing, &f.golden, &f.edges, &cfg,
+        );
+        let est = rows[0].adaptive.expect("adaptive estimate present");
+        let round = est.population.div_ceil(8);
+        assert!(
+            est.sampled > 2 * round,
+            "seed {seed}, target {target}: {} of {} sites is under three rounds",
+            est.sampled,
+            est.population
+        );
+        assert!(
+            stats.replays <= uniform.replays,
+            "seed {seed}, target {target}: {} adaptive replays > {} uniform",
+            stats.replays,
+            uniform.replays
+        );
+    }
+}
+
 /// The adaptive report is a pure function of the knobs: worker threads
 /// must not change a single bit anywhere (results, estimate, every merged
 /// counter), and lane widths must not change any result or any adaptive

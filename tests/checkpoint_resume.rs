@@ -18,14 +18,15 @@ use std::path::{Path, PathBuf};
 
 use delayavf::{
     delay_avf_campaign_observed, delay_avf_campaign_records, delay_avf_campaign_records_observed,
-    delay_avf_campaign_with_stats, prepare_golden_seeded, sample_edges, savf_campaign_observed,
-    savf_campaign_with_stats, savf_per_bit_campaign, savf_per_bit_campaign_observed,
-    spatial_double_strike_campaign, spatial_double_strike_campaign_observed, CampaignConfig,
-    CheckpointSpec, GoldenRun, ReplayOptions, RunContext, CHECKPOINT_FORMAT_VERSION,
-    NULL_TELEMETRY,
+    delay_avf_campaign_with_stats, prepare_golden, prepare_golden_seeded, sample_edges,
+    savf_campaign_observed, savf_campaign_with_stats, savf_per_bit_campaign,
+    savf_per_bit_campaign_observed, spatial_double_strike_campaign,
+    spatial_double_strike_campaign_observed, CampaignConfig, CheckpointSpec, GoldenRun,
+    ReplayOptions, RunContext, CHECKPOINT_FORMAT_VERSION, NULL_TELEMETRY,
 };
-use delayavf_netlist::{DffId, Topology};
+use delayavf_netlist::{CircuitBuilder, DffId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
+use delayavf_sim::ConstEnvironment;
 use delayavf_timing::{TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
 
@@ -96,6 +97,33 @@ fn truncate_units(path: &Path, keep_every: usize) -> usize {
     assert!(
         kept > 0 && kept < seen,
         "truncation must leave a strict non-empty subset ({kept} of {seen})"
+    );
+    fs::write(path, out).unwrap();
+    kept
+}
+
+/// Keeps the header and the units of the rounds `keep` accepts (a unit
+/// key holds its round above bit 44), discarding the rest. Asserts the cut
+/// is a strict, non-empty subset and returns how many units survive.
+fn keep_rounds(path: &Path, keep: impl Fn(u64) -> bool) -> usize {
+    let text = fs::read_to_string(path).unwrap();
+    let mut out = String::new();
+    let (mut seen, mut kept) = (0usize, 0usize);
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("unit ") {
+            seen += 1;
+            let key: u64 = rest.split(' ').next().unwrap().parse().unwrap();
+            if !keep(key >> 44) {
+                continue;
+            }
+            kept += 1;
+        }
+        out.push_str(line);
+        out.push('\n');
+    }
+    assert!(
+        kept > 0 && kept < seen,
+        "the round cut must leave a strict non-empty subset ({kept} of {seen})"
     );
     fs::write(path, out).unwrap();
     kept
@@ -532,6 +560,84 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
         err.contains("checkpoint mismatch"),
         "sAVF ci_target drift not pinned: {err}"
     );
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// Later adaptive rounds start from the failure classes earlier rounds
+/// settled at their boundaries, and restored units feed theirs back from
+/// their payloads. A sweep resumed with only its first round stored, or
+/// with every round but the first, must rebuild those classes exactly:
+/// same rows, same counters. The accumulator never halts, so no flip set
+/// is discharged and every class is a replay that later rounds reuse.
+#[test]
+fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
+    let mut b = CircuitBuilder::new();
+    let step = b.input_word("step", 8);
+    let acc = b.reg_word("acc", 8, 0);
+    let next = b.in_structure("adder", |b| b.add(&acc.q(), &step));
+    b.drive_word(&acc, &next);
+    b.output_word("acc", &acc.q());
+    let circuit = b.finish().unwrap();
+    let topo = Topology::new(&circuit);
+    let timing = TimingModel::analyze(&circuit, &topo, &TechLibrary::nangate45_like());
+    let golden = prepare_golden(&circuit, &topo, &ConstEnvironment::new(vec![0x35]), 96, 48);
+    let edges = sample_edges(&topo.structure_edges(&circuit, "adder").unwrap(), 48, 17);
+    let config = CampaignConfig {
+        delay_fractions: vec![0.5, 0.9],
+        due_slack: 30,
+        threads: 2,
+        ci_target: Some(0.01),
+        strata: 4,
+        ..CampaignConfig::default()
+    };
+    let want = delay_avf_campaign_with_stats(&circuit, &topo, &timing, &golden, &edges, &config);
+    let uniform = CampaignConfig {
+        ci_target: None,
+        ..config.clone()
+    };
+    let (_, exhaustive) =
+        delay_avf_campaign_with_stats(&circuit, &topo, &timing, &golden, &edges, &uniform);
+    assert!(
+        want.1.replays <= exhaustive.replays,
+        "later rounds replay what earlier ones settled"
+    );
+    let dir = tmpdir();
+    let path = dir.join("rounds.ckpt");
+    for (label, keep) in [
+        ("first round only", (|round| round == 0) as fn(u64) -> bool),
+        ("all but the first round", |round| round > 0),
+    ] {
+        let run = |resume: bool| {
+            delay_avf_campaign_observed(
+                &circuit,
+                &topo,
+                &timing,
+                &golden,
+                &edges,
+                &config,
+                &ctx(&path, 3, resume),
+            )
+            .unwrap()
+        };
+        assert_eq!(run(false), want, "checkpointing changed the sweep");
+        // A unit stores only the classes it settled itself, so payloads
+        // do not grow with rounds: one stored class per replay.
+        let stored: u64 = fs::read_to_string(&path)
+            .unwrap()
+            .lines()
+            .filter_map(|line| {
+                line.split_once(" fc ")?
+                    .1
+                    .split(' ')
+                    .next()?
+                    .parse::<u64>()
+                    .ok()
+            })
+            .sum();
+        assert_eq!(stored, want.1.replays, "stored classes ({label})");
+        keep_rounds(&path, keep);
+        assert_eq!(run(true), want, "resumed sweep differs ({label})");
+    }
     fs::remove_dir_all(dir).unwrap();
 }
 

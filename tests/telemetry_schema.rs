@@ -11,14 +11,15 @@
 //! experiment at the tiny scale with `--telemetry` pointed at a real file,
 //! exactly as the CLI wires it.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
 use delayavf::{
     delay_avf_campaign_observed, delay_avf_campaign_with_stats, prepare_golden_seeded,
     sample_edges, savf_per_bit_campaign, savf_per_bit_campaign_observed, valid_cycles,
-    validate_line, CampaignConfig, CheckpointSpec, JsonlTelemetry, ReplayOptions, RunContext,
-    TELEMETRY_SCHEMA_VERSION,
+    validate_line, CampaignConfig, CheckpointSpec, InjectorStats, JsonlTelemetry, ReplayOptions,
+    RunContext, TelemetryEvent, TelemetrySink, TELEMETRY_SCHEMA_VERSION,
 };
 use delayavf_bench::{fig10, Harness, Observability, Opts};
 use delayavf_netlist::DffId;
@@ -174,6 +175,118 @@ fn check_heartbeats(text: &str) {
         }
     }
     assert!(campaigns > 0, "no campaign in the stream");
+}
+
+/// Field-wise totals of every `stats_delta` event in `text`, by counter
+/// name.
+fn summed_deltas(text: &str) -> BTreeMap<String, f64> {
+    let mut sums = BTreeMap::new();
+    for line in text
+        .lines()
+        .filter(|l| l.contains("\"event\":\"stats_delta\""))
+    {
+        for (key, value) in delayavf::parse_flat_object(line).unwrap() {
+            if !["v", "t_ms", "event", "shard"].contains(&key.as_str()) {
+                *sums.entry(key).or_insert(0.0) += value.as_num().unwrap();
+            }
+        }
+    }
+    sums
+}
+
+/// A campaign's counters by name, spelled as a `stats_delta` event spells
+/// them. The adaptive plan's three counters are left out: the driver sets
+/// them from the plan after the last round, so no worker's delta holds
+/// them.
+fn counters(stats: &InjectorStats) -> BTreeMap<String, f64> {
+    let sink = JsonlTelemetry::new(Vec::new());
+    sink.emit(&TelemetryEvent::StatsDelta {
+        shard: 0,
+        stats: InjectorStats {
+            strata_active: 0,
+            strata_retired_early: 0,
+            adaptive_replays_saved: 0,
+            ..*stats
+        },
+    });
+    let text = String::from_utf8(sink.into_inner()).unwrap();
+    summed_deltas(&text)
+}
+
+/// A stream's `stats_delta` events add up to the counters the campaign
+/// returns, whatever the thread count and sampling plan, and also when
+/// part of the campaign was restored from a checkpoint: every worker
+/// flushes the deltas it merged after its last heartbeat.
+#[test]
+fn stats_deltas_add_up_to_the_campaign_counters() {
+    let core = delayavf_rvcore::build_core(CoreConfig::default());
+    let topo = Topology::new(&core.circuit);
+    let timing = TimingModel::analyze(&core.circuit, &topo, &TechLibrary::nangate45_like());
+    let w = Kernel::Libfibcall.build(Scale::Tiny);
+    let p = w.assemble().expect("workload assembles");
+    let env = MemEnv::new(&core.circuit, DEFAULT_RAM_BYTES, &p);
+    let golden = prepare_golden_seeded(&core.circuit, &topo, &env, w.max_cycles, 8, 17);
+    let edges = sample_edges(
+        &topo.structure_edges(&core.circuit, "decoder").unwrap(),
+        12,
+        17,
+    );
+    let dir = tmpdir();
+    let path = dir.join("sweep.ckpt");
+    for ci_target in [None, Some(0.15)] {
+        for threads in [1, 3] {
+            let config = CampaignConfig {
+                delay_fractions: vec![0.9],
+                compute_orace: true,
+                due_slack: 500,
+                threads,
+                ci_target,
+                ..CampaignConfig::default()
+            };
+            let observed = |checkpoint: Option<CheckpointSpec>| {
+                let sink = JsonlTelemetry::new(Vec::new());
+                let ctx = RunContext::new(&sink, checkpoint);
+                let (_, stats) = delay_avf_campaign_observed(
+                    &core.circuit,
+                    &topo,
+                    &timing,
+                    &golden,
+                    &edges,
+                    &config,
+                    &ctx,
+                )
+                .unwrap();
+                let text = String::from_utf8(sink.into_inner()).unwrap();
+                (stats, summed_deltas(&text))
+            };
+            let tag = format!("ci_target {ci_target:?}, {threads} threads");
+            let (stats, sums) = observed(None);
+            assert!(stats.event_sims > 0, "{tag}: the sweep simulates");
+            assert_eq!(sums, counters(&stats), "{tag}");
+            if ci_target.is_some() && threads == 3 {
+                observed(Some(CheckpointSpec::new(&path, 1, false)));
+                // Keep every other unit, so the resumed run restores some
+                // units and recomputes the rest.
+                let text = fs::read_to_string(&path).unwrap();
+                let mut units = 0;
+                let kept: String = text
+                    .lines()
+                    .filter(|line| {
+                        let unit = line.starts_with("unit ");
+                        units += usize::from(unit);
+                        !unit || units % 2 == 1
+                    })
+                    .map(|line| format!("{line}\n"))
+                    .collect();
+                assert!(units > 2, "{tag}: too few units to cut");
+                fs::write(&path, kept).unwrap();
+                let (resumed, sums) = observed(Some(CheckpointSpec::new(&path, 1, true)));
+                assert_eq!(resumed, stats, "{tag}: resume changed the counters");
+                assert_eq!(sums, counters(&stats), "{tag}, resumed");
+            }
+        }
+    }
+    fs::remove_dir_all(dir).unwrap();
 }
 
 /// The per-bit campaign's units are cycles, like every campaign's: its
