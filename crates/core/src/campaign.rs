@@ -1220,6 +1220,32 @@ struct Sweep<'a> {
     extras: Vec<Picos>,
 }
 
+impl Sweep<'_> {
+    /// The `(edge, extra)` pairs of the edges at `items`, fraction-major.
+    fn pairs(&self, items: &[usize]) -> Vec<(EdgeId, Picos)> {
+        self.extras
+            .iter()
+            .flat_map(|&extra| items.iter().map(move |&i| (self.edges[i], extra)))
+            .collect()
+    }
+}
+
+/// The nonempty flip groups of a cycle's step-1 results and, under ORACE,
+/// the single bits they contain: every set the sites classify against.
+fn flip_sets<'p, P>(parts: P, orace: bool) -> impl Iterator<Item = Vec<DffId>> + 'p
+where
+    P: Iterator<Item = &'p (usize, Vec<DffId>)> + Clone + 'p,
+{
+    let groups = parts
+        .clone()
+        .map(|(_, set)| set)
+        .filter(|set| !set.is_empty());
+    let bits = parts
+        .filter(move |_| orace)
+        .flat_map(|(_, set)| set.iter().map(|&d| vec![d]));
+    groups.cloned().chain(bits)
+}
+
 impl Campaign for Sweep<'_> {
     type Acc = Vec<DelayAvfResult>;
     type Out = (Vec<DelayAvfResult>, InjectorStats);
@@ -1304,23 +1330,43 @@ impl Campaign for Sweep<'_> {
         // survivors from *different* fractions share lanes whenever their
         // edges don't conflict (the carver keeps same-edge/different-extra
         // pairs apart, which the packed engine would retire anyway).
-        let pairs: Vec<(EdgeId, Picos)> = self
-            .extras
-            .iter()
-            .flat_map(|&extra| selected.iter().map(move |&i| (self.edges[i], extra)))
-            .collect();
         let mut parts: Vec<(usize, Vec<DffId>)> =
             timed(S::ENABLED, &mut phases.timing_step_us, || {
-                injector.dynamically_reachable_batch(cycle, &pairs)
+                injector.dynamically_reachable_batch(cycle, &self.pairs(selected))
             });
+        // One batch set per boundary: a unit that leaves a class unsettled
+        // at its boundary times the cycle's other edges too, on the golden
+        // waveform it already built, and replays every unsettled set of the
+        // whole cycle at once. Its fresh classes reach the boundary class
+        // store, so no later adaptive round replays here. Uniform units
+        // already hold the whole cycle, and at `lanes = 1` prefilling is a
+        // no-op, so the extra timing would batch nothing.
+        let boundary = cycle + 1;
+        let orace = config.compute_orace;
+        if config.lanes != 1
+            && selected.len() < self.edges.len()
+            && flip_sets(parts.iter(), orace).any(|set| !injector.failure_settled(boundary, &set))
+        {
+            // A unit's items come in ascending order.
+            let rest: Vec<usize> = (0..self.edges.len())
+                .filter(|i| selected.binary_search(i).is_err())
+                .collect();
+            let rest_parts = timed(S::ENABLED, &mut phases.timing_step_us, || {
+                injector.dynamically_reachable_batch(cycle, &self.pairs(&rest))
+            });
+            timed(S::ENABLED, &mut phases.replay_us, || {
+                injector
+                    .prefill_failures(boundary, flip_sets(parts.iter().chain(&rest_parts), orace))
+            });
+        }
         for (fi, parts) in parts.chunks_mut(selected.len().max(1)).enumerate() {
             timed(S::ENABLED, &mut phases.replay_us, || {
                 // Phase 2: batch the whole boundary's replays — group sets and,
                 // for ORACE, the individual bits they contain.
-                injector.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
+                injector.prefill_failures(boundary, parts.iter().map(|(_, set)| set.clone()));
                 if config.compute_orace {
                     injector.prefill_failures(
-                        cycle + 1,
+                        boundary,
                         parts
                             .iter()
                             .flat_map(|(_, set)| set.iter().map(|&d| vec![d])),
@@ -1337,7 +1383,7 @@ impl Campaign for Sweep<'_> {
                     vis.push(outcome.visible);
                     tally(&mut rows[fi], &outcome);
                     if config.compute_orace && !outcome.dynamic_set.is_empty() {
-                        let or = injector.or_ace(cycle + 1, &outcome.dynamic_set);
+                        let or = injector.or_ace(boundary, &outcome.dynamic_set);
                         let o = rows[fi].orace.as_mut().expect("orace rows configured");
                         if or {
                             o.or_hits += 1;

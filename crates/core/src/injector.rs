@@ -362,9 +362,13 @@ injector_stats! {
     /// merged round tallies, so the count is thread-count and lane-width
     /// invariant. Zero when adaptive sampling is off.
     strata_retired_early,
-    /// Injections the adaptive plan never ran: the unsampled site count
-    /// times the per-site injection multiplier. Zero when adaptive
-    /// sampling is off (the uniform path visits every site).
+    /// Injections the adaptive plan never sampled: the unsampled site count
+    /// times the per-site injection multiplier. This counts sites, not
+    /// replays avoided: a sweep that replays at a boundary settles the
+    /// whole cycle there in one batch set, unsampled sites included, so
+    /// its `replays` equal the uniform sweep's at every boundary it
+    /// replays. Zero when adaptive sampling is off (the uniform path
+    /// visits every site).
     adaptive_replays_saved,
     /// Replay lanes that needed a private environment while their batch
     /// already held the most it may (a fixed cap), and finished in a
@@ -1171,14 +1175,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             let mut key = set;
             key.sort_unstable();
             key.dedup();
-            if key.is_empty() {
-                continue;
-            }
-            if self
-                .failure_cache
-                .get(&boundary)
-                .is_some_and(|m| m.contains_key(key.as_slice()))
-            {
+            if key.is_empty() || self.failure_settled(boundary, &key) {
                 continue;
             }
             if seen.insert(key.clone()) {
@@ -1476,6 +1473,16 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             .unwrap_or_default();
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         entries
+    }
+
+    /// Whether the failure cache already holds the class of the normalized
+    /// (sorted, deduplicated) flip set `set` at `boundary`, so querying it
+    /// would be a cache hit. Touches no counters.
+    pub fn failure_settled(&self, boundary: u64, set: &[DffId]) -> bool {
+        debug_assert!(set.windows(2).all(|w| w[0] < w[1]), "normalized flip set");
+        self.failure_cache
+            .get(&boundary)
+            .is_some_and(|m| m.contains_key(set))
     }
 
     /// Seeds the failure cache at `boundary` with classifications settled

@@ -341,6 +341,40 @@ fn adaptive_replays_never_exceed_the_uniform_sweeps() {
     }
 }
 
+/// A round whose classes are unsettled at a boundary times the rest of the
+/// cycle so one batch set replays it whole. At `lanes = 1` prefilling is a
+/// no-op and those replays would never batch, so there the sweep must time
+/// only the sites the plan sampled: each timing simulation serves one
+/// sampled injection. At the default width the whole cycles are timed.
+#[test]
+fn one_lane_adaptive_sweeps_time_only_the_sampled_sites() {
+    let f = fixture(48);
+    let run = |lanes: usize| {
+        let cfg = CampaignConfig {
+            lanes,
+            ..config(Some(0.01), 0)
+        };
+        delay_avf_campaign_with_stats(&f.circuit, &f.topo, &f.timing, &f.golden, &f.edges, &cfg)
+    };
+    let (rows, one_lane) = run(1);
+    let est = rows[0].adaptive.expect("adaptive estimate present");
+    assert!(est.sampled < est.population, "the plan skips sites");
+    let sampled = (est.sampled * rows.len()) as u64;
+    assert!(
+        one_lane.event_sims <= sampled,
+        "{} timing simulations for {sampled} sampled injections",
+        one_lane.event_sims
+    );
+    let (wide_rows, wide) = run(64);
+    assert_eq!(rows, wide_rows);
+    assert!(
+        wide.event_sims > one_lane.event_sims,
+        "the default width times whole cycles ({} vs {} simulations)",
+        wide.event_sims,
+        one_lane.event_sims
+    );
+}
+
 /// The adaptive report is a pure function of the knobs: worker threads
 /// must not change a single bit anywhere (results, estimate, every merged
 /// counter), and lane widths must not change any result or any adaptive

@@ -13,6 +13,7 @@
 //! checkpoint down to a strict subset of its `unit` lines and resume from
 //! that.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -21,10 +22,10 @@ use delayavf::{
     delay_avf_campaign_with_stats, prepare_golden, prepare_golden_seeded, sample_edges,
     savf_campaign_observed, savf_campaign_with_stats, savf_per_bit_campaign,
     savf_per_bit_campaign_observed, spatial_double_strike_campaign,
-    spatial_double_strike_campaign_observed, CampaignConfig, CheckpointSpec, GoldenRun,
-    ReplayOptions, RunContext, CHECKPOINT_FORMAT_VERSION, NULL_TELEMETRY,
+    spatial_double_strike_campaign_observed, CampaignConfig, CheckpointSpec, DelayAvfResult,
+    GoldenRun, ReplayOptions, RunContext, CHECKPOINT_FORMAT_VERSION, NULL_TELEMETRY,
 };
-use delayavf_netlist::{CircuitBuilder, DffId, Topology};
+use delayavf_netlist::{Circuit, CircuitBuilder, DffId, EdgeId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
 use delayavf_sim::ConstEnvironment;
 use delayavf_timing::{TechLibrary, TimingModel};
@@ -563,14 +564,17 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// Later adaptive rounds start from the failure classes earlier rounds
-/// settled at their boundaries, and restored units feed theirs back from
-/// their payloads. A sweep resumed with only its first round stored, or
-/// with every round but the first, must rebuild those classes exactly:
-/// same rows, same counters. The accumulator never halts, so no flip set
-/// is discharged and every class is a replay that later rounds reuse.
-#[test]
-fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
+/// An 8-bit accumulator that never halts, so no flip set is discharged
+/// and every class is a replay; its adder edges are the sweep's sites.
+struct Accumulator {
+    circuit: Circuit,
+    topo: Topology,
+    timing: TimingModel,
+    golden: GoldenRun<ConstEnvironment>,
+    edges: Vec<EdgeId>,
+}
+
+fn accumulator() -> Accumulator {
     let mut b = CircuitBuilder::new();
     let step = b.input_word("step", 8);
     let acc = b.reg_word("acc", 8, 0);
@@ -582,6 +586,30 @@ fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
     let timing = TimingModel::analyze(&circuit, &topo, &TechLibrary::nangate45_like());
     let golden = prepare_golden(&circuit, &topo, &ConstEnvironment::new(vec![0x35]), 96, 48);
     let edges = sample_edges(&topo.structure_edges(&circuit, "adder").unwrap(), 48, 17);
+    Accumulator {
+        circuit,
+        topo,
+        timing,
+        golden,
+        edges,
+    }
+}
+
+/// Later adaptive rounds start from the failure classes earlier rounds
+/// settled at their boundaries, and restored units feed theirs back from
+/// their payloads. A sweep resumed with only its first round stored, or
+/// with every round but the first, must rebuild those classes exactly:
+/// same rows, same counters. The accumulator never halts, so no flip set
+/// is discharged and every class is a replay that later rounds reuse.
+#[test]
+fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
+    let Accumulator {
+        circuit,
+        topo,
+        timing,
+        golden,
+        edges,
+    } = accumulator();
     let config = CampaignConfig {
         delay_fractions: vec![0.5, 0.9],
         due_slack: 30,
@@ -637,6 +665,107 @@ fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
         assert_eq!(stored, want.1.replays, "stored classes ({label})");
         keep_rounds(&path, keep);
         assert_eq!(run(true), want, "resumed sweep differs ({label})");
+    }
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// One boundary, one round: the first unit that leaves a class unsettled
+/// at its latch boundary settles the whole cycle there, every edge under
+/// every fraction, so each boundary's fresh classes sit in exactly one
+/// unit's payload however many rounds revisit it. A plan that walks the
+/// whole population in many rounds then replays exactly the uniform
+/// sweep's sets, ORACE's single bits included, and reports its tallies.
+/// The accumulator never halts, so every class is a replay.
+#[test]
+fn adaptive_sweeps_settle_each_boundary_in_one_unit() {
+    let Accumulator {
+        circuit,
+        topo,
+        timing,
+        golden,
+        edges,
+    } = accumulator();
+    let uniform = CampaignConfig {
+        delay_fractions: vec![0.5, 0.9],
+        compute_orace: true,
+        due_slack: 30,
+        threads: 2,
+        strata: 4,
+        ..CampaignConfig::default()
+    };
+    let (want_rows, want) =
+        delay_avf_campaign_with_stats(&circuit, &topo, &timing, &golden, &edges, &uniform);
+    assert!(want.replays > 0, "the uniform sweep replays");
+    let dir = tmpdir();
+    let path = dir.join("boundaries.ckpt");
+    for target in [1e-9, 0.01] {
+        let config = CampaignConfig {
+            ci_target: Some(target),
+            ..uniform.clone()
+        };
+        let (rows, stats) = delay_avf_campaign_observed(
+            &circuit,
+            &topo,
+            &timing,
+            &golden,
+            &edges,
+            &config,
+            &ctx(&path, 1, false),
+        )
+        .unwrap();
+        // Per cycle: the units that ran there, and those that stored classes.
+        let mut units: BTreeMap<u64, (usize, usize)> = BTreeMap::new();
+        let mut rounds = BTreeSet::new();
+        let mut stored = 0;
+        for line in fs::read_to_string(&path).unwrap().lines() {
+            let Some(rest) = line.strip_prefix("unit ") else {
+                continue;
+            };
+            let key: u64 = rest.split(' ').next().unwrap().parse().unwrap();
+            let (_, fc) = rest
+                .split_once(" fc ")
+                .expect("a sweep unit has an fc section");
+            let fresh: u64 = fc.split(' ').next().unwrap().parse().unwrap();
+            rounds.insert(key >> 44);
+            let seen = units.entry(key & ((1 << 44) - 1)).or_default();
+            seen.0 += 1;
+            seen.1 += usize::from(fresh > 0);
+            stored += fresh;
+        }
+        assert!(
+            rounds.len() >= 3,
+            "target {target}: {} rounds",
+            rounds.len()
+        );
+        assert!(
+            units.values().any(|&(ran, _)| ran > 1),
+            "target {target}: no round revisited a cycle"
+        );
+        for (cycle, &(ran, settled)) in &units {
+            assert!(
+                settled <= 1,
+                "target {target}: cycle {cycle} stored classes in {settled} of its {ran} units"
+            );
+        }
+        assert_eq!(
+            stored, stats.replays,
+            "target {target}: one class per replay"
+        );
+        assert!(stats.replays <= want.replays, "target {target}");
+        if target == 1e-9 {
+            assert_eq!(
+                stats.replays, want.replays,
+                "whole population, uniform's replays"
+            );
+            let tallies: Vec<_> = rows
+                .into_iter()
+                .map(|row| DelayAvfResult {
+                    adaptive: None,
+                    ..row
+                })
+                .collect();
+            assert_eq!(tallies, want_rows, "whole population, uniform's tallies");
+        }
     }
     fs::remove_dir_all(dir).unwrap();
 }
