@@ -46,7 +46,7 @@ options:
   (or -j N)       every N (default: one per available core)
   --no-collapse   replay every injection site individually instead of
                   collapsing equivalence classes and formally discharging
-                  provably masked/ACE flip groups (identical results)
+                  provably masked flip groups (identical results)
   --lanes N       bit-parallel replay lanes per batch, 1-512 (default
                   512; widths above 64 ride the 256/512-bit carriers);
                   AVF numbers are identical for every N, --lanes 1

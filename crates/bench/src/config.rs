@@ -80,7 +80,7 @@ pub struct ExperimentSpec {
     /// identical for every value; `1` runs the exact scalar baseline.
     pub timing_lanes: usize,
     /// Collapse equivalent injection sites into one representative replay
-    /// and discharge provably masked/ACE classes without simulation
+    /// and discharge provably masked flip groups without simulation
     /// (`false` runs the exact per-edge baseline; results are identical
     /// either way).
     pub collapse: bool,

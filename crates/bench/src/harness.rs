@@ -47,7 +47,7 @@ pub struct Opts {
     pub timing_lanes: usize,
     /// Use the pre-simulation collapsing layer — injection-site equivalence
     /// classes, the quiet-source certificate and the semi-formal masking
-    /// discharge (the default). AVF numbers are bit-for-bit identical either
+    /// discharge of flip groups no output observes (the default). AVF numbers are bit-for-bit identical either
     /// way; `false` runs the exact per-site baseline (the `--no-collapse`
     /// escape hatch).
     pub collapse: bool,

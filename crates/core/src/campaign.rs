@@ -122,7 +122,8 @@ pub struct ReplayOptions {
     pub timing_lanes: usize,
     /// Use the pre-simulation collapsing layer — injection-site
     /// equivalence classes, the quiet-source certificate and the
-    /// semi-formal masking discharge (the default). Results are
+    /// semi-formal masking discharge of flip groups no output ever
+    /// observes (the default). Results are
     /// bit-for-bit identical either way; `false` runs the exact per-site
     /// baseline (the `--no-collapse` escape hatch).
     pub collapse: bool,
@@ -2348,12 +2349,13 @@ mod tests {
                 spatial_double_strike_campaign(&c, &topo, &timing, &golden, &dffs, opts),
             )
         };
-        // Collapsing on discharges every flip group of this fixture
-        // formally; off, the replay engines run. A target no stratum meets
-        // walks every site over several rounds that split each cycle's
-        // edges, so later rounds start from the classes earlier rounds
-        // settled at the same boundary: the sweep then replays exactly the
-        // uniform sweep's distinct flip sets, no more.
+        // Every bit of this fixture's accumulator reaches its output, so the
+        // masking discharge settles only flips at the trace's last boundary
+        // and the strikes replay with collapsing on or off. A target no
+        // stratum meets walks every site over several rounds that split
+        // each cycle's edges, so later rounds start from the classes
+        // earlier rounds settled at the same boundary: the sweep then
+        // replays exactly the uniform sweep's distinct flip sets, no more.
         let uniform_replays = run(1, None, false).0 .1.replays;
         for (ci_target, collapse) in [
             (None, true),
@@ -2362,7 +2364,7 @@ mod tests {
             (Some(1e-9), false),
         ] {
             let serial = run(1, ci_target, collapse);
-            assert!(collapse || serial.1 .1.replays > 0, "the strikes replay");
+            assert!(serial.1 .1.replays > 0, "the strikes replay");
             if ci_target == Some(1e-9) {
                 assert_eq!(serial.0 .1.replays, uniform_replays, "carried classes");
             }

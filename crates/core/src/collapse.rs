@@ -1,5 +1,5 @@
 //! Pre-simulation fault collapsing: equivalence classes over injection
-//! sites plus the semi-formal masking check.
+//! sites plus the output-influence table of the semi-formal masking check.
 //!
 //! Campaigns inject one small delay fault per (edge, cycle, delay) triple,
 //! but many edges are *provably interchangeable*: an extra delay `d` on the
@@ -18,17 +18,11 @@
 //!    its single fanout feeds, certifying that no value change can bypass
 //!    the downstream edge on its way to a latch or output.
 //!
-//! The plan also precomputes the ingredients of the *semi-formal masking
-//! check* ([`propagate_flips`]): which nets feed primary outputs and which
-//! flip-flops can ever (transitively, across cycles) influence one. A flip
-//! group whose downstream cone provably cannot reach the environment is
-//! discharged as Masked without invoking any replay engine; a cone that
-//! provably deviates an observed output word is discharged as SDC when the
-//! environment's transcript contract
-//! ([`delayavf_sim::Environment::deterministic_transcript`]) allows it.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+//! The plan also precomputes the ingredient of the *semi-formal masking
+//! check*: which flip-flops can ever (transitively, across cycles)
+//! influence a primary output ([`CollapsePlan::influences_output`]). A flip
+//! group none of whose bits can is discharged as Masked without invoking
+//! any replay engine; every other group is replayed.
 
 use delayavf_netlist::{
     Circuit, Consumer, DffId, Driver, EdgeId, GateId, GateKind, NetId, Topology,
@@ -36,7 +30,7 @@ use delayavf_netlist::{
 use delayavf_timing::TimingModel;
 
 /// The precomputed fault-collapsing partition of a circuit's edges, plus
-/// the reachability tables used by the semi-formal masking check. Built
+/// the reachability table used by the semi-formal masking check. Built
 /// once per [`crate::Injector`] (lazily, only when collapsing is enabled);
 /// depends solely on the circuit, topology and timing model, never on the
 /// golden trace — so every worker derives the identical plan. Apart from
@@ -55,14 +49,12 @@ pub struct CollapsePlan {
     /// Per flip-flop: whether a flip can ever — through any number of
     /// cycles of state propagation — influence a primary-output bit.
     influences: Vec<bool>,
-    /// Per net: whether the net directly feeds a primary-output bit.
-    output_net: Vec<bool>,
 }
 
 impl CollapsePlan {
     /// Builds the plan: chain-collapses edges under the same-slack +
     /// structural-dominator criterion and precomputes the output
-    /// reachability tables.
+    /// reachability table.
     pub fn build(c: &Circuit, topo: &Topology, timing: &TimingModel) -> Self {
         let pdom = topo.post_dominators(c);
         let n_edges = topo.edges().len();
@@ -113,7 +105,6 @@ impl CollapsePlan {
             is_rep,
             num_members,
             influences,
-            output_net,
         }
     }
 
@@ -143,12 +134,6 @@ impl CollapsePlan {
     #[inline]
     pub fn influences_output(&self, dff: DffId) -> bool {
         self.influences[dff.index()]
-    }
-
-    /// Whether `net` directly feeds a primary-output bit.
-    #[inline]
-    pub fn is_output_net(&self, net: NetId) -> bool {
-        self.output_net[net.index()]
     }
 }
 
@@ -281,106 +266,11 @@ fn influence_closure(c: &Circuit, output_net: &[bool]) -> Vec<bool> {
     c.dffs().map(|(_, dff)| seen[dff.q().index()]).collect()
 }
 
-/// One cycle of the semi-formal masking check: exact zero-delay
-/// propagation of a state difference through the combinational logic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DischargeStep {
-    /// Flip-flops latching a wrong value at the next boundary, sorted.
-    pub next_flips: Vec<DffId>,
-    /// Whether any primary-output bit deviates from the golden run during
-    /// this cycle.
-    pub output_deviation: bool,
-}
-
-/// Propagates the state difference `flips` (relative to the golden run)
-/// through one cycle of zero-delay combinational evaluation.
-///
-/// `golden` holds the fully settled golden net values of the cycle as bit
-/// `bit` of one word per net — the layout of
-/// [`delayavf_sim::GoldenTrace::golden_block`], whose bit `t % 64` is cycle
-/// `t`. Because values are boolean, a faulty net's value is always the
-/// complement of the golden one, so the difference is represented as the
-/// *set* of deviating nets; gates are re-evaluated at most once each, in
-/// level order, restricted to the fan-out cone of the deviation. The
-/// result is exact — identical to diffing two full settles — as long as
-/// the cone stays under `cap` nets; larger cones return `None` and the
-/// caller falls back to a real replay.
-pub fn propagate_flips(
-    c: &Circuit,
-    topo: &Topology,
-    plan: &CollapsePlan,
-    golden: &[u64],
-    bit: u64,
-    flips: &[DffId],
-    cap: usize,
-) -> Option<DischargeStep> {
-    let golden_value = |net: NetId| (golden[net.index()] >> bit) & 1 == 1;
-    let mut overlay: HashSet<NetId> = HashSet::new();
-    let mut output_deviation = false;
-    let mut heap: BinaryHeap<Reverse<(u32, GateId)>> = BinaryHeap::new();
-    let mut queued: HashSet<GateId> = HashSet::new();
-    let mut deviate = |net: NetId,
-                       overlay: &mut HashSet<NetId>,
-                       heap: &mut BinaryHeap<Reverse<(u32, GateId)>>,
-                       queued: &mut HashSet<GateId>| {
-        if !overlay.insert(net) {
-            return;
-        }
-        output_deviation |= plan.is_output_net(net);
-        for e in topo.fanouts(net) {
-            if let Consumer::GatePin { gate, .. } = e.consumer {
-                if queued.insert(gate) {
-                    heap.push(Reverse((topo.gate_level(gate), gate)));
-                }
-            }
-        }
-    };
-    for &d in flips {
-        deviate(c.dff(d).q(), &mut overlay, &mut heap, &mut queued);
-    }
-    // Level order guarantees every gate sees its final fan-in deviation
-    // before it is evaluated, so one evaluation per gate is exact.
-    while let Some(Reverse((_, gate))) = heap.pop() {
-        if overlay.len() > cap {
-            return None;
-        }
-        let g = c.gate(gate);
-        let ins = g.inputs();
-        let mut vals = [false; 3];
-        for (slot, &net) in vals.iter_mut().zip(ins) {
-            *slot = golden_value(net) ^ overlay.contains(&net);
-        }
-        let faulty = g.kind().eval(&vals[..ins.len()]);
-        if faulty != golden_value(g.output()) {
-            deviate(g.output(), &mut overlay, &mut heap, &mut queued);
-        }
-    }
-    let next_flips: Vec<DffId> = c
-        .dffs()
-        .filter(|(_, dff)| overlay.contains(&dff.d()))
-        .map(|(d, _)| d)
-        .collect();
-    Some(DischargeStep {
-        next_flips,
-        output_deviation,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use delayavf_netlist::CircuitBuilder;
-    use delayavf_sim::settle;
     use delayavf_timing::TechLibrary;
-
-    /// Packs a scalar settle into golden-block words at bit 5, with every
-    /// other bit the complement (so a read of the wrong bit shows up).
-    fn one_lane_block(values: &[bool]) -> Vec<u64> {
-        values
-            .iter()
-            .map(|&v| if v { 1 << 5 } else { !(1 << 5) })
-            .collect()
-    }
 
     fn analyzed(c: &Circuit) -> (Topology, TimingModel) {
         let topo = Topology::new(c);
@@ -501,66 +391,5 @@ mod tests {
         assert!(plan.influences_output(by_name("r1")));
         assert!(plan.influences_output(by_name("r2")));
         assert!(!plan.influences_output(by_name("r3")));
-    }
-
-    #[test]
-    fn propagation_matches_a_full_diff_settle() {
-        // Random-ish adder circuit: flipping accumulator bits and
-        // propagating must reproduce exactly the diff of two settles.
-        let mut b = CircuitBuilder::new();
-        let step = b.input_word("step", 4);
-        let acc = b.reg_word("acc", 4, 0);
-        let next = b.add(&acc.q(), &step);
-        b.drive_word(&acc, &next);
-        b.output_word("acc", &acc.q());
-        let c = b.finish().unwrap();
-        let (topo, timing) = analyzed(&c);
-        let plan = CollapsePlan::build(&c, &topo, &timing);
-        let state: Vec<bool> = vec![true, false, true, false];
-        let inputs = vec![0b0011u64];
-        let golden = settle(&c, &topo, &state, &inputs);
-        let block = one_lane_block(&golden);
-        for flip_mask in 1u32..16 {
-            let flips: Vec<DffId> = (0..4)
-                .filter(|i| flip_mask & (1 << i) != 0)
-                .map(DffId::from_index)
-                .collect();
-            let mut faulty_state = state.clone();
-            for d in &flips {
-                faulty_state[d.index()] = !faulty_state[d.index()];
-            }
-            let faulty = settle(&c, &topo, &faulty_state, &inputs);
-            let step = propagate_flips(&c, &topo, &plan, &block, 5, &flips, 4096).unwrap();
-            let expect_next: Vec<DffId> = c
-                .dffs()
-                .filter(|(_, dff)| faulty[dff.d().index()] != golden[dff.d().index()])
-                .map(|(d, _)| d)
-                .collect();
-            assert_eq!(step.next_flips, expect_next, "flips {flips:?}");
-            let expect_dev = c.output_ports().iter().any(|p| {
-                p.nets()
-                    .iter()
-                    .any(|&n| faulty[n.index()] != golden[n.index()])
-            });
-            assert_eq!(step.output_deviation, expect_dev, "flips {flips:?}");
-        }
-    }
-
-    #[test]
-    fn cone_cap_gives_up_instead_of_truncating() {
-        let mut b = CircuitBuilder::new();
-        let step = b.input_word("step", 8);
-        let acc = b.reg_word("acc", 8, 0);
-        let next = b.add(&acc.q(), &step);
-        b.drive_word(&acc, &next);
-        b.output_word("acc", &acc.q());
-        let c = b.finish().unwrap();
-        let (topo, timing) = analyzed(&c);
-        let plan = CollapsePlan::build(&c, &topo, &timing);
-        let state = vec![true; 8];
-        let inputs = vec![0xFFu64];
-        let block = one_lane_block(&settle(&c, &topo, &state, &inputs));
-        let flips: Vec<DffId> = (0..8).map(DffId::from_index).collect();
-        assert!(propagate_flips(&c, &topo, &plan, &block, 5, &flips, 1).is_none());
     }
 }

@@ -11,19 +11,8 @@ use delayavf_sim::{
 };
 use delayavf_timing::{Picos, TimingModel};
 
-use crate::collapse::{propagate_flips, CollapsePlan};
+use crate::collapse::CollapsePlan;
 use crate::golden::GoldenRun;
-
-/// Cycle horizon of the semi-formal masking discharge: flip groups whose
-/// difference cone is still alive after this many exactly-propagated cycles
-/// fall back to a real replay. A constant, not a knob — the discharge never
-/// changes results, so there is nothing to trade off but time.
-const DISCHARGE_HORIZON: u64 = 64;
-
-/// Difference-cone size cap of the semi-formal masking discharge (deviating
-/// nets per propagated cycle); wider cones fall back to a real replay, where
-/// the divergence-cone engine handles them better anyway.
-const DISCHARGE_CONE_CAP: usize = 4096;
 
 /// Most private environments one replay batch holds at once. A lane gets
 /// one when its outputs leave the golden words or it outlives the trace;
@@ -159,7 +148,8 @@ pub struct Injector<'a, E: Environment + Clone> {
     /// For each input net: (port index, bit) to look values up in the trace.
     input_net_pos: HashMap<NetId, (usize, usize)>,
     /// Whether the pre-simulation collapsing layer (equivalence classes,
-    /// quiet-source certificate, semi-formal masking discharge) is enabled.
+    /// quiet-source certificate, masking discharge of flip groups no output
+    /// ever observes) is enabled.
     collapse: bool,
     /// The collapsing plan, built lazily on the first collapsed query so
     /// `--no-collapse` campaigns never pay for it.
@@ -335,21 +325,17 @@ injector_stats! {
     /// [`InjectorStats::collapsed_edges`]. Zero when collapsing is
     /// disabled.
     class_representatives,
-    /// Flip groups the semi-formal masking check classified as a
-    /// program-visible failure (SDC) without any replay: their exact
-    /// propagated difference cone provably corrupts an observed output word
-    /// of an environment with a faithful transcript. One count per distinct
-    /// `(boundary, flip set)` discharged, so the total is thread-count and
-    /// lane-width invariant for cycle-unit campaigns. Zero when
-    /// collapsing is disabled.
+    /// Always 0: the masking check never classifies a flip group as a
+    /// failure, so every visible class comes from a replay. Kept only
+    /// because the performance harness reads it and the checkpoint and
+    /// telemetry layouts list it.
     formally_discharged_ace,
     /// Flip groups the semi-formal masking check classified as Masked
-    /// without any replay: the flipped bits can never reach a primary
-    /// output, or their exact propagated difference cone dies out (or runs
-    /// off the observable end of the trace) without touching one. Counted
-    /// per distinct `(boundary, flip set)` like
-    /// [`InjectorStats::formally_discharged_ace`]. Zero when collapsing is
-    /// disabled.
+    /// without any replay: none of the flipped bits can ever reach a
+    /// primary output, or the flips land at or past the trace's last
+    /// observed boundary. One count per distinct `(boundary, flip set)`
+    /// discharged, so the total is thread-count and lane-width invariant
+    /// for cycle-unit campaigns. Zero when collapsing is disabled.
     formally_discharged_unace,
     /// Strata with at least one injection site in the adaptive sampling
     /// plan. Stratification is a pure function of the golden trace and the
@@ -563,9 +549,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// discharge of flip groups. Collapsing never changes results — a
     /// fidelity property the differential and property test suites check —
     /// it only serves provably identical injections from one representative
-    /// simulation and classifies provably masked (or provably corrupting)
-    /// flip groups without replay. Disable it to run the exact per-site
-    /// baseline (the `--no-collapse` escape hatch).
+    /// simulation and classifies flip groups no output ever observes as
+    /// Masked without replay. Disable it to run the exact per-site baseline
+    /// (the `--no-collapse` escape hatch).
     pub fn set_collapse(&mut self, enabled: bool) {
         self.collapse = enabled;
     }
@@ -974,21 +960,15 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         self.batch_replay(boundary, std::slice::from_ref(&flips))[0]
     }
 
-    /// The semi-formal masking check: tries to classify the flip group
-    /// without any replay, by exact zero-delay propagation of its
-    /// difference cone against the trace's shared golden settles. Returns
-    /// `None` when no proof is found within the horizon/cone bounds — the
-    /// caller falls back to a real replay, so a `None` never changes
-    /// results.
+    /// The semi-formal masking check: classifies the flip group as Masked
+    /// without any replay when the plan or the trace's length proves the
+    /// environment never observes it. Returns `None` otherwise — the caller
+    /// replays the set, so a `None` never changes results.
     ///
-    /// Soundness hinges on the environment seeing the *golden* output words
-    /// for as long as the cone stays off the output nets (environments are
-    /// deterministic in what they observe), and on
+    /// Both rules rest on the environment observing only *golden* output
+    /// words (environments are deterministic in what they observe), and on
     /// [`Injector::golden_identical_class`] certifying that such a
-    /// golden-trajectory run classifies as Masked. An output-word deviation
-    /// is promoted to SDC only under the stronger
-    /// [`Environment::deterministic_transcript`] contract, where a
-    /// deviating observed word provably produces a deviating transcript.
+    /// golden-trajectory run classifies as Masked.
     fn try_discharge(&mut self, boundary: u64, flips: &[DffId]) -> Option<FailureClass> {
         if !self.golden.trace.halted() {
             return None;
@@ -1003,58 +983,15 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             let plan = self.plan();
             flips.iter().all(|&d| !plan.influences_output(d))
         };
-        if all_invisible {
+        // End of trace: the environment's step for cycle `t` observes the
+        // outputs settled at `t - 1` and its last step is for cycle
+        // `n - 1`, so flips at boundary `n - 1` or later are never observed.
+        let past_the_end = boundary >= self.golden.trace.num_cycles().saturating_sub(1);
+        if all_invisible || past_the_end {
             self.stats.formally_discharged_unace += 1;
             return Some(FailureClass::Masked);
         }
-        // Rule 2: bounded exact propagation. The environment's step for
-        // cycle `t` observes the outputs settled at `t - 1` and its last
-        // step is for cycle `n - 1`, so only output deviations in cycles
-        // `boundary ..= n - 2` are ever observable.
-        let n = self.golden.trace.num_cycles();
-        if boundary >= n.saturating_sub(1) {
-            self.stats.formally_discharged_unace += 1;
-            return Some(FailureClass::Masked);
-        }
-        let horizon = (n - 1).min(boundary + DISCHARGE_HORIZON);
-        let mut cur: Vec<DffId> = flips.to_vec();
-        let mut t = boundary;
-        while t < horizon {
-            let golden = self.golden.trace.golden_block(self.circuit, self.topo, t);
-            let plan = self.plan.as_ref().expect("built by rule 1");
-            let step = propagate_flips(
-                self.circuit,
-                self.topo,
-                plan,
-                golden,
-                t % 64,
-                &cur,
-                DISCHARGE_CONE_CAP,
-            )?;
-            if step.output_deviation {
-                if self.env_deterministic() {
-                    self.stats.formally_discharged_ace += 1;
-                    return Some(FailureClass::Sdc);
-                }
-                return None;
-            }
-            if step.next_flips.is_empty() {
-                self.stats.formally_discharged_unace += 1;
-                return Some(FailureClass::Masked);
-            }
-            cur = step.next_flips;
-            t += 1;
-        }
-        if t >= n - 1 {
-            // The whole observable window was propagated with no output
-            // deviation: the environment saw the golden trajectory
-            // throughout, so the run classifies exactly as the certified
-            // golden-identical one.
-            self.stats.formally_discharged_unace += 1;
-            Some(FailureClass::Masked)
-        } else {
-            None
-        }
+        None
     }
 
     /// The classification a faulty run would receive if its environment
@@ -1080,17 +1017,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         });
         self.golden_class = Some(computed);
         computed
-    }
-
-    /// Whether the golden environment opts into the strong
-    /// [`Environment::deterministic_transcript`] contract (required for SDC
-    /// discharges, not for Masked ones).
-    fn env_deterministic(&self) -> bool {
-        self.golden
-            .checkpoints
-            .values()
-            .next()
-            .is_some_and(|cp| cp.env.deterministic_transcript())
     }
 
     /// Classification when the faulty run has halted on its own.
@@ -1182,9 +1108,10 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                 pending.push(key);
             }
         }
-        // Semi-formal discharges run before lane chunking, so discharged
-        // sets never occupy lanes — exactly the sets a query-by-query run
-        // discharges, which keeps every counter lane-width invariant.
+        // Masking discharges run before lane chunking, so discharged sets
+        // never occupy lanes — exactly the sets a query-by-query run
+        // discharges, which keeps every counter lane-width invariant. Every
+        // other set goes straight to the batch replay.
         if self.collapse {
             let mut kept = Vec::with_capacity(pending.len());
             for set in pending {
@@ -1712,6 +1639,63 @@ mod tests {
                 "strike lanes park at cap {cap}"
             );
         }
+    }
+
+    /// The accumulator fixture plus a shadow register that copies the low
+    /// accumulator bit and that nothing reads: no flip of it ever reaches
+    /// an output.
+    fn shadowed_fixture() -> (delayavf_netlist::Circuit, Topology, TimingModel) {
+        let mut b = CircuitBuilder::new();
+        let step = b.input_word("step", 4);
+        let acc = b.reg_word("acc", 4, 0);
+        let shadow = b.reg("shadow", false);
+        let next = b.add(&acc.q(), &step);
+        b.drive_word(&acc, &next);
+        b.drive(shadow, acc.q().bit(0));
+        b.output_word("acc", &acc.q());
+        let c = b.finish().unwrap();
+        let topo = Topology::new(&c);
+        let timing = TimingModel::analyze(&c, &topo, &TechLibrary::nangate45_like());
+        (c, topo, timing)
+    }
+
+    /// The masking discharge's two rules on a halted run. A flip outside
+    /// the output-influence closure is Masked with no replay (Rule 1), the
+    /// class a replay with collapsing off gives it too. A flip at the
+    /// trace's last boundary is Masked by the end-of-trace rule although
+    /// its bit reaches the output, which the same flip earlier shows.
+    #[test]
+    fn masking_discharge_settles_unobservable_flips_without_replay() {
+        let (c, topo, timing) = shadowed_fixture();
+        let env = ObservingEnv::new(3, 14);
+        let golden = prepare_golden(&c, &topo, &env, 100, 6);
+        assert!(golden.trace.halted(), "the rules need a halted golden run");
+        let by_name = |name: &str| c.dffs().find(|(_, d)| d.name() == name).unwrap().0;
+        let shadow = by_name("shadow");
+        let boundary = golden.sampled_cycles[1];
+
+        let mut inj = Injector::new(&c, &topo, &timing, &golden, 20);
+        assert_eq!(inj.group_failure(boundary, &[shadow]), FailureClass::Masked);
+        assert_eq!(inj.stats.formally_discharged_unace, 1);
+        assert_eq!(inj.stats.replays, 0, "Rule 1 runs no replay");
+
+        let mut plain = Injector::new(&c, &topo, &timing, &golden, 20);
+        plain.set_collapse(false);
+        assert_eq!(
+            plain.group_failure(boundary, &[shadow]),
+            FailureClass::Masked
+        );
+        assert_eq!(plain.stats.replays, 1, "collapse off replays the set");
+        assert_eq!(plain.stats.formally_discharged_unace, 0);
+
+        let acc0 = c.dffs().next().unwrap().0;
+        assert_ne!(acc0, shadow);
+        assert!(inj.group_failure(boundary, &[acc0]).is_visible());
+        assert_eq!(inj.stats.replays, 1, "an observed flip is replayed");
+        let last = golden.trace.num_cycles() - 1;
+        assert_eq!(inj.group_failure(last, &[acc0]), FailureClass::Masked);
+        assert_eq!(inj.stats.formally_discharged_unace, 2);
+        assert_eq!(inj.stats.replays, 1, "the end-of-trace rule runs no replay");
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use campaign::{
     RunContext,
 };
 pub use checkpoint::{CheckpointSpec, CHECKPOINT_FORMAT_VERSION};
-pub use collapse::{propagate_flips, CollapsePlan, DischargeStep};
+pub use collapse::CollapsePlan;
 pub use golden::{prepare_golden, prepare_golden_percent, prepare_golden_seeded, GoldenRun};
 pub use injector::{FailureClass, InjectionOutcome, Injector, InjectorStats};
 pub use report::{

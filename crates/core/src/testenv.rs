@@ -50,11 +50,4 @@ impl Environment for ObservingEnv {
     fn program_output(&self) -> Vec<u8> {
         self.log.clone()
     }
-
-    // The log is a faithful full-width record of every observed word and
-    // halting is a pure cycle count, so the strong transcript contract
-    // holds and SDC discharges are exact for this environment.
-    fn deterministic_transcript(&self) -> bool {
-        true
-    }
 }

@@ -65,21 +65,6 @@ pub trait Environment: Send + Sync {
     fn program_output(&self) -> Vec<u8> {
         Vec::new()
     }
-
-    /// True when the environment's externally visible behavior is an
-    /// open-loop schedule plus a faithful record of what it observed:
-    /// [`Environment::halted`] and [`Environment::failed_abnormally`] depend
-    /// only on the cycle count (never on observed values), and
-    /// [`Environment::program_output`] is an exact, *injective* record of
-    /// the sequence of observed output-port words. Only under this contract
-    /// may an analysis classify a faulty run without replaying the
-    /// environment — identical observed words imply an identical transcript
-    /// (masked), while any deviating observed word implies a deviating
-    /// transcript in a normally-halting run (SDC) — so semi-formal ACE
-    /// discharge is gated on it. The conservative default is `false`.
-    fn deterministic_transcript(&self) -> bool {
-        false
-    }
 }
 
 /// An environment that drives every input port with fixed values and never
