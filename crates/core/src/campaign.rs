@@ -35,7 +35,9 @@
 //! including the trace's lazily filled golden settle cache — and each
 //! keeps one private [`Injector`] for every unit it pulls, whose
 //! fan-in/replay caches and cycle reconstruction are per-run mutable
-//! state.
+//! state. A round's workers hand their injectors on to the next round's,
+//! so an adaptive campaign builds its collapse plan and fan-in cones once
+//! per worker, not once per round.
 //!
 //! **Determinism:** parallel results are bit-for-bit identical to serial
 //! for any thread count and any schedule. Results are stored per unit
@@ -43,13 +45,15 @@
 //! the plan's per-site tallies), all counters are integers merged by
 //! addition, and every cache-shareable replay of a unit is keyed by the
 //! unit's own latch boundary, so no cache entry carried in a worker's
-//! injector from one unit to the next can serve another unit. The one
-//! thing a unit inherits is the driver's boundary class store: the failure
-//! classes earlier adaptive rounds settled at its boundary, seeded into
+//! injector from one unit to the next can serve another unit, and every
+//! unit starts without a golden waveform. The one thing a unit inherits is
+//! the driver's boundary store: the failure classes earlier adaptive
+//! rounds settled at its boundary and, for the sweep, the step-1 dynamic
+//! sets they derived from its cycle's golden waveform, both seeded into
 //! its worker's injector before it runs. The store changes only between
-//! rounds, so even the cache-hit counters do not depend on which worker
-//! ran which unit, or when. Checkpoints are keyed by unit, so their
-//! content does not depend on the schedule either.
+//! rounds, so even the cache-hit and timing counters do not depend on
+//! which worker ran which unit, or when. Checkpoints are keyed by unit, so
+//! their content does not depend on the schedule either.
 //!
 //! # Latch-boundary conventions
 //!
@@ -78,7 +82,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -87,7 +91,8 @@ use delayavf_sim::{Environment, MAX_LANES, MAX_TIMING_LANES};
 use delayavf_timing::{Picos, TimingModel};
 
 use crate::checkpoint::{
-    decode_unit, encode_unit, CheckpointSpec, CheckpointStore, Fingerprint, Layout, UnitPayload,
+    decode_unit, encode_unit, CheckpointSpec, CheckpointStore, Fingerprint, Layout, Step1Entry,
+    UnitPayload,
 };
 use crate::golden::GoldenRun;
 use crate::injector::{FailureClass, InjectionOutcome, Injector, InjectorStats};
@@ -927,16 +932,21 @@ trait Campaign: Sync {
         cycle_strata(t.golden, cycles, buckets)
     }
 
-    /// The payload sections of a unit with `sites` selected sites.
-    fn layout(&self, sites: usize) -> Layout<'_>;
+    /// The payload sections of a unit with `sites` selected sites in a
+    /// campaign over `dffs` flip-flops; `kept` says whether the driver
+    /// keeps a boundary store, which the sweep's step-1 section feeds.
+    fn layout(&self, sites: usize, kept: bool, dffs: usize) -> Layout<'_>;
 
     /// Runs the `selected` items at `cycle`, filling every section of the
-    /// layout except `stats` and `fc`, which the driver adds.
+    /// layout except `stats` and `fc`, which the driver adds. `step1` is
+    /// the store's step-1 results at the cycle when the driver keeps a
+    /// store (see [`Settled`]).
     fn run<E: Environment + Clone, S: TelemetrySink>(
         &self,
         w: &mut Worker<'_, '_, E, S>,
         cycle: u64,
         selected: &[usize],
+        step1: Option<&Step1Map>,
     ) -> UnitPayload;
 
     /// Writes the `j`-th selected site's per-estimand hits and trials into
@@ -1000,9 +1010,17 @@ fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
         let store = setup.store.as_ref();
         // Later rounds revisit a boundary only in an adaptive campaign with
         // several sites per cycle (the sweep): the exhaustive plan runs one
-        // round, and the other kinds' sites are whole cycles. Only then
-        // are settled classes kept for later rounds.
-        let mut settled = (adaptive && per_cycle > 1).then(BoundaryClasses::default);
+        // round, and the other kinds' sites are whole cycles. Only then is
+        // what units settle kept for later rounds.
+        let mut settled = (adaptive && per_cycle > 1).then(BoundaryStore::default);
+        // Worker injectors outlive their round: what they keep from unit to
+        // unit is either a pure function of the netlist (the collapse plan,
+        // fan-in cones) or reset per unit (the golden waveform, the step-1
+        // sets), so later rounds start warm whichever worker takes which. A
+        // push or pop leaves the pool valid, so a poisoned lock still
+        // guards a usable pool.
+        let idle: Mutex<Vec<Injector<'_, E>>> = Mutex::new(Vec::new());
+        let pooled = || idle.lock().unwrap_or_else(PoisonError::into_inner);
         let mut acc = c.empty();
         let mut stats = InjectorStats::default();
         let mut hits = vec![0; c.estimands()];
@@ -1037,22 +1055,27 @@ fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
                 &units,
                 &queue_order(&costs),
                 |id| Worker {
-                    injector: worker_injector(t, opts),
+                    injector: pooled().pop().unwrap_or_else(|| worker_injector(t, opts)),
                     obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
                 },
                 |w: &mut Worker<'_, '_, E, S>, (pos, items)| {
                     let cycle = cycles[*pos];
                     let key = round_key(round, cycle);
-                    run_unit(c, w, key, cycle, items, &setup, settled.as_ref())
+                    run_unit(c, t, w, key, cycle, items, &setup, settled.as_ref())
                 },
-                |w| w.obs.finish(),
+                |w| {
+                    w.obs.finish();
+                    pooled().push(w.injector);
+                },
             )?;
             // Results come back in unit order, so the merge, the plan's
-            // tallies and the settled classes are schedule-invariant.
+            // tallies and the store are schedule-invariant.
             for ((pos, items), mut unit) in units.iter().zip(results) {
-                if let (Some(settled), Some(fresh)) = (&mut settled, unit.failures.take()) {
-                    let boundary = cycles[*pos] + C::BOUNDARY;
-                    settled.entry(boundary).or_default().extend(fresh);
+                let (failures, step1) = (unit.failures.take(), unit.step1.take());
+                if let Some(settled) = &mut settled {
+                    let at = settled.entry(cycles[*pos] + C::BOUNDARY).or_default();
+                    at.classes.extend(failures.into_iter().flatten());
+                    at.step1.extend(step1.into_iter().flatten());
                 }
                 for (j, &item) in items.iter().enumerate() {
                     hits.fill(0);
@@ -1079,41 +1102,45 @@ fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
 }
 
 /// Runs one unit — or restores it from the resumed checkpoint — and marks
-/// it done. A fresh unit starts from the classes `known` holds at its
-/// boundary and gets its counter delta. When its kind has a failure
-/// section and it checkpoints or `known` is kept, its `failures` are the
-/// classes it settled that `known` did not hold; a restored unit reads
-/// them back from its payload, so a resumed run rebuilds the same `known`.
+/// it done. A fresh unit starts from what `known` holds at its boundary
+/// and gets its counter delta. When `known` is kept, its `failures` and
+/// `step1` sections hold what it settled that `known` did not (its
+/// `failures` also when it checkpoints); a restored unit reads them back
+/// from its payload, so a resumed run rebuilds the same `known`.
+#[allow(clippy::too_many_arguments)]
 fn run_unit<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
     c: &C,
+    t: &Target<'_, E>,
     w: &mut Worker<'_, '_, E, S>,
     key: u64,
     cycle: u64,
     selected: &[usize],
     setup: &ObservedSetup,
-    known: Option<&BoundaryClasses>,
+    known: Option<&BoundaryStore>,
 ) -> Result<UnitPayload, String> {
     let boundary = cycle + C::BOUNDARY;
-    let layout = c.layout(selected.len());
+    let layout = c.layout(selected.len(), known.is_some(), t.circuit.num_dffs());
     if let Some(payload) = setup.resumed.get(&key) {
         let unit = decode_unit(payload, &layout, cycle)?;
         w.obs.unit_done(key, None, unit.stats.as_ref())?;
         return Ok(unit);
     }
-    let carried = known.and_then(|k| k.get(&boundary));
-    if let Some(entries) = carried {
-        w.injector.preload_failures(boundary, entries);
+    let none = Settled::default();
+    let carried = known.map(|k| k.get(&boundary).unwrap_or(&none));
+    if let Some(carried) = carried {
+        w.injector.preload_failures(boundary, &carried.classes);
     }
     let before = w.injector.stats;
-    let mut unit = c.run(w, cycle, selected);
+    w.injector.forget_golden_wave();
+    let mut unit = c.run(w, cycle, selected, carried.map(|k| &k.step1));
     if layout.stats {
         unit.stats = Some(w.injector.stats.delta_since(&before));
     }
     let checkpointing = setup.store.is_some();
     if layout.failures && (known.is_some() || checkpointing) {
         let mut fresh = w.injector.take_failures(boundary);
-        if let Some(entries) = carried {
-            fresh.retain(|(set, _)| !entries.contains_key(set));
+        if let Some(carried) = carried {
+            fresh.retain(|(set, _)| !carried.classes.contains_key(set));
         }
         unit.failures = Some(fresh);
     }
@@ -1122,13 +1149,29 @@ fn run_unit<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
     Ok(unit)
 }
 
-/// The failure classes a campaign has settled at each latch boundary
-/// (boundary -> flip set -> class), by replay or by formal discharge: what
-/// later adaptive rounds start from. `drive` changes it only between
-/// rounds, adding each unit's new entries in unit order, so every unit
-/// sees exactly the earlier rounds' classes whatever the schedule and
-/// thread count.
-type BoundaryClasses = HashMap<u64, HashMap<Vec<DffId>, FailureClass>>;
+/// A sweep cycle's step-1 results by pair index (`fraction × edges + edge
+/// item`, the order of [`Sweep::pairs`]): the dynamic flip set of every
+/// pair that passed the cheap pre-filters and whose set needed the cycle's
+/// golden waveform — timed, certified by the quiet-source check, or its
+/// collapse representative's.
+type Step1Map = HashMap<usize, Vec<DffId>>;
+
+/// What earlier adaptive rounds settled at one latch boundary, and later
+/// rounds there start from.
+#[derive(Debug, Default)]
+struct Settled {
+    /// Failure classes by flip set, settled by replay or by formal
+    /// discharge.
+    classes: HashMap<Vec<DffId>, FailureClass>,
+    /// The sweep's step-1 results at the boundary's cycle.
+    step1: Step1Map,
+}
+
+/// The boundary store: what a campaign has settled at each latch boundary.
+/// `drive` changes it only between rounds, adding each unit's new entries
+/// in unit order, so every unit sees exactly the earlier rounds' classes
+/// and step-1 results whatever the schedule and thread count.
+type BoundaryStore = HashMap<u64, Settled>;
 
 /// Packs a checkpoint key: adaptive rounds may revisit a cycle with a
 /// different site subset, so the key embeds the round number. A uniform
@@ -1229,6 +1272,32 @@ impl Sweep<'_> {
             .flat_map(|&extra| items.iter().map(move |&i| (self.edges[i], extra)))
             .collect()
     }
+
+    /// The step-1 results `injector` now holds for the pairs of one
+    /// [`Sweep::pairs`] call over `items`, with results `parts`, that passed
+    /// the static filter and `known` lacks.
+    fn fresh_step1<E: Environment + Clone>(
+        &self,
+        injector: &mut Injector<'_, E>,
+        cycle: u64,
+        known: &Step1Map,
+        items: &[usize],
+        parts: &[(usize, Vec<DffId>)],
+    ) -> Vec<Step1Entry> {
+        let mut fresh = Vec::new();
+        for (k, &(statically_reachable, _)) in parts.iter().enumerate() {
+            let (fi, item) = (k / items.len(), items[k % items.len()]);
+            let pair = fi * self.edges.len() + item;
+            if statically_reachable == 0 || known.contains_key(&pair) {
+                continue;
+            }
+            let (edge, extra) = (self.edges[item], self.extras[fi]);
+            if let Some(set) = injector.step1_result(cycle, edge, extra) {
+                fresh.push((pair, set.clone()));
+            }
+        }
+        fresh
+    }
 }
 
 /// The nonempty flip groups of a cycle's step-1 results and, under ORACE,
@@ -1297,12 +1366,15 @@ impl Campaign for Sweep<'_> {
             .collect()
     }
 
-    fn layout(&self, sites: usize) -> Layout<'_> {
+    fn layout(&self, sites: usize, kept: bool, dffs: usize) -> Layout<'_> {
         Layout {
             rows: Some((&self.config.delay_fractions, self.config.compute_orace)),
             vis: Some(sites * self.extras.len()),
             stats: true,
             failures: true,
+            // Only a kept store has step-1 results to rebuild.
+            step1: kept.then_some(self.edges.len() * self.extras.len()),
+            dffs,
             ..Layout::default()
         }
     }
@@ -1312,6 +1384,7 @@ impl Campaign for Sweep<'_> {
         w: &mut Worker<'_, '_, E, S>,
         cycle: u64,
         selected: &[usize],
+        step1: Option<&Step1Map>,
     ) -> UnitPayload {
         let config = self.config;
         let injector = &mut w.injector;
@@ -1324,6 +1397,15 @@ impl Campaign for Sweep<'_> {
         timed(S::ENABLED, &mut phases.golden_settle_us, || {
             injector.warm_cycle_data(cycle)
         });
+        // A kept store seeds the cycle's step-1 sets: pairs an earlier round
+        // resolved on the golden waveform are served without it.
+        if let Some(known) = step1 {
+            let n = self.edges.len();
+            let seeds = known
+                .iter()
+                .map(|(&pair, set)| (self.edges[pair % n], self.extras[pair / n], set));
+            injector.preload_step1(cycle, seeds);
+        }
         // Phase 1 (timing-aware): one lane-packing pass over the whole cycle.
         // Every fraction's (edge, extra) pairs are handed to the batch carver
         // together, fraction-major, so the per-pair filter decisions and the
@@ -1339,27 +1421,42 @@ impl Campaign for Sweep<'_> {
         // at its boundary times the cycle's other edges too, on the golden
         // waveform it already built, and replays every unsettled set of the
         // whole cycle at once. Its fresh classes reach the boundary class
-        // store, so no later adaptive round replays here. Uniform units
-        // already hold the whole cycle, and at `lanes = 1` prefilling is a
-        // no-op, so the extra timing would batch nothing.
+        // store, so no later adaptive round replays here. A unit that built
+        // the waveform times the other edges on it as well, so their sets
+        // reach the step-1 store and no later round builds it again.
+        // Uniform units already hold the whole cycle, and at `lanes = 1`
+        // prefilling is a no-op, so the extra timing would batch nothing.
         let boundary = cycle + 1;
         let orace = config.compute_orace;
-        if config.lanes != 1
-            && selected.len() < self.edges.len()
-            && flip_sets(parts.iter(), orace).any(|set| !injector.failure_settled(boundary, &set))
-        {
-            // A unit's items come in ascending order.
-            let rest: Vec<usize> = (0..self.edges.len())
-                .filter(|i| selected.binary_search(i).is_err())
-                .collect();
-            let rest_parts = timed(S::ENABLED, &mut phases.timing_step_us, || {
-                injector.dynamically_reachable_batch(cycle, &self.pairs(&rest))
-            });
-            timed(S::ENABLED, &mut phases.replay_us, || {
-                injector
-                    .prefill_failures(boundary, flip_sets(parts.iter().chain(&rest_parts), orace))
-            });
+        let mut rest = Vec::new();
+        let mut rest_parts = Vec::new();
+        if config.lanes != 1 && selected.len() < self.edges.len() {
+            let unsettled =
+                flip_sets(parts.iter(), orace).any(|set| !injector.failure_settled(boundary, &set));
+            if unsettled || injector.holds_golden_wave(cycle) {
+                // A unit's items come in ascending order.
+                rest = (0..self.edges.len())
+                    .filter(|i| selected.binary_search(i).is_err())
+                    .collect();
+                rest_parts = timed(S::ENABLED, &mut phases.timing_step_us, || {
+                    injector.dynamically_reachable_batch(cycle, &self.pairs(&rest))
+                });
+            }
+            if unsettled {
+                timed(S::ENABLED, &mut phases.replay_us, || {
+                    injector.prefill_failures(
+                        boundary,
+                        flip_sets(parts.iter().chain(&rest_parts), orace),
+                    )
+                });
+            }
         }
+        let step1 = step1.map(|known| {
+            let mut fresh = self.fresh_step1(injector, cycle, known, selected, &parts);
+            fresh.extend(self.fresh_step1(injector, cycle, known, &rest, &rest_parts));
+            fresh.sort_unstable_by_key(|&(pair, _)| pair);
+            fresh
+        });
         for (fi, parts) in parts.chunks_mut(selected.len().max(1)).enumerate() {
             timed(S::ENABLED, &mut phases.replay_us, || {
                 // Phase 2: batch the whole boundary's replays — group sets and,
@@ -1402,6 +1499,7 @@ impl Campaign for Sweep<'_> {
         UnitPayload {
             rows: Some(rows),
             vis: Some(vis),
+            step1,
             ..UnitPayload::default()
         }
     }
@@ -1466,10 +1564,11 @@ impl Campaign for Records<'_> {
         self.edges.len()
     }
 
-    fn layout(&self, _sites: usize) -> Layout<'_> {
+    fn layout(&self, _sites: usize, _kept: bool, dffs: usize) -> Layout<'_> {
         Layout {
             records: Some(self.edges.len()),
             failures: true,
+            dffs,
             ..Layout::default()
         }
     }
@@ -1479,6 +1578,7 @@ impl Campaign for Records<'_> {
         w: &mut Worker<'_, '_, E, S>,
         cycle: u64,
         _selected: &[usize],
+        _step1: Option<&Step1Map>,
     ) -> UnitPayload {
         // Same two-phase structure as the sweep: collect the cycle's dynamic
         // sets, batch their replays, then record in edge order.
@@ -1579,11 +1679,12 @@ impl Campaign for Strikes<'_> {
         self.groups().len()
     }
 
-    fn layout(&self, _sites: usize) -> Layout<'_> {
+    fn layout(&self, _sites: usize, _kept: bool, dffs: usize) -> Layout<'_> {
         Layout {
             classes: Some(self.groups().len()),
             stats: true,
             failures: true,
+            dffs,
             ..Layout::default()
         }
     }
@@ -1593,6 +1694,7 @@ impl Campaign for Strikes<'_> {
         w: &mut Worker<'_, '_, E, S>,
         cycle: u64,
         _selected: &[usize],
+        _step1: Option<&Step1Map>,
     ) -> UnitPayload {
         UnitPayload {
             classes: Some(strike_classes(w, cycle, self.groups())),
@@ -1649,9 +1751,10 @@ impl Campaign for PerBit<'_> {
         self.dffs.len().max(1)
     }
 
-    fn layout(&self, _sites: usize) -> Layout<'_> {
+    fn layout(&self, _sites: usize, _kept: bool, dffs: usize) -> Layout<'_> {
         Layout {
             classes: Some(self.dffs.len()),
+            dffs,
             ..Layout::default()
         }
     }
@@ -1661,6 +1764,7 @@ impl Campaign for PerBit<'_> {
         w: &mut Worker<'_, '_, E, S>,
         cycle: u64,
         _selected: &[usize],
+        _step1: Option<&Step1Map>,
     ) -> UnitPayload {
         UnitPayload {
             classes: Some(strike_classes(w, cycle, self.dffs.windows(1))),
@@ -2356,7 +2460,11 @@ mod tests {
         // each cycle's edges, so later rounds start from the classes
         // earlier rounds settled at the same boundary: the sweep then
         // replays exactly the uniform sweep's distinct flip sets, no more.
-        let uniform_replays = run(1, None, false).0 .1.replays;
+        // Later rounds also start from the step-1 results earlier rounds
+        // kept, so every run times at most the uniform sweep's pairs and
+        // builds at most one golden waveform per cycle.
+        let uniform = run(1, None, false).0 .1;
+        let cycles = valid_cycles(&golden).len() as u64;
         for (ci_target, collapse) in [
             (None, true),
             (None, false),
@@ -2366,7 +2474,18 @@ mod tests {
             let serial = run(1, ci_target, collapse);
             assert!(serial.1 .1.replays > 0, "the strikes replay");
             if ci_target == Some(1e-9) {
-                assert_eq!(serial.0 .1.replays, uniform_replays, "carried classes");
+                assert_eq!(serial.0 .1.replays, uniform.replays, "carried classes");
+            }
+            if ci_target.is_some() {
+                let sweep = serial.0 .1;
+                assert!(
+                    sweep.event_sims <= uniform.event_sims,
+                    "kept step-1 results"
+                );
+                assert!(
+                    sweep.golden_waveform_builds <= cycles,
+                    "one waveform per cycle"
+                );
             }
             for s in [
                 Schedule::Reversed,
@@ -2453,6 +2572,14 @@ mod tests {
             "cls",
             "stats",
             "fc",
+            "dyn",
+            "1*4",
+            "2*0",
+            "1*99",
+            "3.1.2",
+            "0.4999",
+            "2.7.7",
+            "9.5000",
             ".",
             ".0110",
             ".MSD",
@@ -2474,8 +2601,12 @@ mod tests {
             ".é",
         ];
 
+        /// Flip-flops of the codec's campaigns.
+        const DFFS: usize = 5000;
+
         /// Runs `f` on the layout of every campaign kind (the sweep with
-        /// and without ORACE, at `sites` selected edges).
+        /// and without ORACE and with and without a kept store, at `sites`
+        /// selected edges), bounded by [`DFFS`] flip-flops.
         fn each_layout(sites: usize, mut f: impl FnMut(&str, Layout<'_>)) {
             let edges: Vec<EdgeId> = (0..5).map(EdgeId::from_index).collect();
             let dffs: Vec<DffId> = (0..4).map(DffId::from_index).collect();
@@ -2490,34 +2621,42 @@ mod tests {
                     config: &config,
                     extras: vec![0; 2],
                 };
-                f("delay_sweep", sweep.layout(sites));
+                f("delay_sweep_adaptive", sweep.layout(sites, true, DFFS));
+                f("delay_sweep", sweep.layout(sites, false, DFFS));
             }
             let records = Records {
                 edges: &edges,
                 fraction: [0.9],
                 extra: 0,
             };
-            f("delay_records", records.layout(1));
+            f("delay_records", records.layout(1, false, DFFS));
             for (kind, width) in [("savf", 1), ("spatial_double", 2)] {
                 let strikes = Strikes {
                     kind,
                     dffs: &dffs,
                     width,
                 };
-                f(kind, strikes.layout(1));
+                f(kind, strikes.layout(1, false, DFFS));
             }
-            f("savf_per_bit", PerBit { dffs: &dffs }.layout(1));
+            f(
+                "savf_per_bit",
+                PerBit { dffs: &dffs }.layout(1, false, DFFS),
+            );
         }
 
         fn class(rng: &mut StdRng) -> FailureClass {
             [FailureClass::Masked, FailureClass::Sdc, FailureClass::Due][rng.gen_range(0..3)]
         }
 
+        /// A normalized (ascending, duplicate-free) flip set.
         fn flip_set(rng: &mut StdRng) -> Vec<DffId> {
             let len = rng.gen_range(0..4);
-            (0..len)
-                .map(|_| DffId::from_index(rng.gen_range(0..5000)))
-                .collect()
+            let mut set: Vec<DffId> = (0..len)
+                .map(|_| DffId::from_index(rng.gen_range(0..DFFS)))
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            set
         }
 
         /// A random payload holding exactly `layout`'s sections.
@@ -2574,6 +2713,18 @@ mod tests {
                 let len = rng.gen_range(0..6);
                 unit.failures = Some((0..len).map(|_| (flip_set(rng), class(rng))).collect());
             }
+            if let Some(pairs) = layout.step1 {
+                let picked: Vec<usize> = (0..pairs).filter(|_| rng.gen_bool(0.5)).collect();
+                // Mostly empty sets, as timed pairs mostly are, so runs form.
+                let set = |rng: &mut StdRng| {
+                    if rng.gen_bool(0.7) {
+                        Vec::new()
+                    } else {
+                        flip_set(rng)
+                    }
+                };
+                unit.step1 = Some(picked.into_iter().map(|pair| (pair, set(rng))).collect());
+            }
             unit
         }
 
@@ -2594,6 +2745,58 @@ mod tests {
                 let text = String::from_utf8_lossy(&bytes);
                 each_layout(2, |kind, layout| {
                     assert!(decode_unit(&text, &layout, 1).is_err(), "{kind}: {text:?}");
+                });
+            }
+
+            /// A payload cut short — the tail a torn write would lose — is
+            /// an error when whole tokens are lost, and never a panic
+            /// wherever the cut falls.
+            #[test]
+            fn truncated_payloads_are_errors(seed: u64) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                each_layout(3, |kind, layout| {
+                    let line = encode_unit(&random_unit(&layout, 1, &mut rng));
+                    let cut = rng.gen_range(0..line.len());
+                    let _ = decode_unit(&line[..cut], &layout, 1);
+                    let tokens = line.split(' ').count();
+                    let kept: Vec<&str> = line.split(' ').take(rng.gen_range(0..tokens)).collect();
+                    let short = kept.join(" ");
+                    assert!(decode_unit(&short, &layout, 1).is_err(), "{kind}: {short:?}");
+                });
+            }
+
+            /// Flip-flop ids at or past the campaign's count, out-of-order
+            /// flip sets and step-1 pair indices past the cycle's pairs are
+            /// errors, never a later index panic.
+            #[test]
+            fn out_of_range_ids_are_errors(seed: u64) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                each_layout(3, |kind, layout| {
+                    let mut unit = random_unit(&layout, 1, &mut rng);
+                    let too_big = DffId::from_index(DFFS + rng.gen_range(0..3));
+                    let set = vec![DffId::from_index(1), DffId::from_index(0)];
+                    let bad = [vec![too_big], set];
+                    let bad = bad[rng.gen_range(0..2)].clone();
+                    if let Some(failures) = unit.failures.as_mut() {
+                        failures.push((bad.clone(), FailureClass::Sdc));
+                    } else if let Some(records) = unit.records.as_mut() {
+                        records[0].outcome.dynamic_set = bad.clone();
+                    } else {
+                        return;
+                    }
+                    let line = encode_unit(&unit);
+                    assert!(decode_unit(&line, &layout, 1).is_err(), "{kind}: {line}");
+                    if let Some(pairs) = layout.step1 {
+                        let mut unit = random_unit(&layout, 1, &mut rng);
+                        let entries = unit.step1.as_mut().expect("a step-1 section");
+                        entries.retain(|&(pair, _)| pair + 1 < pairs);
+                        match rng.gen_range(0..2) {
+                            0 => entries.push((pairs + rng.gen_range(0..3), Vec::new())),
+                            _ => entries.push((pairs - 1, bad)),
+                        }
+                        let line = encode_unit(&unit);
+                        assert!(decode_unit(&line, &layout, 1).is_err(), "{kind}: {line}");
+                    }
                 });
             }
 

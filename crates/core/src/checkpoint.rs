@@ -19,7 +19,7 @@
 //! A plain-text, line-oriented format (the workspace is offline; no serde):
 //!
 //! ```text
-//! delayavf-checkpoint v5 <kind>
+//! delayavf-checkpoint v6 <kind>
 //! fingerprint <hex16>
 //! knobs <hex16>
 //! unit <key> <payload tokens...>
@@ -37,8 +37,27 @@
 //!
 //! A unit's key is `round << 44 | cycle` (so a uniform campaign's keys are
 //! its cycles) and its payload is a `UnitPayload`: the tagged sections
-//! its kind carries (`rows`, `vis`, `rec`, `cls`, `stats`, `fc`), always
-//! in that order.
+//! its kind carries, always in this order:
+//!
+//! - `rows`: the sweep's result-row deltas, one per delay fraction;
+//! - `vis`: the sweep's per-injection visibility flags;
+//! - `rec`: the record campaign's injection records;
+//! - `cls`: the strike campaigns' failure classes;
+//! - `stats`: the unit's engine-counter delta;
+//! - `fc`: the failure classes the unit settled at its latch boundary;
+//! - `dyn` (adaptive sweeps only): the step-1 results the unit added to
+//!   the campaign's per-cycle store, so a resumed run times none of them
+//!   again: `dyn <count>`, then the entries in ascending pair index
+//!   `fraction × edges + edge item`. An entry is written as the gap from
+//!   the previous entry's index (the first entry's is the index itself),
+//!   followed by its dynamic flip set as `.<dff>.<dff>...` when that is
+//!   nonempty; `<gap>*<k>` stands for `k` entries with empty sets, each
+//!   `gap` after the one before. Most timed pairs reach no flip-flop, so
+//!   the runs keep the section small.
+//!
+//! Decoding checks every count, index and flip-flop id against the
+//! campaign, so a corrupt payload is a `checkpoint parse error`, never a
+//! later panic.
 //!
 //! # Atomicity
 //!
@@ -61,7 +80,7 @@ use crate::result::{DelayAvfResult, OraceStats};
 
 /// Checkpoint file format version; bumped on any layout change. A version
 /// mismatch on resume is rejected like any other stale checkpoint.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 5;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 6;
 
 const MAGIC: &str = "delayavf-checkpoint";
 
@@ -377,14 +396,16 @@ impl<'a> Tokens<'a> {
             .map_err(|e| format!("checkpoint parse error: bad {what} `{tok}`: {e}"))
     }
 
-    /// A length-prefixed flip set (`<len> <dff>...`).
-    fn next_dffs(&mut self) -> Result<Vec<DffId>, String> {
+    /// A length-prefixed flip set (`<len> <dff>...`) of strictly ascending
+    /// flip-flop ids below `dffs`.
+    fn next_dffs(&mut self, dffs: usize) -> Result<Vec<DffId>, String> {
         let len = self.next_usize("flip-set length")?;
-        let mut dffs = Vec::new();
+        let mut set = Vec::new();
         for _ in 0..len {
-            dffs.push(DffId::from_index(self.next_id("flip-set dff")?));
+            let tok = self.next_str("flip-set dff")?;
+            push_dff(&mut set, tok, dffs)?;
         }
-        Ok(dffs)
+        Ok(set)
     }
 
     /// A `.`-prefixed string of one-character flags, each decoded by `f`.
@@ -402,6 +423,30 @@ impl<'a> Tokens<'a> {
             .collect()
     }
 }
+
+/// Appends the flip-flop id `tok` to the ascending flip set `set`: a valid
+/// id below `dffs` and above the set's last.
+fn push_dff(set: &mut Vec<DffId>, tok: &str, dffs: usize) -> Result<(), String> {
+    let i: usize = tok
+        .parse()
+        .map_err(|e| format!("checkpoint parse error: bad flip-set dff `{tok}`: {e}"))?;
+    if i >= dffs {
+        return Err(format!(
+            "checkpoint parse error: flip-set dff {i} out of range ({dffs} flip-flops)"
+        ));
+    }
+    if set.last().is_some_and(|last| last.index() >= i) {
+        return Err(format!(
+            "checkpoint parse error: flip-set dff {i} out of order"
+        ));
+    }
+    set.push(DffId::from_index(i));
+    Ok(())
+}
+
+/// One stored step-1 result: a sweep pair's index at its cycle, `fraction
+/// × edges + edge item`, and the pair's dynamic flip set.
+pub(crate) type Step1Entry = (usize, Vec<DffId>);
 
 /// One completed unit's contribution: what the campaign merges, and what
 /// its checkpoint line stores. A kind fills the sections its [`Layout`]
@@ -422,6 +467,9 @@ pub(crate) struct UnitPayload {
     /// The failure-cache entries at the unit's latch boundary, sorted by
     /// flip set (`fc`).
     pub(crate) failures: Option<Vec<(Vec<DffId>, FailureClass)>>,
+    /// The step-1 results the unit added to the per-cycle store, sorted by
+    /// pair index (`dyn`).
+    pub(crate) step1: Option<Vec<Step1Entry>>,
 }
 
 /// The sections one campaign kind's payloads carry, with the sizes the
@@ -440,6 +488,10 @@ pub(crate) struct Layout<'a> {
     pub(crate) stats: bool,
     /// Whether the failure-cache section is present.
     pub(crate) failures: bool,
+    /// The step-1 section's pairs per cycle, which bounds its pair indices.
+    pub(crate) step1: Option<usize>,
+    /// Flip-flops in the campaign's circuit: every flip-set id is below it.
+    pub(crate) dffs: usize,
 }
 
 fn encode_class(class: FailureClass) -> char {
@@ -534,6 +586,34 @@ pub(crate) fn encode_unit(unit: &UnitPayload) -> String {
             }
         }
     }
+    if let Some(entries) = &unit.step1 {
+        tag(&mut out, "dyn");
+        let _ = write!(out, " {}", entries.len());
+        let mut prev = 0;
+        let mut rest = entries.as_slice();
+        while let Some(((pair, set), tail)) = rest.split_first() {
+            let gap = pair - prev;
+            let _ = write!(out, " {gap}");
+            prev = *pair;
+            rest = tail;
+            for d in set {
+                let _ = write!(out, ".{}", d.index());
+            }
+            if set.is_empty() && gap > 0 {
+                // Empty sets at equal gaps run together.
+                let run = rest
+                    .iter()
+                    .enumerate()
+                    .take_while(|&(k, (next, set))| set.is_empty() && *next == pair + gap * (k + 1))
+                    .count();
+                if run > 0 {
+                    let _ = write!(out, "*{}", run + 1);
+                    prev = pair + gap * run;
+                    rest = &rest[run..];
+                }
+            }
+        }
+    }
     out
 }
 
@@ -596,7 +676,7 @@ pub(crate) fn decode_unit(
             let edge = EdgeId::from_index(t.next_id("record edge")?);
             let statically_reachable = t.next_usize("statically reachable count")?;
             let class = decode_class(t.next_str("record class")?)?;
-            let dynamic_set = t.next_dffs()?;
+            let dynamic_set = t.next_dffs(layout.dffs)?;
             records.push(InjectionRecord {
                 cycle,
                 edge,
@@ -630,9 +710,57 @@ pub(crate) fn decode_unit(
         let mut failures = Vec::new();
         for _ in 0..entries {
             let class = decode_class(t.next_str("failure class")?)?;
-            failures.push((t.next_dffs()?, class));
+            failures.push((t.next_dffs(layout.dffs)?, class));
         }
         unit.failures = Some(failures);
+    }
+    if let Some(pairs) = layout.step1 {
+        t.expect("dyn")?;
+        let n = t.next_usize("step-1 entry count")?;
+        let mut entries: Vec<Step1Entry> = Vec::new();
+        while entries.len() < n {
+            let tok = t.next_str("step-1 entry")?;
+            let (head, set) = match tok.split_once('.') {
+                Some((head, set)) => (head, Some(set)),
+                None => (tok, None),
+            };
+            let (gap, run) = match head.split_once('*') {
+                Some((gap, run)) if set.is_none() => (gap, run),
+                _ => (head, "1"),
+            };
+            let number = |tok: &str, what: &str| {
+                tok.parse::<usize>()
+                    .map_err(|e| format!("checkpoint parse error: bad step-1 {what} `{tok}`: {e}"))
+            };
+            let (gap, run) = (number(gap, "pair gap")?, number(run, "run length")?);
+            if run == 0 || run > n - entries.len() {
+                return Err(format!(
+                    "checkpoint parse error: step-1 run of {run} past the entry count {n}"
+                ));
+            }
+            for _ in 0..run {
+                // Pair indices strictly ascend, so every gap after the
+                // first is positive.
+                let pair = match entries.last() {
+                    None => Some(gap),
+                    Some(&(prev, _)) if gap > 0 => prev.checked_add(gap),
+                    Some(_) => None,
+                }
+                .filter(|&pair| pair < pairs)
+                .ok_or_else(|| {
+                    format!(
+                        "checkpoint parse error: step-1 pair gap {gap} out of range ({pairs} pairs)"
+                    )
+                })?;
+                entries.push((pair, Vec::new()));
+            }
+            if let (Some(set), Some((_, last))) = (set, entries.last_mut()) {
+                for d in set.split('.') {
+                    push_dff(last, d, layout.dffs)?;
+                }
+            }
+        }
+        unit.step1 = Some(entries);
     }
     if !t.finished() {
         return Err("checkpoint parse error: trailing payload tokens".into());
@@ -718,14 +846,17 @@ mod tests {
     fn corrupt_files_are_parse_errors_not_silent_fresh_starts() {
         let dir = tmpdir();
         let path = dir.join("c.ckpt");
+        let v = CHECKPOINT_FORMAT_VERSION;
         for garbage in [
-            "",
-            "not a checkpoint\n",
-            "delayavf-checkpoint v999 savf\nfingerprint 0\nknobs 0\n",
-            "delayavf-checkpoint v5 savf\nfingerprint zz\nknobs 0\n",
-            "delayavf-checkpoint v5 savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n",
+            String::new(),
+            "not a checkpoint\n".into(),
+            "delayavf-checkpoint v999 savf\nfingerprint 0\nknobs 0\n".into(),
+            format!("delayavf-checkpoint v{v} savf\nfingerprint zz\nknobs 0\n"),
+            format!(
+                "delayavf-checkpoint v{v} savf\nfingerprint 0000000000000007\nknobs 0000000000000009\nwat\n"
+            ),
         ] {
-            fs::write(&path, garbage).unwrap();
+            fs::write(&path, &garbage).unwrap();
             let resume = CheckpointSpec::new(&path, 1, true);
             let err = CheckpointStore::open(&resume, "savf", 7, 9).unwrap_err();
             assert!(

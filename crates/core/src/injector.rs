@@ -154,11 +154,15 @@ pub struct Injector<'a, E: Environment + Clone> {
     /// The collapsing plan, built lazily on the first collapsed query so
     /// `--no-collapse` campaigns never pay for it.
     plan: Option<CollapsePlan>,
-    /// Dynamic sets computed for class representatives this cycle:
-    /// `(representative, extra)` -> dynamically reachable set. Cleared when
-    /// the injection cycle changes; every member query is served from here.
-    collapse_cache: HashMap<(EdgeId, Picos), Vec<DffId>>,
-    collapse_cycle: Option<u64>,
+    /// Dynamic sets known at `step1_cycle`, keyed `(edge, extra)`: every
+    /// class representative's, computed once per cycle and served to each
+    /// member of its class, and — once [`Injector::preload_step1`] has
+    /// seeded the cycle — every plain pair's whose set needed the golden
+    /// waveform. Cleared when the injection cycle changes.
+    step1_cache: HashMap<(EdgeId, Picos), Vec<DffId>>,
+    step1_cycle: Option<u64>,
+    /// Whether plain pairs' sets are kept in `step1_cache` too.
+    keep_step1: bool,
     /// Memoized [`Injector::golden_identical_class`] (outer `None` = not
     /// yet computed, inner `None` = not establishable).
     golden_class: Option<Option<FailureClass>>,
@@ -489,8 +493,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             input_net_pos,
             collapse: true,
             plan: None,
-            collapse_cache: HashMap::new(),
-            collapse_cycle: None,
+            step1_cache: HashMap::new(),
+            step1_cycle: None,
+            keep_step1: false,
             golden_class: None,
             stats: InjectorStats::default(),
         }
@@ -623,8 +628,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         // answer. The member's own static filter just passed and the class
         // criterion includes slack-table equality, so the representative's
         // would pass identically.
+        self.refresh_step1_cycle(cycle);
         if self.collapse {
-            self.refresh_collapse_cycle(cycle);
             let rep = self.plan().representative(edge);
             if rep != edge {
                 self.stats.collapsed_edges += 1;
@@ -642,7 +647,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// The toggle pre-filter, quiet-source certificate and timing-aware
     /// simulation of one injection that already passed the static filter
     /// (and, when collapsing, was already resolved to a class
-    /// representative or a singleton).
+    /// representative or a singleton). A kept set is served without the
+    /// waveform, and counts nothing.
     fn timed_dynamic_set(&mut self, cycle: u64, edge: EdgeId, extra: Picos) -> Vec<DffId> {
         // Pre-filter 2 (§V-C): if no source feeding the faulted edge
         // toggles this cycle, no event ever crosses the edge.
@@ -650,21 +656,43 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             self.stats.toggle_filtered += 1;
             return Vec::new();
         }
-        if self.collapse && self.quiet_source(cycle, edge) {
-            return Vec::new();
+        if let Some(set) = self.kept_set(edge, extra) {
+            return set;
         }
-        // Timing-aware simulation of the one faulty cycle, as a delta
-        // against the cycle's golden waveform: only the fault's divergence
-        // cone is propagated.
-        self.ensure_golden_wave(cycle);
-        self.stats.event_sims += 1;
-        let (latched, outcome) = self
-            .delta
-            .latch_cycle(&self.gold, FaultSpec { edge, extra });
-        self.stats.delta_events += outcome.delta_events;
-        self.stats.delta_early_exits += outcome.reconverged;
-        let data = self.cycle_data.as_ref().expect("ensured with the waveform");
-        mismatches(latched, &data.next_state)
+        let set = if self.collapse && self.quiet_source(cycle, edge) {
+            Vec::new()
+        } else {
+            // Timing-aware simulation of the one faulty cycle, as a delta
+            // against the cycle's golden waveform: only the fault's
+            // divergence cone is propagated.
+            self.ensure_golden_wave(cycle);
+            self.stats.event_sims += 1;
+            let (latched, outcome) = self
+                .delta
+                .latch_cycle(&self.gold, FaultSpec { edge, extra });
+            self.stats.delta_events += outcome.delta_events;
+            self.stats.delta_early_exits += outcome.reconverged;
+            let data = self.cycle_data.as_ref().expect("ensured with the waveform");
+            mismatches(latched, &data.next_state)
+        };
+        self.keep_set(edge, extra, &set);
+        set
+    }
+
+    /// The kept set of a plain pair at the step-1 cycle, if the cycle keeps
+    /// them and holds this one.
+    fn kept_set(&self, edge: EdgeId, extra: Picos) -> Option<Vec<DffId>> {
+        if !self.keep_step1 {
+            return None;
+        }
+        self.step1_cache.get(&(edge, extra)).cloned()
+    }
+
+    /// Keeps a pair's waveform-derived set when the step-1 cycle keeps them.
+    fn keep_set(&mut self, edge: EdgeId, extra: Picos, set: &[DffId]) {
+        if self.keep_step1 {
+            self.step1_cache.insert((edge, extra), set.to_vec());
+        }
     }
 
     /// Builds the fault-free timed waveform of `cycle` unless it is already
@@ -721,12 +749,14 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         self.plan.as_ref().expect("just built")
     }
 
-    /// Drops the representative-set cache when the injection cycle changes
-    /// (the sets are waveform-dependent, hence cycle-scoped).
-    fn refresh_collapse_cycle(&mut self, cycle: u64) {
-        if self.collapse_cycle != Some(cycle) {
-            self.collapse_cache.clear();
-            self.collapse_cycle = Some(cycle);
+    /// Drops the step-1 sets, and stops keeping plain pairs', when the
+    /// injection cycle changes (the sets are waveform-dependent, hence
+    /// cycle-scoped).
+    fn refresh_step1_cycle(&mut self, cycle: u64) {
+        if self.step1_cycle != Some(cycle) {
+            self.step1_cache.clear();
+            self.step1_cycle = Some(cycle);
+            self.keep_step1 = false;
         }
     }
 
@@ -734,13 +764,73 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// computed once per `(representative, extra)` and served to every
     /// member of the class.
     fn collapse_rep_set(&mut self, cycle: u64, rep: EdgeId, extra: Picos) -> Vec<DffId> {
-        if let Some(set) = self.collapse_cache.get(&(rep, extra)) {
+        if let Some(set) = self.step1_cache.get(&(rep, extra)) {
             return set.clone();
         }
         self.stats.class_representatives += 1;
         let set = self.timed_dynamic_set(cycle, rep, extra);
-        self.collapse_cache.insert((rep, extra), set.clone());
+        self.step1_cache.insert((rep, extra), set.clone());
         set
+    }
+
+    /// The key `edge`'s step-1 sets are kept under: its class
+    /// representative when collapsing (every member's set is the
+    /// representative's), else the edge itself.
+    fn step1_key(&mut self, edge: EdgeId) -> EdgeId {
+        if self.collapse {
+            self.plan().representative(edge)
+        } else {
+            edge
+        }
+    }
+
+    /// Seeds `cycle`'s step-1 sets with `(edge, extra, dynamic set)`
+    /// results settled elsewhere (an earlier sampling round, a checkpoint)
+    /// and keeps every further waveform-derived set of the cycle, until the
+    /// injection cycle changes. A seeded pair that passes the static and
+    /// toggle pre-filters (and the collapse redirect, which still count as
+    /// usual) is served its set with no golden waveform and no simulation;
+    /// [`Injector::step1_result`] reads the sets back.
+    pub(crate) fn preload_step1<'s>(
+        &mut self,
+        cycle: u64,
+        entries: impl IntoIterator<Item = (EdgeId, Picos, &'s Vec<DffId>)>,
+    ) {
+        self.step1_cache.clear();
+        self.step1_cycle = Some(cycle);
+        self.keep_step1 = true;
+        for (edge, extra, set) in entries {
+            let key = (self.step1_key(edge), extra);
+            self.step1_cache.insert(key, set.clone());
+        }
+    }
+
+    /// The dynamic set of `(edge, extra)` at `cycle` if the step-1 sets
+    /// hold it: seeded, or derived from the golden waveform since. Pairs
+    /// the toggle pre-filter settles are never held. Touches no counters.
+    pub(crate) fn step1_result(
+        &mut self,
+        cycle: u64,
+        edge: EdgeId,
+        extra: Picos,
+    ) -> Option<&Vec<DffId>> {
+        if self.step1_cycle != Some(cycle) {
+            return None;
+        }
+        let key = (self.step1_key(edge), extra);
+        self.step1_cache.get(&key)
+    }
+
+    /// Whether the injector holds `cycle`'s golden waveform, so timing more
+    /// pairs there builds none.
+    pub(crate) fn holds_golden_wave(&self, cycle: u64) -> bool {
+        self.gold.holds(cycle)
+    }
+
+    /// Forgets the held golden waveform, so whether the next query at a
+    /// cycle builds one does not depend on what this injector ran before.
+    pub(crate) fn forget_golden_wave(&mut self) {
+        self.gold.forget();
     }
 
     /// Step 1 for a whole cycle's worth of injections at once: the
@@ -780,10 +870,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         // toggle filter exactly as the scalar path does; only plain
         // survivors occupy batch lanes (members and representatives are
         // served through the scalar representative cache, so the per-class
-        // work is identical at every lane width).
-        if self.collapse {
-            self.refresh_collapse_cycle(cycle);
-        }
+        // work is identical at every lane width), and kept sets are served
+        // as the scalar path serves them.
+        self.refresh_step1_cycle(cycle);
         let mut results: Vec<(usize, Vec<DffId>)> = Vec::with_capacity(pairs.len());
         let mut survivors: Vec<usize> = Vec::new();
         for &(edge, extra) in pairs {
@@ -811,7 +900,12 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                 results.push((static_count, Vec::new()));
                 continue;
             }
+            if let Some(set) = self.kept_set(edge, extra) {
+                results.push((static_count, set));
+                continue;
+            }
             if self.collapse && self.quiet_source(cycle, edge) {
+                self.keep_set(edge, extra, &[]);
                 results.push((static_count, Vec::new()));
                 continue;
             }
@@ -878,6 +972,12 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                 } else {
                     results[ri].1 = std::mem::take(&mut sets[lane]);
                 }
+            }
+        }
+        if self.keep_step1 {
+            for ri in survivors {
+                let (edge, extra) = pairs[ri];
+                self.keep_set(edge, extra, &results[ri].1);
             }
         }
         results
@@ -973,25 +1073,24 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         if !self.golden.trace.halted() {
             return None;
         }
-        if self.golden_identical_class()? != FailureClass::Masked {
-            return None;
-        }
-        // Rule 1: no flipped bit can ever (through any number of cycles of
-        // sequential propagation) influence a primary output, so the
-        // environment observes the golden trajectory forever.
-        let all_invisible = {
-            let plan = self.plan();
-            flips.iter().all(|&d| !plan.influences_output(d))
-        };
         // End of trace: the environment's step for cycle `t` observes the
         // outputs settled at `t - 1` and its last step is for cycle
         // `n - 1`, so flips at boundary `n - 1` or later are never observed.
         let past_the_end = boundary >= self.golden.trace.num_cycles().saturating_sub(1);
-        if all_invisible || past_the_end {
-            self.stats.formally_discharged_unace += 1;
-            return Some(FailureClass::Masked);
+        // Rule 1: no flipped bit can ever (through any number of cycles of
+        // sequential propagation) influence a primary output, so the
+        // environment observes the golden trajectory forever.
+        let fires = past_the_end || {
+            let plan = self.plan();
+            flips.iter().all(|&d| !plan.influences_output(d))
+        };
+        // The golden-trajectory classification costs an environment run
+        // over the whole trace, so it is computed only when a rule fires.
+        if !fires || self.golden_identical_class()? != FailureClass::Masked {
+            return None;
         }
-        None
+        self.stats.formally_discharged_unace += 1;
+        Some(FailureClass::Masked)
     }
 
     /// The classification a faulty run would receive if its environment

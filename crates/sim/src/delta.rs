@@ -169,7 +169,7 @@ impl<'a> GoldenWave<'a> {
         new_state: &[bool],
         new_inputs: &[u64],
     ) -> bool {
-        if self.cached_cycle == Some(cycle) {
+        if self.holds(cycle) {
             return false;
         }
         assert_eq!(prev_values.len(), self.circuit.num_nets());
@@ -177,6 +177,17 @@ impl<'a> GoldenWave<'a> {
         self.build(prev_values, new_state, new_inputs);
         self.cached_cycle = Some(cycle);
         true
+    }
+
+    /// Whether the cache holds `cycle`'s waveform.
+    pub fn holds(&self, cycle: u64) -> bool {
+        self.cached_cycle == Some(cycle)
+    }
+
+    /// Forgets the held waveform, so the next [`GoldenWave::ensure`]
+    /// rebuilds whatever cycle it asks for.
+    pub fn forget(&mut self) {
+        self.cached_cycle = None;
     }
 
     /// The canonical transition list of `net`: `(time, value)` pairs with

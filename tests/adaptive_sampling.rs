@@ -18,10 +18,14 @@
 //!    knobs: thread count and lane widths must not change a single bit of
 //!    the rows, the estimate, or the merged counters.
 
+use std::collections::BTreeSet;
+use std::fs;
+
 use delayavf::{
-    delay_avf_campaign_records, delay_avf_campaign_with_stats, prepare_golden, sample_edges,
-    savf_campaign_with_stats, savf_per_bit_campaign, spatial_double_strike_campaign,
-    CampaignConfig, GoldenRun, ReplayOptions,
+    delay_avf_campaign_observed, delay_avf_campaign_records, delay_avf_campaign_with_stats,
+    prepare_golden, sample_edges, savf_campaign_with_stats, savf_per_bit_campaign,
+    spatial_double_strike_campaign, CampaignConfig, CheckpointSpec, GoldenRun, ReplayOptions,
+    RunContext, NULL_TELEMETRY,
 };
 use delayavf_netlist::{Circuit, CircuitBuilder, DffId, EdgeId, Topology};
 use delayavf_sim::ConstEnvironment;
@@ -373,6 +377,72 @@ fn one_lane_adaptive_sweeps_time_only_the_sampled_sites() {
         wide.event_sims,
         one_lane.event_sims
     );
+}
+
+/// Each cycle's step-1 results are kept with its classes, so a round that
+/// revisits a cycle times nothing an earlier round timed there and builds
+/// no second golden waveform: an adaptive sweep runs at most the uniform
+/// sweep's timing simulations, and at most one waveform build per cycle it
+/// visits. Checked on runs of three or more rounds that revisit cycles, at
+/// one and three workers (the crate's schedule test checks the counters
+/// under reversed and shuffled queues).
+#[test]
+fn revisited_cycles_time_nothing_twice() {
+    let f = fixture(48);
+    let (_, uniform) = delay_avf_campaign_with_stats(
+        &f.circuit,
+        &f.topo,
+        &f.timing,
+        &f.golden,
+        &f.edges,
+        &config(None, 0),
+    );
+    assert!(uniform.event_sims > 0, "the uniform sweep times pairs");
+    let dir = std::env::temp_dir().join(format!("delayavf-store-{}", std::process::id()));
+    fs::create_dir_all(&dir).unwrap();
+    for (seed, target) in [(3u64, 0.01), (7, 0.01), (11, 0.02)] {
+        for threads in [1, 3] {
+            let cfg = CampaignConfig {
+                sample_seed: seed,
+                ..config(Some(target), threads)
+            };
+            // The checkpoint lists every unit the run made.
+            let path = dir.join(format!("{seed}-{threads}.ckpt"));
+            let spec = CheckpointSpec::new(&path, usize::MAX, false);
+            let ctx = RunContext::new(&NULL_TELEMETRY, Some(spec));
+            let (_, stats) = delay_avf_campaign_observed(
+                &f.circuit, &f.topo, &f.timing, &f.golden, &f.edges, &cfg, &ctx,
+            )
+            .unwrap();
+            // A unit key holds its round above bit 44 and its cycle below.
+            let keys: Vec<u64> = fs::read_to_string(&path)
+                .unwrap()
+                .lines()
+                .filter_map(|line| line.strip_prefix("unit ")?.split(' ').next()?.parse().ok())
+                .collect();
+            let rounds: BTreeSet<u64> = keys.iter().map(|k| k >> 44).collect();
+            let cycles: BTreeSet<u64> = keys.iter().map(|k| k & ((1 << 44) - 1)).collect();
+            let label = format!("seed {seed}, target {target}, {threads} threads");
+            assert!(rounds.len() >= 3, "{label}: {} rounds", rounds.len());
+            assert!(
+                cycles.len() < keys.len(),
+                "{label}: no round revisits a cycle"
+            );
+            assert!(
+                stats.event_sims <= uniform.event_sims,
+                "{label}: {} timing simulations > the uniform sweep's {}",
+                stats.event_sims,
+                uniform.event_sims
+            );
+            assert!(
+                stats.golden_waveform_builds <= cycles.len() as u64,
+                "{label}: {} golden waveforms for {} cycles",
+                stats.golden_waveform_builds,
+                cycles.len()
+            );
+        }
+    }
+    fs::remove_dir_all(dir).unwrap();
 }
 
 /// The adaptive report is a pure function of the knobs: worker threads

@@ -22,8 +22,9 @@ use delayavf::{
     delay_avf_campaign_with_stats, prepare_golden, prepare_golden_seeded, sample_edges,
     savf_campaign_observed, savf_campaign_with_stats, savf_per_bit_campaign,
     savf_per_bit_campaign_observed, spatial_double_strike_campaign,
-    spatial_double_strike_campaign_observed, CampaignConfig, CheckpointSpec, DelayAvfResult,
-    GoldenRun, ReplayOptions, RunContext, CHECKPOINT_FORMAT_VERSION, NULL_TELEMETRY,
+    spatial_double_strike_campaign_observed, valid_cycles, CampaignConfig, CheckpointSpec,
+    DelayAvfResult, GoldenRun, ReplayOptions, RunContext, CHECKPOINT_FORMAT_VERSION,
+    NULL_TELEMETRY,
 };
 use delayavf_netlist::{Circuit, CircuitBuilder, DffId, EdgeId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
@@ -595,12 +596,14 @@ fn accumulator() -> Accumulator {
     }
 }
 
-/// Later adaptive rounds start from the failure classes earlier rounds
-/// settled at their boundaries, and restored units feed theirs back from
-/// their payloads. A sweep resumed with only its first round stored, or
-/// with every round but the first, must rebuild those classes exactly:
-/// same rows, same counters. The accumulator never halts, so no flip set
-/// is discharged and every class is a replay that later rounds reuse.
+/// Later adaptive rounds start from the failure classes and step-1
+/// results earlier rounds settled at their boundaries, and restored units
+/// feed theirs back from their payloads. A sweep resumed with only its
+/// first round stored, or with every round but the first, must rebuild
+/// both exactly: same rows, same counters, the timing counters included,
+/// so no stored pair is timed again. The accumulator never halts, so no
+/// flip set is discharged and every class is a replay that later rounds
+/// reuse.
 #[test]
 fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
     let Accumulator {
@@ -628,6 +631,14 @@ fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
     assert!(
         want.1.replays <= exhaustive.replays,
         "later rounds replay what earlier ones settled"
+    );
+    assert!(
+        want.1.event_sims <= exhaustive.event_sims,
+        "later rounds time nothing earlier ones timed"
+    );
+    assert!(
+        want.1.golden_waveform_builds <= valid_cycles(&golden).len() as u64,
+        "one golden waveform per cycle"
     );
     let dir = tmpdir();
     let path = dir.join("rounds.ckpt");
@@ -664,8 +675,60 @@ fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
             .sum();
         assert_eq!(stored, want.1.replays, "stored classes ({label})");
         keep_rounds(&path, keep);
+        let cut = fs::read_to_string(&path).unwrap();
         assert_eq!(run(true), want, "resumed sweep differs ({label})");
+        if label == "first round only" {
+            // Without the first round's step-1 results, the later rounds
+            // time its pairs again: the same rows from more simulations.
+            let forgotten: String = cut
+                .lines()
+                .map(|line| match line.split_once(" dyn ") {
+                    Some((head, _)) => format!("{head} dyn 0\n"),
+                    None => format!("{line}\n"),
+                })
+                .collect();
+            assert_ne!(forgotten, cut, "the first round stores step-1 results");
+            fs::write(&path, forgotten).unwrap();
+            let (rows, stats) = run(true);
+            assert_eq!(rows, want.0, "step-1 results never change a row");
+            assert!(
+                stats.event_sims > want.1.event_sims,
+                "the stored step-1 results spare {} of the later rounds' simulations",
+                stats.event_sims - want.1.event_sims
+            );
+        }
     }
+
+    // A checkpoint of the previous format (v5, whose adaptive sweep units
+    // had no step-1 section) is rejected before any unit is parsed.
+    delay_avf_campaign_observed(
+        &circuit,
+        &topo,
+        &timing,
+        &golden,
+        &edges,
+        &config,
+        &ctx(&path, 3, false),
+    )
+    .unwrap();
+    let current = fs::read_to_string(&path).unwrap();
+    let v5 = current.replacen(&format!(" v{CHECKPOINT_FORMAT_VERSION} "), " v5 ", 1);
+    assert_ne!(v5, current, "the header names the format version");
+    fs::write(&path, v5).unwrap();
+    let err = delay_avf_campaign_observed(
+        &circuit,
+        &topo,
+        &timing,
+        &golden,
+        &edges,
+        &config,
+        &ctx(&path, 3, true),
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("checkpoint mismatch") && err.contains("format version v5"),
+        "v5 checkpoint not pinned: {err}"
+    );
     fs::remove_dir_all(dir).unwrap();
 }
 
@@ -1048,6 +1111,43 @@ fn corrupt_unit_payloads_are_parse_errors() {
     assert!(
         err.contains("checkpoint parse error") && err.contains("bad failure class"),
         "multi-character class token not pinned: {err}"
+    );
+
+    // An adaptive sweep's step-1 pair index past the cycle's pairs.
+    let path = dir.join("sweep.ckpt");
+    let config = CampaignConfig {
+        delay_fractions: vec![0.5, 0.9],
+        due_slack: 500,
+        threads: 2,
+        ci_target: Some(0.05),
+        ..CampaignConfig::default()
+    };
+    let sweep = |resume| {
+        delay_avf_campaign_observed(
+            &s.core.circuit,
+            &s.topo,
+            &s.timing,
+            &s.golden,
+            &edges,
+            &config,
+            &ctx(&path, 1, resume),
+        )
+    };
+    sweep(false).unwrap();
+    // `... dyn <count> <entry> ...`: the first entry's gap is its pair.
+    corrupt_first_unit(&path, |toks| {
+        let at = toks
+            .iter()
+            .position(|&t| t == "dyn")
+            .expect("a dyn section");
+        assert_ne!(toks[at + 1], "0", "the first unit stores step-1 results");
+        let pairs = edges.len() * config.delay_fractions.len();
+        (at + 2, pairs.to_string())
+    });
+    let err = sweep(true).unwrap_err();
+    assert!(
+        err.contains("checkpoint parse error") && err.contains("out of range"),
+        "step-1 pair past the cycle not pinned: {err}"
     );
     fs::remove_dir_all(dir).unwrap();
 }
