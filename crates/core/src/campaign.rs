@@ -1154,7 +1154,53 @@ fn run_unit<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
 /// pair that passed the cheap pre-filters and whose set needed the cycle's
 /// golden waveform — timed, certified by the quiet-source check, or its
 /// collapse representative's.
-type Step1Map = HashMap<usize, Vec<DffId>>;
+///
+/// Most stored sets are empty, so a stored pair costs one bit of `stored`
+/// and only the nonempty sets are kept in `sets`.
+#[derive(Debug, Default)]
+struct Step1Map {
+    /// Bit `pair % 64` of word `pair / 64` marks a stored pair.
+    stored: Vec<u64>,
+    /// The nonempty flip sets of stored pairs.
+    sets: HashMap<usize, Vec<DffId>>,
+}
+
+/// The flip set of a stored pair missing from [`Step1Map::sets`].
+static NO_FLIPS: Vec<DffId> = Vec::new();
+
+impl Step1Map {
+    fn contains(&self, pair: usize) -> bool {
+        self.stored
+            .get(pair / 64)
+            .is_some_and(|w| (w >> (pair % 64)) & 1 == 1)
+    }
+
+    /// Every stored pair with its flip set, in ascending pair order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &Vec<DffId>)> + '_ {
+        self.stored.iter().enumerate().flat_map(move |(w, &word)| {
+            (0..64).filter(move |b| (word >> b) & 1 == 1).map(move |b| {
+                let pair = w * 64 + b;
+                (pair, self.sets.get(&pair).unwrap_or(&NO_FLIPS))
+            })
+        })
+    }
+}
+
+impl Extend<Step1Entry> for Step1Map {
+    fn extend<I: IntoIterator<Item = Step1Entry>>(&mut self, entries: I) {
+        for (pair, set) in entries {
+            if self.stored.len() <= pair / 64 {
+                self.stored.resize(pair / 64 + 1, 0);
+            }
+            self.stored[pair / 64] |= 1 << (pair % 64);
+            if set.is_empty() {
+                self.sets.remove(&pair);
+            } else {
+                self.sets.insert(pair, set);
+            }
+        }
+    }
+}
 
 /// What earlier adaptive rounds settled at one latch boundary, and later
 /// rounds there start from.
@@ -1288,7 +1334,7 @@ impl Sweep<'_> {
         for (k, &(statically_reachable, _)) in parts.iter().enumerate() {
             let (fi, item) = (k / items.len(), items[k % items.len()]);
             let pair = fi * self.edges.len() + item;
-            if statically_reachable == 0 || known.contains_key(&pair) {
+            if statically_reachable == 0 || known.contains(pair) {
                 continue;
             }
             let (edge, extra) = (self.edges[item], self.extras[fi]);
@@ -1403,7 +1449,7 @@ impl Campaign for Sweep<'_> {
             let n = self.edges.len();
             let seeds = known
                 .iter()
-                .map(|(&pair, set)| (self.edges[pair % n], self.extras[pair / n], set));
+                .map(|(pair, set)| (self.edges[pair % n], self.extras[pair / n], set));
             injector.preload_step1(cycle, seeds);
         }
         // Phase 1 (timing-aware): one lane-packing pass over the whole cycle.
@@ -2211,6 +2257,30 @@ mod tests {
         let topo = Topology::new(&c);
         let timing = TimingModel::analyze(&c, &topo, &TechLibrary::nangate45_like());
         (c, topo, timing)
+    }
+
+    #[test]
+    fn step1_store_keeps_every_pair_and_only_nonempty_sets() {
+        let d = DffId::from_index;
+        let mut store = Step1Map::default();
+        store.extend([(130, vec![d(2)]), (3, Vec::new()), (64, vec![d(0), d(1)])]);
+        store.extend([(130, Vec::new()), (7, vec![d(5)])]);
+        let held: Vec<(usize, Vec<DffId>)> = store
+            .iter()
+            .map(|(pair, set)| (pair, set.clone()))
+            .collect();
+        let want = [
+            (3, vec![]),
+            (7, vec![d(5)]),
+            (64, vec![d(0), d(1)]),
+            (130, vec![]),
+        ];
+        assert_eq!(held, want, "ascending pairs, the last set written wins");
+        assert_eq!(store.sets.len(), 2, "empty sets cost no map entry");
+        for pair in [0, 4, 63, 65, 129, 131, 1000] {
+            assert!(!store.contains(pair), "{pair}");
+        }
+        assert!([3, 7, 64, 130].into_iter().all(|p| store.contains(p)));
     }
 
     #[test]

@@ -1,5 +1,10 @@
 //! Golden-run preparation: reference trace, checkpoints at the sampled
 //! injection cycles.
+//!
+//! Every entry point simulates the program at gate level exactly once: it
+//! records the trace, takes N from it, samples the injection cycles, and
+//! derives their checkpoints from the trace by stepping the environment
+//! alone along the recorded ports ([`GoldenTrace::checkpoints`]).
 
 use std::collections::BTreeMap;
 
@@ -23,9 +28,6 @@ pub struct GoldenRun<E> {
 
 /// Records the golden execution of `env` and checkpoints `cycle_samples`
 /// stratified-random injection cycles (seeded, deterministic).
-///
-/// Runs the program twice: once to learn its length, once to capture the
-/// trace and checkpoints.
 ///
 /// # Panics
 ///
@@ -54,10 +56,9 @@ pub fn prepare_golden_percent<E: Environment + Clone>(
     percent: f64,
     seed: u64,
 ) -> GoldenRun<E> {
-    let mut probe = env.clone();
-    let (pre, _) = GoldenTrace::record(circuit, topo, &mut probe, max_cycles, &[]);
-    let count = percent_to_count(pre.num_cycles(), percent);
-    prepare_golden_seeded(circuit, topo, env, max_cycles, count, seed)
+    prepare(circuit, topo, env, max_cycles, seed, |n| {
+        percent_to_count(n, percent)
+    })
 }
 
 /// [`prepare_golden`] with an explicit sampling seed.
@@ -73,18 +74,31 @@ pub fn prepare_golden_seeded<E: Environment + Clone>(
     cycle_samples: usize,
     seed: u64,
 ) -> GoldenRun<E> {
-    // Pass 1: learn N.
-    let mut probe = env.clone();
-    let (pre, _) = GoldenTrace::record(circuit, topo, &mut probe, max_cycles, &[]);
-    let n = pre.num_cycles();
+    prepare(circuit, topo, env, max_cycles, seed, |_| cycle_samples)
+}
+
+/// The shared body: one recording, then `samples(N)` stratified cycles and
+/// their derived checkpoints.
+fn prepare<E: Environment + Clone>(
+    circuit: &Circuit,
+    topo: &Topology,
+    env: &E,
+    max_cycles: u64,
+    seed: u64,
+    samples: impl FnOnce(u64) -> usize,
+) -> GoldenRun<E> {
+    // The one gate-level pass.
+    let trace = GoldenTrace::record(circuit, topo, &mut env.clone(), max_cycles);
+    let n = trace.num_cycles();
     assert!(n > 0, "program executed no cycles");
 
-    // Pass 2: record with checkpoints at the sampled cycles.
-    let sampled_cycles = stratified_cycles(n, cycle_samples, seed);
-    let mut env2 = env.clone();
-    let (trace, cps) = GoldenTrace::record(circuit, topo, &mut env2, max_cycles, &sampled_cycles);
-    let checkpoints: BTreeMap<u64, Checkpoint<E>> =
-        cps.into_iter().map(|cp| (cp.cycle, cp)).collect();
+    // No second pass: the checkpoints replay the environment alone.
+    let sampled_cycles = stratified_cycles(n, samples(n), seed);
+    let checkpoints: BTreeMap<u64, Checkpoint<E>> = trace
+        .checkpoints(env, &sampled_cycles)
+        .into_iter()
+        .map(|cp| (cp.cycle, cp))
+        .collect();
     debug_assert!(sampled_cycles.iter().all(|c| checkpoints.contains_key(c)));
     GoldenRun {
         trace,

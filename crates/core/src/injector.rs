@@ -1428,20 +1428,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// `*env_at` to `target`, feeding it the recorded output words.
     fn advance_env(&mut self, env: &mut E, env_at: &mut u64, target: u64) {
         let trace = &self.golden.trace;
-        while *env_at < target {
-            self.env_scratch.iter_mut().for_each(|w| *w = 0);
-            env.step(
-                *env_at,
-                trace.outputs_at(*env_at - 1),
-                &mut self.env_scratch,
-            );
-            debug_assert_eq!(
-                self.env_scratch.as_slice(),
-                trace.inputs_at(*env_at),
-                "golden-trajectory environment reproduces the recorded inputs"
-            );
-            *env_at += 1;
-        }
+        trace.advance_env(env, *env_at, target, &mut self.env_scratch);
+        *env_at = target.max(*env_at);
     }
 
     /// True when at least one flip-flop or primary input in the fan-in cone

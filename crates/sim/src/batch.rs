@@ -932,7 +932,7 @@ mod tests {
         env: &E,
         cycles: u64,
     ) -> GoldenTrace {
-        GoldenTrace::record(c, topo, &mut env.clone(), cycles, &[]).0
+        GoldenTrace::record(c, topo, &mut env.clone(), cycles)
     }
 
     /// A scalar reference lane: CycleSim restored at the boundary with the

@@ -47,7 +47,9 @@
 //!
 //! [`GoldenTrace`] records a fault-free reference execution: per-cycle
 //! packed architectural state, port activity, and environment fingerprints.
-//! Fault campaigns replay from [`Checkpoint`]s against this trace.
+//! Fault campaigns replay from [`Checkpoint`]s against this trace, which
+//! the trace derives by stepping the environment alone along its recorded
+//! port words ([`GoldenTrace::checkpoints`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -161,7 +161,7 @@ mod tests {
         assert_eq!(c.num_dffs(), 4);
         let topo = Topology::new(&c);
         let mut env = SeqEnvironment::new(vec![vec![0b1010], vec![0b0101]]);
-        let (trace, _) = GoldenTrace::record(&c, &topo, &mut env, 6, &[]);
+        let trace = GoldenTrace::record(&c, &topo, &mut env, 6);
         assert_eq!(trace.num_cycles(), 6);
         let mut sim = CycleSim::new(&c, &topo);
         sim.restore(

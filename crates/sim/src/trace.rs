@@ -6,10 +6,16 @@
 //! words exchanged — everything the timing-aware simulator needs to
 //! reconstruct a cycle, and everything the timing-agnostic GroupACE check
 //! needs to detect that a faulty run has re-converged with the reference.
+//! Each of the three per-cycle rows lives in one strided buffer whose row
+//! width the circuit fixes.
 //!
-//! [`Checkpoint`]s additionally capture a clone of the environment at
-//! selected injection cycles so faulty executions can resume mid-program
-//! without replaying from reset.
+//! [`Checkpoint`]s let faulty executions resume mid-program without
+//! replaying from reset. They are *derived* from a recorded trace, not
+//! captured while recording: the state and the pending output words are
+//! already in the trace, and the environment is deterministic, so
+//! [`GoldenTrace::checkpoints`] steps a clone of it alone along the
+//! recorded output words ([`GoldenTrace::advance_env`]) and clones it at
+//! each requested cycle. The program is simulated at gate level once.
 //!
 //! The trace also owns the **golden settle cache** every replay engine
 //! reads its clean fan-in from: the settled value of every net at every
@@ -17,7 +23,6 @@
 //! ([`GoldenTrace::golden_block`]) and shared by all threads holding the
 //! trace.
 
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use delayavf_netlist::{Circuit, Topology};
@@ -28,13 +33,20 @@ use crate::pack::{broadcast, eval_word, packed_bit};
 
 /// Packs a bit slice into 64-bit words (LSB of word 0 is `bits[0]`).
 pub fn pack_bits(bits: &[bool]) -> Vec<u64> {
-    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    let mut words = Vec::new();
+    push_packed(bits, &mut words);
+    words
+}
+
+/// Appends `bits` packed as by [`pack_bits`] to `out`.
+fn push_packed(bits: &[bool], out: &mut Vec<u64>) {
+    let base = out.len();
+    out.resize(base + bits.len().div_ceil(64), 0);
     for (i, &b) in bits.iter().enumerate() {
         if b {
-            words[i / 64] |= 1 << (i % 64);
+            out[base + i / 64] |= 1 << (i % 64);
         }
     }
-    words
 }
 
 /// A resumable snapshot of an execution at the start of a cycle.
@@ -55,16 +67,22 @@ pub struct Checkpoint<E> {
 pub struct GoldenTrace {
     num_cycles: u64,
     halted: bool,
-    /// Packed start-of-cycle states; length `num_cycles + 1` (the final
-    /// entry is the state after the last executed cycle).
-    states: Vec<Vec<u64>>,
-    /// Environment fingerprints aligned with `states`.
+    num_dffs: usize,
+    /// Row widths of `states`, `inputs` and `outputs`: packed state words,
+    /// input ports and output ports.
+    state_width: usize,
+    input_width: usize,
+    output_width: usize,
+    /// Packed start-of-cycle states; `num_cycles + 1` rows (the final row
+    /// is the state after the last executed cycle).
+    states: Vec<u64>,
+    /// Environment fingerprints aligned with the `states` rows.
     fingerprints: Vec<u64>,
-    /// Input port words consumed by each cycle; length `num_cycles`.
-    inputs: Vec<Vec<u64>>,
-    /// Output port words sampled at the end of each cycle; length
-    /// `num_cycles`.
-    outputs: Vec<Vec<u64>>,
+    /// Input port words consumed by each cycle; `num_cycles` rows.
+    inputs: Vec<u64>,
+    /// Output port words sampled at the end of each cycle; `num_cycles`
+    /// rows.
+    outputs: Vec<u64>,
     program_output: Vec<u8>,
     /// Per 64-cycle block: the settled golden value of every net, one word
     /// per net with bit `L` holding the value at cycle `64·block + L`.
@@ -72,54 +90,59 @@ pub struct GoldenTrace {
     blocks: Vec<OnceLock<Box<[u64]>>>,
 }
 
+/// Row `index` of a buffer of `rows` rows of `width` words.
+///
+/// # Panics
+///
+/// Panics if `index >= rows`.
+#[inline]
+fn row(data: &[u64], width: usize, index: u64, rows: u64) -> &[u64] {
+    assert!(index < rows, "trace row {index} out of range ({rows} rows)");
+    let at = usize::try_from(index).expect("cycle fits usize") * width;
+    &data[at..at + width]
+}
+
 impl GoldenTrace {
-    /// Records the reference execution of `env` on the circuit, capturing
-    /// checkpoints at the requested cycles.
+    /// Records the reference execution of `env` on the circuit.
     ///
     /// The run stops when the environment halts or after `max_cycles`.
-    /// Checkpoint cycles beyond the program's actual length are ignored.
-    pub fn record<E: Environment + Clone>(
+    /// Checkpoints come from [`GoldenTrace::checkpoints`], given a clone of
+    /// `env` as it stood before recording.
+    pub fn record<E: Environment>(
         circuit: &Circuit,
         topo: &Topology,
         env: &mut E,
         max_cycles: u64,
-        checkpoint_cycles: &[u64],
-    ) -> (GoldenTrace, Vec<Checkpoint<E>>) {
-        let want: HashSet<u64> = checkpoint_cycles.iter().copied().collect();
+    ) -> GoldenTrace {
         let mut sim = CycleSim::new(circuit, topo);
         let mut states = Vec::new();
         let mut fingerprints = Vec::new();
         let mut inputs = Vec::new();
         let mut outputs = Vec::new();
-        let mut checkpoints = Vec::new();
         let mut halted = false;
         while sim.cycle() < max_cycles {
             if env.halted() {
                 halted = true;
                 break;
             }
-            states.push(pack_bits(sim.state()));
+            push_packed(sim.state(), &mut states);
             fingerprints.push(env.fingerprint());
-            if want.contains(&sim.cycle()) {
-                checkpoints.push(Checkpoint {
-                    cycle: sim.cycle(),
-                    state: sim.state().to_vec(),
-                    prev_outputs: sim.last_outputs().to_vec(),
-                    env: env.clone(),
-                });
-            }
             sim.step(env);
-            inputs.push(sim.last_inputs().to_vec());
-            outputs.push(sim.last_outputs().to_vec());
+            inputs.extend_from_slice(sim.last_inputs());
+            outputs.extend_from_slice(sim.last_outputs());
         }
         halted = halted || env.halted();
         // Final boundary state.
-        states.push(pack_bits(sim.state()));
+        push_packed(sim.state(), &mut states);
         fingerprints.push(env.fingerprint());
         let num_cycles = sim.cycle();
-        let trace = GoldenTrace {
+        GoldenTrace {
             num_cycles,
             halted,
+            num_dffs: circuit.num_dffs(),
+            state_width: circuit.num_dffs().div_ceil(64),
+            input_width: circuit.input_ports().len(),
+            output_width: circuit.output_ports().len(),
             states,
             fingerprints,
             inputs,
@@ -128,8 +151,90 @@ impl GoldenTrace {
             blocks: (0..num_cycles.div_ceil(64))
                 .map(|_| OnceLock::new())
                 .collect(),
-        };
-        (trace, checkpoints)
+        }
+    }
+
+    /// Checkpoints at the requested `cycles`, in ascending cycle order,
+    /// derived without the netlist: a clone of `env` — the environment as
+    /// it stood before recording — steps alone along the recorded output
+    /// words and is cloned at each cycle. Costs one environment step per
+    /// cycle up to the largest requested one.
+    ///
+    /// Cycles at or past [`GoldenTrace::num_cycles`] are ignored, and so
+    /// are repeats.
+    pub fn checkpoints<E: Environment + Clone>(
+        &self,
+        env: &E,
+        cycles: &[u64],
+    ) -> Vec<Checkpoint<E>> {
+        let mut want: Vec<u64> = cycles
+            .iter()
+            .copied()
+            .filter(|&c| c < self.num_cycles)
+            .collect();
+        want.sort_unstable();
+        want.dedup();
+        let mut env = env.clone();
+        let mut at = 0;
+        let mut scratch = vec![0; self.input_width];
+        want.into_iter()
+            .map(|cycle| {
+                self.advance_env(&mut env, at, cycle, &mut scratch);
+                at = cycle;
+                debug_assert_eq!(
+                    env.fingerprint(),
+                    self.fingerprint_at(cycle),
+                    "derived environment matches the recorded fingerprint"
+                );
+                Checkpoint {
+                    cycle,
+                    state: self.state_bits_at(cycle, self.num_dffs),
+                    prev_outputs: self.pending_outputs(cycle),
+                    env: env.clone(),
+                }
+            })
+            .collect()
+    }
+
+    /// Steps `env` — the golden environment as it stood before cycle
+    /// `from`'s step — alone along the recorded output words until it
+    /// stands before cycle `to`'s step. Each step regenerates the cycle's
+    /// recorded input words (checked in debug builds); `scratch` holds one
+    /// word per input port. Does nothing when `to <= from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to > num_cycles`.
+    pub fn advance_env<E: Environment>(
+        &self,
+        env: &mut E,
+        from: u64,
+        to: u64,
+        scratch: &mut [u64],
+    ) {
+        assert!(to <= self.num_cycles, "environment advanced past the trace");
+        for cycle in from..to {
+            scratch.fill(0);
+            if cycle == 0 {
+                env.step(0, &self.pending_outputs(0), scratch);
+            } else {
+                env.step(cycle, self.outputs_at(cycle - 1), scratch);
+            }
+            debug_assert_eq!(
+                &*scratch,
+                self.inputs_at(cycle),
+                "golden-trajectory environment reproduces the recorded inputs"
+            );
+        }
+    }
+
+    /// The output words the environment observes on cycle `cycle`'s step:
+    /// those sampled at the end of `cycle - 1`, all zeros at cycle 0.
+    fn pending_outputs(&self, cycle: u64) -> Vec<u64> {
+        match cycle {
+            0 => vec![0; self.output_width],
+            c => self.outputs_at(c - 1).to_vec(),
+        }
     }
 
     /// Number of executed cycles (the paper's *N*).
@@ -157,7 +262,7 @@ impl GoldenTrace {
     ///
     /// Panics if `cycle > num_cycles`.
     pub fn state_at(&self, cycle: u64) -> &[u64] {
-        &self.states[usize::try_from(cycle).expect("cycle fits usize")]
+        row(&self.states, self.state_width, cycle, self.num_cycles + 1)
     }
 
     /// Unpacked flip-flop state at the start of `cycle`.
@@ -175,12 +280,12 @@ impl GoldenTrace {
 
     /// Input port words consumed by `cycle`.
     pub fn inputs_at(&self, cycle: u64) -> &[u64] {
-        &self.inputs[usize::try_from(cycle).expect("cycle fits usize")]
+        row(&self.inputs, self.input_width, cycle, self.num_cycles)
     }
 
     /// Output port words sampled at the end of `cycle`.
     pub fn outputs_at(&self, cycle: u64) -> &[u64] {
-        &self.outputs[usize::try_from(cycle).expect("cycle fits usize")]
+        row(&self.outputs, self.output_width, cycle, self.num_cycles)
     }
 
     /// The reference program output.
@@ -298,11 +403,16 @@ mod tests {
     fn trace_records_every_cycle() {
         let c = counter();
         let topo = Topology::new(&c);
-        let mut env = ConstEnvironment::new(vec![1]);
-        let (trace, cps) = GoldenTrace::record(&c, &topo, &mut env, 8, &[2, 5, 100]);
+        let env = ConstEnvironment::new(vec![1]);
+        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 8);
+        let cps = trace.checkpoints(&env, &[5, 2, 100, 2]);
         assert_eq!(trace.num_cycles(), 8);
         assert!(!trace.halted());
-        assert_eq!(cps.len(), 2, "checkpoint beyond the run is ignored");
+        assert_eq!(
+            cps.len(),
+            2,
+            "checkpoint beyond the run and repeats are ignored"
+        );
         assert_eq!(cps[0].cycle, 2);
         assert_eq!(cps[0].state, vec![false, true, false, false]); // count=2
                                                                    // Start-of-cycle states count 0,1,2,...,8.
@@ -321,7 +431,7 @@ mod tests {
         let c = counter();
         let topo = Topology::new(&c);
         let mut env = ConstEnvironment::new(vec![1]);
-        let (trace, _) = GoldenTrace::record(&c, &topo, &mut env, 4, &[]);
+        let trace = GoldenTrace::record(&c, &topo, &mut env, 4);
         let good = trace.state_at(2).to_vec();
         let outs = trace.outputs_at(1).to_vec();
         assert!(trace.converged_at(2, &good, 0, &outs));
@@ -344,7 +454,7 @@ mod tests {
         let topo = Topology::new(&c);
         let mut env = ConstEnvironment::new(vec![3]);
         // 150 cycles: two full blocks and a partial third.
-        let (trace, _) = GoldenTrace::record(&c, &topo, &mut env, 150, &[]);
+        let trace = GoldenTrace::record(&c, &topo, &mut env, 150);
         assert_eq!(trace.num_cycles() % 64, 22);
         // Two threads racing to fill one block read the same slice.
         let reads: Vec<&[u64]> = std::thread::scope(|s| {
@@ -372,8 +482,9 @@ mod tests {
     fn checkpoint_resumes_identically() {
         let c = counter();
         let topo = Topology::new(&c);
-        let mut env = ConstEnvironment::new(vec![3]);
-        let (trace, cps) = GoldenTrace::record(&c, &topo, &mut env, 10, &[4]);
+        let env = ConstEnvironment::new(vec![3]);
+        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 10);
+        let cps = trace.checkpoints(&env, &[4]);
         let cp = &cps[0];
         let mut sim = CycleSim::new(&c, &topo);
         sim.restore(cp.cycle, &cp.state, &cp.prev_outputs);

@@ -146,7 +146,7 @@ proptest! {
         let c = random_circuit(8, 8, &gates);
         let topo = Topology::new(&c);
         let env = ConstEnvironment::new(vec![in_val & 0xff]);
-        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 8, &[]).0;
+        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 8);
         let boundary = 1 + u64::from(boundary_sel) % (trace.num_cycles() - 1);
         let scenarios: Vec<Vec<DffId>> = masks.iter().map(|&m| pick_flips(&c, m)).collect();
         check_batch_against_scalars(&c, &topo, &trace, boundary, &scenarios, &env)?;
@@ -167,7 +167,7 @@ proptest! {
         let c = random_circuit(8, 8, &gates);
         let topo = Topology::new(&c);
         let env = ConstEnvironment::new(vec![in_val & 0xff]);
-        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 8, &[]).0;
+        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 8);
         let boundary = 1 + u64::from(boundary_sel) % (trace.num_cycles() - 1);
         let scenarios: Vec<Vec<DffId>> = (0..MAX_LANES)
             .map(|lane| pick_flips(&c, mask_seed.wrapping_add(lane as u8)))
@@ -342,10 +342,10 @@ proptest! {
         let c = random_circuit(8, 8, &gates);
         let topo = Topology::new(&c);
         let env = HaltingFeedbackEnv { stop, odd: 0, transcript: 0 };
-        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 10, &[]).0;
+        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 10);
         prop_assume!(trace.num_cycles() >= 2);
         let boundary = 1 + u64::from(boundary_sel) % (trace.num_cycles() - 1);
-        let checkpoint = GoldenTrace::record(&c, &topo, &mut env.clone(), 10, &[boundary]).1;
+        let checkpoint = trace.checkpoints(&env, &[boundary]);
         let scenarios: Vec<Vec<DffId>> = masks.iter().map(|&m| pick_flips(&c, m)).collect();
         check_private_lanes_against_scalars(
             &c,

@@ -216,7 +216,7 @@ proptest! {
         let c = random_circuit(6, 8, &gates);
         let topo = Topology::new(&c);
         let env = SeqEnvironment::new(rows.iter().map(|&r| vec![r & 0x3f]).collect());
-        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 8, &[]).0;
+        let trace = GoldenTrace::record(&c, &topo, &mut env.clone(), 8);
         let boundary = 1 + u64::from(boundary_sel) % (trace.num_cycles() - 1);
         let scenarios: Vec<Vec<DffId>> = masks.iter().map(|&m| pick_flips(&c, m)).collect();
 

@@ -45,8 +45,7 @@ fn main() {
         let env = MemEnv::new(c, DEFAULT_RAM_BYTES, &program);
 
         // Find the cycle writing a2 (x12) and checkpoint it.
-        let mut probe = env.clone();
-        let (trace, _) = GoldenTrace::record(c, &topo, &mut probe, 200, &[]);
+        let trace = GoldenTrace::record(c, &topo, &mut env.clone(), 200);
         let x12 = core.handle.regfile.storage(12);
         let nd = c.num_dffs();
         let write_cycle = (1..trace.num_cycles())
@@ -56,8 +55,7 @@ fn main() {
                 x12.iter().any(|d| a[d.index()] != b[d.index()])
             })
             .expect("x12 written");
-        let mut env2 = env.clone();
-        let (trace, cps) = GoldenTrace::record(c, &topo, &mut env2, 200, &[write_cycle]);
+        let cps = trace.checkpoints(&env, &[write_cycle]);
         let golden = GoldenRun {
             trace,
             checkpoints: cps.into_iter().map(|cp| (cp.cycle, cp)).collect(),

@@ -40,7 +40,7 @@ fn delay_fault_on_write_enable_defeats_ecc() {
 
     // Find the cycle in which x12's storage is written.
     let mut probe_env = env.clone();
-    let (trace, _) = GoldenTrace::record(c, &topo, &mut probe_env, 200, &[]);
+    let trace = GoldenTrace::record(c, &topo, &mut probe_env, 200);
     assert!(probe_env.halted());
     let x12 = core.handle.regfile.storage(12);
     let nd = c.num_dffs();
@@ -52,9 +52,8 @@ fn delay_fault_on_write_enable_defeats_ecc() {
         })
         .expect("x12 is written during the program");
 
-    // Re-record with a checkpoint at the write cycle.
-    let mut env2 = env.clone();
-    let (trace, cps) = GoldenTrace::record(c, &topo, &mut env2, 200, &[write_cycle]);
+    // Derive a checkpoint at the write cycle.
+    let cps = trace.checkpoints(&env, &[write_cycle]);
     let golden = GoldenRun {
         trace,
         checkpoints: cps.into_iter().map(|cp| (cp.cycle, cp)).collect(),

@@ -30,8 +30,7 @@ fn corrupted_data_is_sdc_and_forced_halt_is_due() {
     let env = MemEnv::new(c, DEFAULT_RAM_BYTES, &program);
 
     // Checkpoint the cycle right after a2 (x12) is written.
-    let mut probe = env.clone();
-    let (trace, _) = GoldenTrace::record(c, &topo, &mut probe, 200, &[]);
+    let trace = GoldenTrace::record(c, &topo, &mut env.clone(), 200);
     let x12 = core.handle.regfile.storage(12);
     let nd = c.num_dffs();
     let boundary = (1..trace.num_cycles())
@@ -42,8 +41,7 @@ fn corrupted_data_is_sdc_and_forced_halt_is_due() {
         })
         .expect("x12 written")
         + 1;
-    let mut env2 = env.clone();
-    let (trace, cps) = GoldenTrace::record(c, &topo, &mut env2, 200, &[boundary]);
+    let cps = trace.checkpoints(&env, &[boundary]);
     let golden = GoldenRun {
         trace,
         checkpoints: cps.into_iter().map(|cp| (cp.cycle, cp)).collect(),
