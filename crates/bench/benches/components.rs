@@ -8,7 +8,8 @@ use delayavf::{prepare_golden, CollapsePlan, Injector};
 use delayavf_netlist::{EdgeId, Topology};
 use delayavf_rvcore::{build_core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
 use delayavf_sim::{
-    settle, BatchSim, CycleSim, DeltaEventSim, Environment, EventSim, FaultSpec, GoldenWave,
+    settle, BatchSim, CycleSim, DeltaEventSim, Environment, EventSim, FaultSpec, GoldenTrace,
+    GoldenWave, LaneWord, W256,
 };
 use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
@@ -422,8 +423,10 @@ fn emit_batch_snapshot(
             single[slot] = single[slot].min(ms);
         }
     }
+    let dense_u64 = dense_settle_ns_per_gate::<u64>(f);
+    let dense_w256 = dense_settle_ns_per_gate::<W256>(f);
     let json = format!(
-        "{{\n  \"bench\": \"savf_512_pair_strikes_over_{}_cycles\",\n  \"lanes1_ms\": {:.3},\n  \"lanes64_ms\": {:.3},\n  \"lanes256_ms\": {:.3},\n  \"lanes512_ms\": {:.3},\n  \"speedup64\": {:.2},\n  \"speedup256\": {:.2},\n  \"speedup512\": {:.2},\n  \"speedup\": {:.2},\n  \"lane_utilization\": {:.3},\n  \"single_strike_lanes1_ms\": {:.3},\n  \"single_strike_lanes64_ms\": {:.3},\n  \"single_strike_speedup\": {:.2}\n}}\n",
+        "{{\n  \"bench\": \"savf_512_pair_strikes_over_{}_cycles\",\n  \"lanes1_ms\": {:.3},\n  \"lanes64_ms\": {:.3},\n  \"lanes256_ms\": {:.3},\n  \"lanes512_ms\": {:.3},\n  \"speedup64\": {:.2},\n  \"speedup256\": {:.2},\n  \"speedup512\": {:.2},\n  \"speedup\": {:.2},\n  \"lane_utilization\": {:.3},\n  \"single_strike_lanes1_ms\": {:.3},\n  \"single_strike_lanes64_ms\": {:.3},\n  \"single_strike_speedup\": {:.2},\n  \"dense_settle_u64_ns_per_gate\": {:.2},\n  \"dense_settle_w256_ns_per_gate\": {:.2}\n}}\n",
         golden.sampled_cycles.len(),
         best[0],
         best[1],
@@ -437,9 +440,32 @@ fn emit_batch_snapshot(
         single[0],
         single[1],
         single[0] / single[1],
+        dense_u64,
+        dense_w256,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
     std::fs::write(path, json).expect("write BENCH_batch.json");
+}
+
+/// The dense settle kernel on the plain core's plan: nanoseconds per gate
+/// of one [`delayavf_netlist::EvalPlan::settle`] over lane words `W`, best
+/// of three timings of 200 settles.
+fn dense_settle_ns_per_gate<W: LaneWord>(f: &Fix) -> f64 {
+    use std::time::Instant;
+    let plan = f.topo.plan();
+    let mut vals: Vec<W> = (0..f.core.circuit.num_nets())
+        .map(|i| W::splat(i % 3 == 0))
+        .collect();
+    let reps = 200;
+    let mut best = f64::INFINITY;
+    for _rep in 0..3 {
+        let t = Instant::now();
+        for _ in 0..reps {
+            plan.settle(std::hint::black_box(&mut vals));
+        }
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best * 1e9 / (reps * plan.len()) as f64
 }
 
 /// One injection cycle's timing context: the cycle, the settled net values
@@ -750,6 +776,7 @@ fn emit_timing_snapshot(
         ));
     }
     warm_json.push_str(&structural_json());
+    warm_json.push_str(&golden_wave_json());
     let json = format!(
         "{{\n  \"bench\": \"step1_{}_alu_edges_over_{}_cycles\",\n  \"delta_ms\": {:.3},\n  \"sim_delta_ms\": {:.3},\n  \"full_event_ms\": {:.3},\n  \"speedup\": {:.2},\n  \"golden_waveform_builds\": {},\n  \"batch_ms\": {:.3},\n  \"batch_speedup_vs_delta\": {:.2},\n  \"timing_lane_utilization\": {:.3}{}\n}}\n",
         edges.len(),
@@ -797,6 +824,56 @@ fn structural_json() -> String {
         json.push_str(&format!(
             ",\n  \"{label}_slack_table_build_ms\": {table_ms:.3},\n  \"{label}_collapse_plan_build_ms\": {plan_ms:.3},\n  \"{label}_slack_table_entries\": {pairs}"
         ));
+    }
+    json
+}
+
+/// Golden-waveform builds on both core variants: milliseconds per
+/// [`GoldenWave`] build at 16 evenly spaced cycles of the paper-scale md5
+/// run, best of three passes (each pass rebuilds every cycle).
+fn golden_wave_json() -> String {
+    use std::time::Instant;
+    let mut json = String::new();
+    let program = Kernel::Md5
+        .build(Scale::Paper)
+        .assemble()
+        .expect("assembles");
+    for (label, ecc_regfile) in [("plain", false), ("ecc", true)] {
+        let core = build_core(CoreConfig {
+            ecc_regfile,
+            ..CoreConfig::default()
+        });
+        let c = &core.circuit;
+        let topo = Topology::new(c);
+        let timing = TimingModel::analyze(c, &topo, &TechLibrary::nangate45_like());
+        let mut env = MemEnv::new(c, DEFAULT_RAM_BYTES, &program);
+        let trace = GoldenTrace::record(c, &topo, &mut env, 100_000);
+        let nd = c.num_dffs();
+        let step = (trace.num_cycles() / 17).max(1);
+        let contexts: Vec<_> = (1..=16)
+            .map(|i| i * step)
+            .filter(|&cycle| cycle < trace.num_cycles())
+            .map(|cycle| {
+                let prev = trace.state_bits_at(cycle - 1, nd);
+                let prev_values = settle(c, &topo, &prev, trace.inputs_at(cycle - 1));
+                (cycle, prev_values, trace.state_bits_at(cycle, nd))
+            })
+            .collect();
+        let mut gold = GoldenWave::new(c, &topo, &timing);
+        let mut best = f64::INFINITY;
+        for rep in 0..3u64 {
+            let t = Instant::now();
+            for (cycle, prev_values, state) in &contexts {
+                gold.ensure(
+                    cycle * 2 + (rep & 1),
+                    prev_values,
+                    state,
+                    trace.inputs_at(*cycle),
+                );
+            }
+            best = best.min(t.elapsed().as_secs_f64() * 1e3 / contexts.len() as f64);
+        }
+        json.push_str(&format!(",\n  \"{label}_golden_wave_build_ms\": {best:.3}"));
     }
     json
 }

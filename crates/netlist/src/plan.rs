@@ -11,25 +11,31 @@
 //! The plan flattens that walk into contiguous parallel arrays compiled
 //! once per [`crate::Topology`]:
 //!
-//! * an **opcode table** ([`EvalPlan::kinds`]) — one [`GateKind`] per
-//!   compiled op;
-//! * **flattened input-index triples** ([`EvalPlan::ins`]) — three `u32`
-//!   net slots per op (unused pins of lower-arity kinds repeat slot 0 and
-//!   are ignored by evaluation);
-//! * **output slots** ([`EvalPlan::outs`]) — one `u32` net slot per op;
-//! * **level offsets** ([`EvalPlan::level_offsets`]) — ops are emitted
-//!   sorted by combinational level (a valid topological order, since a
-//!   gate's level strictly exceeds every gate-driven input's level), and
+//! * **ops in (level, kind) order** — ops are sorted by combinational
+//!   level, and within a level by [`GateKind`]. Level order is a valid
+//!   topological order (a gate's level strictly exceeds every gate-driven
+//!   input's level), and ops of one level never read each other, so any
+//!   order inside a level is one too;
+//! * **flattened input-index triples** — three `u32` net slots per op
+//!   (unused pins of lower-arity kinds repeat slot 0);
+//! * **output slots** — one `u32` net slot per op;
+//! * **level offsets** ([`EvalPlan::level_offsets`]) —
 //!   `level_offsets[l]..level_offsets[l + 1]` is level `l`'s op range;
+//! * **kind runs** ([`EvalPlan::runs`]) — the maximal `(kind, start, end)`
+//!   op ranges of one kind inside one level, which tile `0..len()`;
 //! * **flip-flop remaps** ([`EvalPlan::dff_q`] / [`EvalPlan::dff_d`]) —
 //!   the Q and D net slot of every flip-flop, in [`crate::DffId`] order.
 //!
-//! A dense sweep is then a straight-line walk over packed slices — no
-//! per-gate struct loads, no bounds-determined branches beyond the opcode
-//! dispatch — and a levelized cone sweep indexes single ops through
-//! [`EvalPlan::op_of_gate`]. The plan encodes exactly the same evaluation
-//! the [`crate::Gate`] records describe; `crate::Topology` tests pin the
-//! equivalence.
+//! [`EvalPlan::settle`] is the one dense kernel every engine shares: for
+//! any bitwise value type — `bool`, a `u64` of 64 packed cycles or fault
+//! lanes, a wide lane word — it runs one tight loop per kind run, with the
+//! gate function fixed for the whole run and only the pins that kind uses
+//! read. A levelized cone sweep indexes single ops through
+//! [`EvalPlan::op_of_gate`] and [`EvalPlan::op`]. The plan encodes exactly
+//! the same evaluation the [`crate::Gate`] records describe; the tests
+//! below and `crates/sim/tests/prop_eval_plan.rs` pin the equivalence.
+
+use std::ops::{BitAnd, BitOr, BitXor, Not};
 
 use crate::circuit::Circuit;
 use crate::gate::GateKind;
@@ -38,9 +44,9 @@ use crate::ids::{GateId, NetId};
 /// A levelized struct-of-arrays gate program for one circuit, compiled once
 /// by [`crate::Topology::new`] and shared by every simulator.
 ///
-/// Ops appear sorted by combinational level (ties broken by the original
-/// topological order), which is itself a valid topological order: walking
-/// `0..len()` evaluates every gate after all of its inputs.
+/// Ops appear sorted by (combinational level, [`GateKind`]), ties broken by
+/// the original topological order; walking `0..len()` evaluates every gate
+/// after all of its inputs.
 #[derive(Clone, Debug)]
 pub struct EvalPlan {
     /// Opcode of each compiled op.
@@ -54,10 +60,30 @@ pub struct EvalPlan {
     /// `level_offsets[l]..level_offsets[l + 1]` is the op range of
     /// combinational level `l`; length `num_levels + 1`.
     level_offsets: Vec<u32>,
+    /// `(kind, start, end)`: the maximal one-kind op ranges inside one
+    /// level, in plan order.
+    runs: Vec<(GateKind, u32, u32)>,
     /// Q net slot of each flip-flop, in [`crate::DffId`] order.
     dff_q: Vec<u32>,
     /// D net slot of each flip-flop, in [`crate::DffId`] order.
     dff_d: Vec<u32>,
+}
+
+/// Runs `f` over every op of one unary run: `vals[out] = f(vals[a])`.
+#[inline(always)]
+fn run1<T: Copy>(ins: &[[u32; 3]], outs: &[u32], vals: &mut [T], f: impl Fn(T) -> T) {
+    for (&[a, ..], &o) in ins.iter().zip(outs) {
+        vals[o as usize] = f(vals[a as usize]);
+    }
+}
+
+/// Runs `f` over every op of one binary run: `vals[out] = f(vals[a],
+/// vals[b])`.
+#[inline(always)]
+fn run2<T: Copy>(ins: &[[u32; 3]], outs: &[u32], vals: &mut [T], f: impl Fn(T, T) -> T) {
+    for (&[a, b, _], &o) in ins.iter().zip(outs) {
+        vals[o as usize] = f(vals[a as usize], vals[b as usize]);
+    }
 }
 
 impl EvalPlan {
@@ -69,27 +95,40 @@ impl EvalPlan {
         num_levels: u32,
     ) -> Self {
         let slot = |n: NetId| u32::try_from(n.index()).expect("net fits u32");
-        // Counting sort by level keeps the compile linear and the tie-break
-        // stable on the original topological order.
-        let mut level_counts = vec![0u32; num_levels as usize + 1];
+        // A gate's bucket is (level, kind); `kind as usize` is the kind's
+        // position in `GateKind::ALL`, which lists the variants in order.
+        let kinds_per_level = GateKind::ALL.len();
+        let bucket = |g: GateId| {
+            gate_level[g.index()] as usize * kinds_per_level + c.gate(g).kind() as usize
+        };
+        // Counting sort by (level, kind) keeps the compile linear and the
+        // tie-break stable on the original topological order.
+        let mut starts = vec![0u32; num_levels as usize * kinds_per_level + 1];
         for &g in eval_order {
-            level_counts[gate_level[g.index()] as usize + 1] += 1;
+            starts[bucket(g) + 1] += 1;
         }
-        for l in 0..num_levels as usize {
-            level_counts[l + 1] += level_counts[l];
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
         }
-        let level_offsets = level_counts.clone();
+        let level_offsets: Vec<u32> = starts.iter().step_by(kinds_per_level).copied().collect();
+        let runs = starts
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[0] < w[1])
+            .map(|(b, w)| (GateKind::ALL[b % kinds_per_level], w[0], w[1]))
+            .collect();
         let n = eval_order.len();
         let mut kinds = vec![GateKind::Buf; n];
         let mut ins = vec![[0u32; 3]; n];
         let mut outs = vec![0u32; n];
         let mut op_of_gate = vec![u32::MAX; c.num_gates()];
-        let mut cursor = level_counts;
+        let mut cursor = starts;
         for &g in eval_order {
             let gate = c.gate(g);
-            let at = cursor[gate_level[g.index()] as usize];
-            cursor[gate_level[g.index()] as usize] += 1;
-            let i = at as usize;
+            let at = &mut cursor[bucket(g)];
+            let i = *at as usize;
+            op_of_gate[g.index()] = *at;
+            *at += 1;
             kinds[i] = gate.kind();
             let pins = gate.inputs();
             let a = slot(pins[0]);
@@ -99,7 +138,6 @@ impl EvalPlan {
                 pins.get(2).map_or(a, |&p| slot(p)),
             ];
             outs[i] = slot(gate.output());
-            op_of_gate[g.index()] = at;
         }
         let mut dff_q = Vec::with_capacity(c.num_dffs());
         let mut dff_d = Vec::with_capacity(c.num_dffs());
@@ -113,6 +151,7 @@ impl EvalPlan {
             outs,
             op_of_gate,
             level_offsets,
+            runs,
             dff_q,
             dff_d,
         }
@@ -130,32 +169,14 @@ impl EvalPlan {
         self.kinds.is_empty()
     }
 
-    /// The opcode table, in plan order.
-    #[inline]
-    pub fn kinds(&self) -> &[GateKind] {
-        &self.kinds
-    }
-
-    /// The flattened input-index triples, in plan order. Unused pins of
-    /// lower-arity kinds repeat pin 0's slot and are ignored by evaluation.
-    #[inline]
-    pub fn ins(&self) -> &[[u32; 3]] {
-        &self.ins
-    }
-
-    /// The output net slots, in plan order.
-    #[inline]
-    pub fn outs(&self) -> &[u32] {
-        &self.outs
-    }
-
     /// The op index compiled for `gate`.
     #[inline]
     pub fn op_of_gate(&self, gate: GateId) -> u32 {
         self.op_of_gate[gate.index()]
     }
 
-    /// One op's `(kind, input slots, output slot)`.
+    /// One op's `(kind, input slots, output slot)`. Unused pins of
+    /// lower-arity kinds repeat pin 0's slot.
     #[inline]
     pub fn op(&self, i: u32) -> (GateKind, [u32; 3], u32) {
         let i = i as usize;
@@ -169,6 +190,14 @@ impl EvalPlan {
         &self.level_offsets
     }
 
+    /// The kind runs, in plan order: `(kind, start, end)` says ops
+    /// `start..end` all have `kind` and one level. The runs tile
+    /// `0..len()`.
+    #[inline]
+    pub fn runs(&self) -> &[(GateKind, u32, u32)] {
+        &self.runs
+    }
+
     /// The Q net slot of each flip-flop, in [`crate::DffId`] order.
     #[inline]
     pub fn dff_q(&self) -> &[u32] {
@@ -179,6 +208,45 @@ impl EvalPlan {
     #[inline]
     pub fn dff_d(&self) -> &[u32] {
         &self.dff_d
+    }
+
+    /// Settles the combinational logic in place: evaluates every op in plan
+    /// order over the net-value table `vals` (indexed by raw net id),
+    /// reading the values already there for primary inputs, flip-flop Q
+    /// nets and constants, and overwriting every gate output.
+    ///
+    /// `T` is any value with bitwise gate semantics: `bool` for one
+    /// scalar settle, or a word whose bits are independent lanes (cycles
+    /// or fault scenarios), each settled as `bool` would be. `Mux2` is
+    /// `a ^ (s & (a ^ b))` for pins `[s, a, b]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vals` is shorter than the circuit's net count.
+    pub fn settle<T>(&self, vals: &mut [T])
+    where
+        T: Copy + BitAnd<Output = T> + BitOr<Output = T> + BitXor<Output = T> + Not<Output = T>,
+    {
+        for &(kind, start, end) in &self.runs {
+            let range = start as usize..end as usize;
+            let (ins, outs) = (&self.ins[range.clone()], &self.outs[range]);
+            match kind {
+                GateKind::Buf => run1(ins, outs, vals, |a| a),
+                GateKind::Not => run1(ins, outs, vals, |a| !a),
+                GateKind::And2 => run2(ins, outs, vals, |a, b| a & b),
+                GateKind::Or2 => run2(ins, outs, vals, |a, b| a | b),
+                GateKind::Nand2 => run2(ins, outs, vals, |a, b| !(a & b)),
+                GateKind::Nor2 => run2(ins, outs, vals, |a, b| !(a | b)),
+                GateKind::Xor2 => run2(ins, outs, vals, |a, b| a ^ b),
+                GateKind::Xnor2 => run2(ins, outs, vals, |a, b| !(a ^ b)),
+                GateKind::Mux2 => {
+                    for (&[s, a, b], &o) in ins.iter().zip(outs) {
+                        let (s, a, b) = (vals[s as usize], vals[a as usize], vals[b as usize]);
+                        vals[o as usize] = a ^ (s & (a ^ b));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -210,8 +278,9 @@ mod tests {
         b.finish().expect("valid circuit")
     }
 
-    /// Settles the circuit two ways — the per-gate `eval_order` walk and the
-    /// plan walk — and checks every net agrees.
+    /// Settles the circuit three ways — the per-gate `eval_order` walk, the
+    /// op-by-op plan walk and the kind-run kernel — and checks every net
+    /// agrees.
     #[test]
     fn plan_walk_matches_gate_walk() {
         let c = sample();
@@ -229,7 +298,7 @@ mod tests {
                 let gate = c.gate(g);
                 by_gate[gate.output().index()] = gate.eval_in(&by_gate);
             }
-            let mut by_plan = vals;
+            let mut by_plan = vals.clone();
             for i in 0..plan.len() {
                 let (kind, [pa, pb, pc], out) = plan.op(i as u32);
                 by_plan[out as usize] = kind.eval3(
@@ -239,6 +308,9 @@ mod tests {
                 );
             }
             assert_eq!(by_plan, by_gate, "plan walk diverged at seed {seed}");
+            let mut settled = vals;
+            plan.settle(&mut settled);
+            assert_eq!(settled, by_gate, "settle kernel diverged at seed {seed}");
         }
     }
 

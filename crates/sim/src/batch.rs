@@ -69,10 +69,13 @@ pub const MAX_LANES: usize = 512;
 pub type LaneMask = W512;
 
 /// Dense gate-words one sparse gate visit costs. The worklist's scheduling
-/// and scattered reads make a visit about eight straight-line gate-words:
-/// timed per step on the 64-lane carrier over the perfbench replay
-/// workloads, sparse steps with 20 or more seed nets cost 32–44 ns per
-/// visited gate and dense steps 4.2–5.2 ns per gate.
+/// and scattered reads make a visit several straight-line gate-words. Timed
+/// per step on the 64-lane carrier over the perfbench replay workloads
+/// (`savf_stateful`, `alu_sweep`, `alu_sweep_adaptive`, seed 7, 2-vCPU
+/// host), sparse steps with 20 or more seed nets cost 33–45 ns per visited
+/// gate and [`EvalPlan::settle`]'s dense steps 2.6–3.0 ns per gate, a
+/// ratio of 12–17. The constant stays at 8: a different one picks other
+/// paths and so moves the `gates_evaluated` counter.
 const SPARSE_VISIT_COST: u64 = 8;
 
 /// The visits-per-seed estimate a batch starts from, as pseudo-counts
@@ -362,11 +365,8 @@ impl<W: LaneWord> Core<W> {
         for (i, &q) in plan.dff_q().iter().enumerate() {
             vals[q as usize] = W::splat(ref_bit(state, i)) ^ self.state_diff[i];
         }
-        // 3. Straight-line bitwise settle over the plan's packed arrays.
-        for ((&kind, &[a, b, c]), &out) in plan.kinds().iter().zip(plan.ins()).zip(plan.outs()) {
-            vals[out as usize] =
-                eval_lanes(kind, vals[a as usize], vals[b as usize], vals[c as usize]);
-        }
+        // 3. The plan's kind-run settle kernel, on lane words.
+        plan.settle(vals);
         // 4. Word-wide XOR against the golden output words.
         let mut out_div = W::ZERO;
         if inside {

@@ -89,12 +89,7 @@ fn settle_in_place(
     for (&q, &s) in plan.dff_q().iter().zip(state) {
         values[q as usize] = s;
     }
-    // The dense settle is a straight-line walk over the plan's packed
-    // arrays — no per-gate struct loads.
-    for ((&kind, &[a, b, c]), &out) in plan.kinds().iter().zip(plan.ins()).zip(plan.outs()) {
-        values[out as usize] =
-            kind.eval3(values[a as usize], values[b as usize], values[c as usize]);
-    }
+    plan.settle(values);
 }
 
 /// A timing-agnostic cycle-accurate simulator (the paper's "timing-agnostic

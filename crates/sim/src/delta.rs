@@ -8,7 +8,9 @@
 //! fanout cone. [`DeltaEventSim`] exploits both:
 //!
 //! 1. **Golden waveform.** The fault-free timed waveform of a trace cycle
-//!    is simulated once (the same event loop as `EventSim`) and stored in a
+//!    is built once, level by level over the evaluation plan: each gate's
+//!    output is computed from its pins' shifted source waveforms by the
+//!    same gate-wave merge the delta step below uses. It is stored in a
 //!    [`GoldenWave`] as canonical per-net transition lists — strictly
 //!    increasing times with alternating values, i.e. exactly the
 //!    value-over-time step function of each net — plus the fault-free
@@ -28,21 +30,20 @@
 //! Transport delays are pure shifts, so each pin's waveform is its source
 //! net's waveform delayed by the edge delay, and every net's final waveform
 //! is a deterministic function of the input/state waveforms — independent of
-//! the event interleaving the full simulator happens to use. The latched
-//! result is therefore **bit-identical** to
-//! [`EventSim::latch_cycle`](crate::EventSim::latch_cycle) with the same
-//! fault (pinned by `crates/sim/tests/prop_delta_sim.rs`); only the work
-//! performed changes.
+//! the event interleaving the full simulator happens to use. Both the
+//! levelized golden build and the delta are therefore **bit-identical** to
+//! the heap-driven [`EventSim::latch_cycle`](crate::EventSim::latch_cycle)
+//! with the same fault (pinned by `crates/sim/tests/prop_delta_sim.rs` and
+//! `crates/sim/tests/prop_golden_wave.rs`); only the work performed
+//! changes. The one glitch rule is that of the event loop: every
+//! transition at one instant is applied before the gate is evaluated, so a
+//! same-instant glitch cancels ([`push_tx`] keeps lists canonical).
 //!
 //! [`Topology::gate_level`]: delayavf_netlist::Topology::gate_level
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use delayavf_netlist::{Circuit, Consumer, EdgeId, GateId, NetId, Topology};
+use delayavf_netlist::{Circuit, Consumer, GateId, GateKind, NetId, Topology};
 use delayavf_timing::{Picos, TimingModel};
 
-use crate::cycle::write_input_nets;
 use crate::event::FaultSpec;
 
 /// Work accounting for one [`DeltaEventSim::latch_cycle`] call.
@@ -101,15 +102,88 @@ pub(crate) fn value_at(tx: &[(Picos, bool)], base: bool, at: Option<Picos>) -> b
     }
 }
 
+/// One gate input pin as a time-ordered stream: its source net's canonical
+/// transition list and settled base value, read `shift` later (the edge
+/// delay, plus a fault's extra delay on a struck edge).
+#[derive(Clone, Copy, Debug)]
+struct PinStream<'w> {
+    tx: &'w [(Picos, bool)],
+    base: bool,
+    shift: Picos,
+}
+
+impl PinStream<'_> {
+    /// A pin that never changes (the filler of unused pin slots).
+    const QUIET: PinStream<'static> = PinStream {
+        tx: &[],
+        base: false,
+        shift: 0,
+    };
+}
+
+/// Computes a gate's output waveform into `out` from its input pin streams
+/// (one per pin, in pin order): the pins' shifted transitions are merged in
+/// time order, every transition at one instant is applied, and the gate is
+/// evaluated once per instant, up to and including `deadline` — exactly as
+/// the event loop applies pin events before the latch. Returns the number
+/// of merged instants evaluated.
+fn gate_wave(
+    kind: GateKind,
+    pins: &[PinStream<'_>],
+    base_out: bool,
+    deadline: Picos,
+    out: &mut Wave,
+) -> u64 {
+    let mut ins = [false; 3];
+    let mut cursor = [0usize; 3];
+    for (slot, p) in ins.iter_mut().zip(pins) {
+        *slot = p.base;
+    }
+    let mut out_val = base_out;
+    out.clear();
+    let mut steps = 0u64;
+    loop {
+        // Earliest pending pin transition, deadline-capped.
+        let mut t_min: Option<Picos> = None;
+        for (p, &c) in pins.iter().zip(&cursor) {
+            if let Some(&(t, _)) = p.tx.get(c) {
+                let at = t.saturating_add(p.shift);
+                if at <= deadline && t_min.is_none_or(|m| at < m) {
+                    t_min = Some(at);
+                }
+            }
+        }
+        let Some(t) = t_min else { break };
+        for ((p, c), slot) in pins.iter().zip(&mut cursor).zip(&mut ins) {
+            while let Some(&(st, v)) = p.tx.get(*c) {
+                if st.saturating_add(p.shift) > t {
+                    break;
+                }
+                *slot = v;
+                *c += 1;
+            }
+        }
+        steps += 1;
+        let v = kind.eval3(ins[0], ins[1], ins[2]);
+        if v != out_val {
+            out_val = v;
+            push_tx(out, base_out, t, v);
+        }
+    }
+    steps
+}
+
 /// The fault-free timed waveform of one trace cycle: canonical per-net
 /// transition lists, the settled base values they start from, and the
 /// fault-free latched flip-flop values.
 ///
 /// Both delta engines read it: [`DeltaEventSim`] and
 /// [`BatchDeltaSim`](crate::BatchDeltaSim) evaluate faulty injections as
-/// deltas against exactly this waveform, built by exactly this event loop
-/// (the same one as [`EventSim::latch_cycle`](crate::EventSim::latch_cycle)
-/// with no fault). The owner builds it once per trace cycle with
+/// deltas against exactly this waveform. It is built level by level over
+/// the evaluation plan with the gate-wave merge the delta step uses, and
+/// equals what the heap-driven
+/// [`EventSim::latch_cycle`](crate::EventSim::latch_cycle) computes with no
+/// fault. The owner builds it once per trace cycle with
 /// [`GoldenWave::ensure`] and hands it to every injection at that cycle.
 #[derive(Clone, Debug)]
 pub struct GoldenWave<'a> {
@@ -124,12 +198,6 @@ pub struct GoldenWave<'a> {
     pub(crate) tx: Vec<Wave>,
     /// Fault-free latched value per flip-flop for the cached cycle.
     pub(crate) latch: Vec<bool>,
-    // Scratch for the golden event loop (mirrors `EventSim`).
-    net_val: Vec<bool>,
-    pin_val: Vec<bool>,
-    heap: BinaryHeap<Reverse<(Picos, u64, u32, bool)>>,
-    seq: u64,
-    input_bits: Vec<bool>,
 }
 
 impl<'a> GoldenWave<'a> {
@@ -144,11 +212,6 @@ impl<'a> GoldenWave<'a> {
             base: vec![false; circuit.num_nets()],
             tx: vec![Vec::new(); circuit.num_nets()],
             latch: vec![false; circuit.num_dffs()],
-            net_val: vec![false; circuit.num_nets()],
-            pin_val: vec![false; topo.edges().len()],
-            heap: BinaryHeap::new(),
-            seq: 0,
-            input_bits: vec![false; circuit.num_nets()],
         }
     }
 
@@ -216,94 +279,61 @@ impl<'a> GoldenWave<'a> {
         );
     }
 
-    /// Simulates the fault-free timed waveform of one cycle — the same event
-    /// loop as [`EventSim::latch_cycle`](crate::EventSim::latch_cycle) with
-    /// no fault — recording every net's canonical transition list and the
-    /// fault-free latched values.
+    /// Builds the fault-free timed waveform of one cycle level by level:
+    /// flip-flop Q nets and inputs that change do so at t = 0, each plan op's
+    /// output is the [`gate_wave`] of its pins' source waveforms shifted by
+    /// the edge delays, and each flip-flop latches its D source's value one
+    /// edge delay before the deadline.
     fn build(&mut self, prev_values: &[bool], new_state: &[bool], new_inputs: &[u64]) {
         let (circuit, topo, timing) = (self.circuit, self.topo, self.timing);
+        let plan = topo.plan();
         let deadline = timing.clock_period().saturating_sub(timing.setup());
         for tx in &mut self.tx {
             tx.clear();
         }
         self.base.copy_from_slice(prev_values);
-        self.net_val.copy_from_slice(prev_values);
-        for (i, e) in topo.edges().iter().enumerate() {
-            self.pin_val[i] = prev_values[e.source.index()];
-        }
-        self.heap.clear();
-        self.seq = 0;
 
         // t = 0: the clock edge updates flip-flop outputs and the
         // environment presents new inputs.
-        for (id, dff) in circuit.dffs() {
-            let q = dff.q();
-            let v = new_state[id.index()];
-            if self.net_val[q.index()] != v {
-                self.net_val[q.index()] = v;
-                push_tx(&mut self.tx[q.index()], prev_values[q.index()], 0, v);
-                self.schedule_fanouts(q, 0, v);
-            }
+        for (&q, &v) in plan.dff_q().iter().zip(new_state) {
+            let q = q as usize;
+            push_tx(&mut self.tx[q], prev_values[q], 0, v);
         }
-        self.input_bits.copy_from_slice(prev_values);
-        write_input_nets(circuit, new_inputs, &mut self.input_bits);
-        for &net in circuit.input_nets() {
-            let v = self.input_bits[net.index()];
-            if self.net_val[net.index()] != v {
-                self.net_val[net.index()] = v;
-                push_tx(&mut self.tx[net.index()], prev_values[net.index()], 0, v);
-                self.schedule_fanouts(net, 0, v);
+        for (port, &word) in circuit.input_ports().iter().zip(new_inputs) {
+            for (bit, &net) in port.nets().iter().enumerate() {
+                let n = net.index();
+                push_tx(&mut self.tx[n], prev_values[n], 0, (word >> bit) & 1 == 1);
             }
         }
 
-        while let Some(&Reverse((t, _, edge_idx, value))) = self.heap.peek() {
-            if t > deadline {
-                break;
+        // Plan order evaluates every gate after all of its sources.
+        for op in 0..plan.len() {
+            let (kind, ins, out) = plan.op(op as u32);
+            let out = out as usize;
+            let mut wave = std::mem::take(&mut self.tx[out]);
+            let mut pins = [PinStream::QUIET; 3];
+            for (pin, &src) in pins.iter_mut().zip(&ins[..kind.arity()]) {
+                let src = src as usize;
+                *pin = PinStream {
+                    tx: &self.tx[src],
+                    base: prev_values[src],
+                    shift: timing.net_delay(NetId::from_index(src)),
+                };
             }
-            self.heap.pop();
-            let edge = topo.edge(EdgeId::from_index(edge_idx as usize));
-            let idx = edge_idx as usize;
-            if self.pin_val[idx] == value {
-                continue;
-            }
-            self.pin_val[idx] = value;
-            if let Consumer::GatePin { gate, .. } = edge.consumer {
-                let g = circuit.gate(gate);
-                let mut ins = [false; 3];
-                for (slot, e) in ins.iter_mut().zip(topo.gate_in_edges(gate)) {
-                    *slot = self.pin_val[e.index()];
-                }
-                let out = g.kind().eval(&ins[..g.kind().arity()]);
-                let out_net = g.output();
-                if self.net_val[out_net.index()] != out {
-                    self.net_val[out_net.index()] = out;
-                    push_tx(
-                        &mut self.tx[out_net.index()],
-                        prev_values[out_net.index()],
-                        t,
-                        out,
-                    );
-                    self.schedule_fanouts(out_net, t, out);
-                }
-            }
+            gate_wave(
+                kind,
+                &pins[..kind.arity()],
+                prev_values[out],
+                deadline,
+                &mut wave,
+            );
+            self.tx[out] = wave;
         }
-        self.heap.clear();
 
-        for (id, _) in circuit.dffs() {
-            self.latch[id.index()] = self.pin_val[topo.dff_in_edge(id).index()];
-        }
-    }
-
-    fn schedule_fanouts(&mut self, net: NetId, t: Picos, value: bool) {
-        let delay = self.timing.net_delay(net);
-        for eid in self.topo.fanout_ids(net) {
-            self.seq += 1;
-            self.heap.push(Reverse((
-                t + delay,
-                self.seq,
-                u32::try_from(eid.index()).expect("edge id fits u32"),
-                value,
-            )));
+        for (latch, &d) in self.latch.iter_mut().zip(plan.dff_d()) {
+            let d = d as usize;
+            let at = deadline.checked_sub(timing.net_delay(NetId::from_index(d)));
+            *latch = value_at(&self.tx[d], self.base[d], at);
         }
     }
 }
@@ -445,14 +475,12 @@ impl<'a> DeltaEventSim<'a> {
         }
     }
 
-    /// Computes the faulty output waveform of `g` into `self.wave` by
-    /// sweeping the merged input pin streams in time order, evaluating the
-    /// gate at each step. Returns the number of time-steps processed.
+    /// Computes the faulty output waveform of `g` into `self.wave` with
+    /// [`gate_wave`]. Returns the number of time-steps processed.
     ///
     /// Each input pin stream is its source net's waveform (faulty if the
     /// source diverged, cached golden otherwise) shifted by the edge delay —
-    /// plus the fault's `extra` on the struck edge — and truncated at the
-    /// latch deadline, exactly as the full event loop applies pin events.
+    /// plus the fault's `extra` on the struck edge.
     fn eval_gate_wave(
         &mut self,
         gold: &GoldenWave<'_>,
@@ -460,70 +488,32 @@ impl<'a> DeltaEventSim<'a> {
         fault: FaultSpec,
         deadline: Picos,
     ) -> u64 {
-        struct Stream<'w> {
-            tx: &'w [(Picos, bool)],
-            shift: Picos,
-            cursor: usize,
-            slot: usize,
-        }
         let gate = self.circuit.gate(g);
-        let arity = gate.kind().arity();
-        let mut ins = [false; 3];
-        let mut streams: [Option<Stream<'_>>; 3] = [None, None, None];
-        for (slot, (eid, &src)) in self
-            .topo
-            .gate_in_edges(g)
-            .zip(gate.inputs().iter())
-            .enumerate()
+        let mut pins = [PinStream::QUIET; 3];
+        for (pin, (eid, &src)) in pins
+            .iter_mut()
+            .zip(self.topo.gate_in_edges(g).zip(gate.inputs()))
         {
-            ins[slot] = gold.base[src.index()];
             let extra = if eid == fault.edge { fault.extra } else { 0 };
-            let tx: &[(Picos, bool)] = if self.fault_epoch[src.index()] == self.epoch {
-                &self.fault_tx[src.index()]
-            } else {
-                &gold.tx[src.index()]
-            };
-            streams[slot] = Some(Stream {
-                tx,
+            let i = src.index();
+            *pin = PinStream {
+                tx: if self.fault_epoch[i] == self.epoch {
+                    &self.fault_tx[i]
+                } else {
+                    &gold.tx[i]
+                },
+                base: gold.base[i],
                 shift: self.timing.net_delay(src).saturating_add(extra),
-                cursor: 0,
-                slot,
-            });
+            };
         }
-        let out = gate.output();
-        let mut out_val = gold.base[out.index()];
-        let base_out = out_val;
-        self.wave.clear();
-        let mut steps = 0u64;
-        loop {
-            // Earliest pending pin event across all streams, deadline-capped.
-            let mut t_min: Option<Picos> = None;
-            for s in streams.iter().flatten() {
-                if let Some(&(t, _)) = s.tx.get(s.cursor) {
-                    let at = t.saturating_add(s.shift);
-                    if at <= deadline && t_min.is_none_or(|m| at < m) {
-                        t_min = Some(at);
-                    }
-                }
-            }
-            let Some(t) = t_min else { break };
-            for s in streams.iter_mut().flatten() {
-                while let Some(&(st, v)) = s.tx.get(s.cursor) {
-                    if st.saturating_add(s.shift) > t {
-                        break;
-                    }
-                    ins[s.slot] = v;
-                    s.cursor += 1;
-                }
-            }
-            steps += 1;
-            let v = gate.kind().eval(&ins[..arity]);
-            if v != out_val {
-                out_val = v;
-                push_tx(&mut self.wave, base_out, t, v);
-            }
-        }
-        steps
+        let arity = gate.kind().arity();
+        gate_wave(
+            gate.kind(),
+            &pins[..arity],
+            gold.base[gate.output().index()],
+            deadline,
+            &mut self.wave,
+        )
     }
 
     /// Records `self.wave` as the faulty waveform of `net`, schedules its
@@ -551,7 +541,7 @@ mod tests {
     use super::*;
     use crate::cycle::settle;
     use crate::event::EventSim;
-    use delayavf_netlist::CircuitBuilder;
+    use delayavf_netlist::{CircuitBuilder, EdgeId};
     use delayavf_timing::TechLibrary;
 
     /// Figure-2-style circuit (same as the `EventSim` tests): x and y feed

@@ -6,8 +6,11 @@
 //! 9-kind cell set with bitwise ops. This module holds the word-level
 //! helpers they share:
 //!
-//! * [`broadcast`] / [`packed_bit`] / [`eval_word`] — the `u64` primitives
-//!   the original 64-lane batch engine was built from;
+//! * [`broadcast`] / [`packed_bit`] — `u64` bit helpers;
+//! * [`eval_lanes`] — one gate on lane words of any width, for the sparse
+//!   cone sweeps that visit single gates (dense settles run
+//!   [`EvalPlan::settle`](delayavf_netlist::EvalPlan::settle), which needs
+//!   only the bitwise operators a [`LaneWord`] has);
 //! * [`LaneWord`] — the abstraction over lane-carrier words, implemented
 //!   for `u64` (64 lanes) and the wide words [`W256`] (4×`u64`, 256 lanes)
 //!   and [`W512`] (8×`u64`, 512 lanes), so both batch engines widen past
@@ -40,14 +43,6 @@ pub(crate) fn broadcast(bit: bool) -> u64 {
 #[inline(always)]
 pub(crate) fn packed_bit(words: &[u64], i: usize) -> bool {
     (words[i / 64] >> (i % 64)) & 1 == 1
-}
-
-/// Evaluates one gate on lane-packed `u64` words. For `Mux2` the pin order
-/// is `[s, a, b]` (select first), matching [`GateKind::eval`]; unused
-/// operands of lower-arity kinds are ignored.
-#[inline(always)]
-pub(crate) fn eval_word(kind: GateKind, a: u64, b: u64, c: u64) -> u64 {
-    eval_lanes(kind, a, b, c)
 }
 
 /// Evaluates one gate on lane-packed words of any [`LaneWord`] width.
@@ -375,7 +370,7 @@ mod tests {
                 let wide = 431; // an arbitrary lane in limb 6
                 let v = eval_lanes::<W512>(kind, W512::splat(a), W512::splat(b), W512::splat(c));
                 assert_eq!(v.get(wide), want, "{kind:?} 512-wide on {bits:03b}");
-                let n = eval_word(kind, broadcast(a), broadcast(b), broadcast(c));
+                let n = eval_lanes::<u64>(kind, broadcast(a), broadcast(b), broadcast(c));
                 assert_eq!(n & 1 == 1, want, "{kind:?} narrow on {bits:03b}");
             }
         }

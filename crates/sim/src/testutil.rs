@@ -1,15 +1,23 @@
 //! Shared generators for the property/fuzz suites: seeded random netlists
 //! (with constant nets and forced fan-out reconvergence), random input
-//! traces, and flip-set selection. Used by the `prop_*` integration tests;
-//! not part of the simulator API proper.
+//! traces, flip-set selection, and [`ReferenceWave`], the heap-driven
+//! golden-waveform event loop the levelized [`GoldenWave`] build is checked
+//! against. Used by the `prop_*` integration tests; not part of the
+//! simulator API proper.
 //!
 //! Everything here is a *pure function of its arguments* — the proptest
 //! harness owns the randomness, so a failing case is reproducible from its
 //! printed inputs alone.
 
-use delayavf_netlist::{Circuit, CircuitBuilder, DffId, GateKind, NetId, Word};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use crate::Environment;
+use delayavf_netlist::{Circuit, CircuitBuilder, Consumer, DffId, GateKind, NetId, Topology, Word};
+use delayavf_timing::{Picos, TimingModel};
+
+use crate::cycle::write_input_nets;
+use crate::delta::push_tx;
+use crate::{Environment, GoldenWave};
 
 /// Specification of one random gate: kind/shape selector plus three input
 /// selectors (reduced modulo the current net pool).
@@ -143,6 +151,131 @@ impl Environment for SeqEnvironment {
         for (slot, &v) in inputs.iter_mut().zip(row) {
             *slot = v;
         }
+    }
+}
+
+/// The fault-free timed waveform of one cycle as a heap-driven event loop
+/// computes it: one heap entry per fanout edge per transition, popped in
+/// (time, push order), each pin event re-evaluating its gate and every
+/// output change recorded with [`GoldenWave`]'s canonical-list rule — the
+/// loop [`EventSim`](crate::EventSim) runs with no fault.
+///
+/// The levelized [`GoldenWave`] build must produce exactly these lists,
+/// base values and latched values; `crates/sim/tests/prop_golden_wave.rs`
+/// compares them with [`ReferenceWave::mismatch`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReferenceWave {
+    /// Settled net values at the clock edge.
+    pub base: Vec<bool>,
+    /// Canonical transition list of every net.
+    pub tx: Vec<Vec<(Picos, bool)>>,
+    /// Latched value of every flip-flop.
+    pub latch: Vec<bool>,
+}
+
+impl ReferenceWave {
+    /// Runs the event loop on one cycle: `prev_values` are the previous
+    /// cycle's settled net values, `new_state` this cycle's flip-flop
+    /// values and `new_inputs` its input port words, as for
+    /// [`GoldenWave::ensure`].
+    pub fn simulate(
+        circuit: &Circuit,
+        topo: &Topology,
+        timing: &TimingModel,
+        prev_values: &[bool],
+        new_state: &[bool],
+        new_inputs: &[u64],
+    ) -> Self {
+        let deadline = timing.clock_period().saturating_sub(timing.setup());
+        let mut tx = vec![Vec::new(); circuit.num_nets()];
+        let mut net_val = prev_values.to_vec();
+        let mut pin_val: Vec<bool> = topo
+            .edges()
+            .iter()
+            .map(|e| prev_values[e.source.index()])
+            .collect();
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut schedule = |heap: &mut BinaryHeap<_>, net: NetId, t: Picos, v: bool| {
+            for eid in topo.fanout_ids(net) {
+                seq += 1;
+                heap.push(Reverse((t + timing.net_delay(net), seq, eid.index(), v)));
+            }
+        };
+        // t = 0: the clock edge updates flip-flop outputs and the
+        // environment presents new inputs.
+        let mut changes: Vec<(NetId, bool)> = circuit
+            .dffs()
+            .map(|(id, dff)| (dff.q(), new_state[id.index()]))
+            .collect();
+        let mut input_bits = prev_values.to_vec();
+        write_input_nets(circuit, new_inputs, &mut input_bits);
+        changes.extend(
+            circuit
+                .input_nets()
+                .iter()
+                .map(|&n| (n, input_bits[n.index()])),
+        );
+        for (net, v) in changes {
+            if net_val[net.index()] != v {
+                net_val[net.index()] = v;
+                push_tx(&mut tx[net.index()], prev_values[net.index()], 0, v);
+                schedule(&mut heap, net, 0, v);
+            }
+        }
+        while let Some(Reverse((t, _, idx, v))) = heap.pop() {
+            if t > deadline {
+                break;
+            }
+            if pin_val[idx] == v {
+                continue;
+            }
+            pin_val[idx] = v;
+            if let Consumer::GatePin { gate, .. } = topo.edges()[idx].consumer {
+                let g = circuit.gate(gate);
+                let mut ins = [false; 3];
+                for (slot, e) in ins.iter_mut().zip(topo.gate_in_edges(gate)) {
+                    *slot = pin_val[e.index()];
+                }
+                let out = g.kind().eval(&ins[..g.kind().arity()]);
+                let o = g.output();
+                if net_val[o.index()] != out {
+                    net_val[o.index()] = out;
+                    push_tx(&mut tx[o.index()], prev_values[o.index()], t, out);
+                    schedule(&mut heap, o, t, out);
+                }
+            }
+        }
+        let latch = circuit
+            .dffs()
+            .map(|(id, _)| pin_val[topo.dff_in_edge(id).index()])
+            .collect();
+        ReferenceWave {
+            base: prev_values.to_vec(),
+            tx,
+            latch,
+        }
+    }
+
+    /// Describes the first difference between this reference and the
+    /// cycle `gold` holds — a net's transition list, a base value or a
+    /// latched value — or `None` when they agree everywhere.
+    pub fn mismatch(&self, gold: &GoldenWave<'_>) -> Option<String> {
+        if let Some(n) = (0..self.tx.len()).find(|&n| gold.tx[n] != self.tx[n]) {
+            return Some(format!(
+                "net {n}: levelized {:?}, event loop {:?}",
+                gold.tx[n], self.tx[n]
+            ));
+        }
+        if gold.base != self.base {
+            return Some("base values differ".to_owned());
+        }
+        (gold.latch != self.latch).then(|| {
+            format!(
+                "latched: levelized {:?}, event loop {:?}",
+                gold.latch, self.latch
+            )
+        })
     }
 }
 

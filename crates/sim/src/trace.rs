@@ -29,7 +29,7 @@ use delayavf_netlist::{Circuit, Topology};
 
 use crate::cycle::{CycleSim, StopReason};
 use crate::env::Environment;
-use crate::pack::{broadcast, eval_word, packed_bit};
+use crate::pack::{broadcast, packed_bit};
 
 /// Packs a bit slice into 64-bit words (LSB of word 0 is `bits[0]`).
 pub fn pack_bits(bits: &[bool]) -> Vec<u64> {
@@ -342,10 +342,7 @@ impl GoldenTrace {
                 vals[q as usize] |= u64::from(packed_bit(state, i)) << l;
             }
         }
-        for ((&kind, &[a, b, c]), &out) in plan.kinds().iter().zip(plan.ins()).zip(plan.outs()) {
-            vals[out as usize] =
-                eval_word(kind, vals[a as usize], vals[b as usize], vals[c as usize]);
-        }
+        plan.settle(&mut vals);
         vals
     }
 
