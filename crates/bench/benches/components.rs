@@ -310,8 +310,7 @@ fn bench_batch_ablation(c: &mut Criterion) {
     // Ablation: the bit-parallel batch replay vs the scalar incremental
     // engine, across the `u64`, 256- and 512-lane carriers. `lanes = 1`
     // disables batching entirely; results are identical, only the wall
-    // clock changes. Collapse is off so the measurement isolates the
-    // replay engine rather than the semi-formal discharge.
+    // clock changes.
     let f = fix();
     let env = MemEnv::new(&f.core.circuit, DEFAULT_RAM_BYTES, &f.program);
     let golden = prepare_golden(&f.core.circuit, &f.topo, &env, 100_000, 6);
@@ -333,7 +332,6 @@ fn bench_batch_ablation(c: &mut Criterion) {
                 || {
                     let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, &golden, 500);
                     inj.set_lanes(lanes);
-                    inj.set_collapse(false);
                     inj
                 },
                 |mut inj| {
@@ -355,7 +353,6 @@ fn bench_batch_ablation(c: &mut Criterion) {
                 || {
                     let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, &golden, 500);
                     inj.set_lanes(lanes);
-                    inj.set_collapse(false);
                     inj
                 },
                 |mut inj| {
@@ -391,7 +388,6 @@ fn emit_batch_snapshot(
         for _rep in 0..3 {
             let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, golden, 500);
             inj.set_lanes(lanes);
-            inj.set_collapse(false);
             let t = Instant::now();
             for &cycle in &golden.sampled_cycles {
                 inj.prefill_failures(cycle, sets.iter().cloned());
@@ -411,7 +407,6 @@ fn emit_batch_snapshot(
         for _rep in 0..3 {
             let mut inj = Injector::new(&f.core.circuit, &f.topo, &f.timing, golden, 500);
             inj.set_lanes(lanes);
-            inj.set_collapse(false);
             let t = Instant::now();
             for &cycle in &golden.sampled_cycles {
                 inj.prefill_failures(cycle, dffs.iter().map(|&d| vec![d]));

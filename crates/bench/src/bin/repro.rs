@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! repro <experiment>... [--cycles N] [--edges N] [--dffs N] [--seed N]
-//!       [--tiny] [--due-slack N] [--threads N] [--no-collapse]
-//!       [--lanes N] [--timing-lanes N] [--checkpoint-dir DIR]
+//!       [--tiny] [--due-slack N] [--threads N] [--checkpoint-dir DIR]
 //!       [--checkpoint-every N] [--resume] [--telemetry FILE]
 //!       [--ci-target X] [--strata N]
 //!
@@ -16,7 +15,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use delayavf_bench::{experiments, ExperimentSpec, Harness, Observability, Opts};
-use delayavf_sim::{MAX_LANES, MAX_TIMING_LANES};
 use delayavf_workloads::Scale;
 
 const USAGE: &str = "usage: repro <experiment>... [options]
@@ -44,16 +42,6 @@ options:
   --due-slack N   DUE cycle budget (default 2000)
   --threads N     campaign worker threads; results are identical for
   (or -j N)       every N (default: one per available core)
-  --no-collapse   replay every injection site individually instead of
-                  collapsing equivalence classes and formally discharging
-                  provably masked flip groups (identical results)
-  --lanes N       bit-parallel replay lanes per batch, 1-512 (default
-                  512; widths above 64 ride the 256/512-bit carriers);
-                  AVF numbers are identical for every N, --lanes 1
-                  replays every scenario in a one-lane batch
-  --timing-lanes N  lane-packed timing-aware replay lanes per batch,
-                  1-512 (default 512); AVF numbers are identical for
-                  every N, --timing-lanes 1 is the exact scalar baseline
   --tiny          use tiny workloads (smoke test)
   --checkpoint-dir DIR  write crash-safe campaign checkpoints into DIR;
                   an interrupted run restarted with --resume produces a
@@ -112,24 +100,7 @@ fn main() -> ExitCode {
                 Ok(v) => opts.threads = v as usize,
                 Err(e) => return fail(&e),
             },
-            "--lanes" => match num("--lanes") {
-                Ok(v) if (1..=MAX_LANES as u64).contains(&v) => opts.lanes = v as usize,
-                Ok(v) => return fail(&format!("--lanes must be in 1..={MAX_LANES}, got `{v}`")),
-                Err(e) => return fail(&e),
-            },
-            "--timing-lanes" => match num("--timing-lanes") {
-                Ok(v) if (1..=MAX_TIMING_LANES as u64).contains(&v) => {
-                    opts.timing_lanes = v as usize;
-                }
-                Ok(v) => {
-                    return fail(&format!(
-                        "--timing-lanes must be in 1..={MAX_TIMING_LANES}, got `{v}`"
-                    ));
-                }
-                Err(e) => return fail(&e),
-            },
             "--tiny" => opts.scale = Scale::Tiny,
-            "--no-collapse" => opts.collapse = false,
             "--checkpoint-dir" => {
                 let Some(dir) = it.next() else {
                     return fail("--checkpoint-dir needs a path");

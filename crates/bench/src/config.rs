@@ -15,16 +15,13 @@
 //! ecc = false                          # single-error-correcting register file
 //! fast_adder = false                   # Kogge-Stone ALU adder
 //! scale = paper                        # paper|tiny
-//! delay_range = 0.1:0.9:9              # lo:hi:steps, fractions of the clock
+//! delay_range = 0.1:0.9:9              # lo:hi:steps, fractions of the clock, steps <= 1000
 //! percent_sampled_cycles_delay = 2.0   # temporal sampling rate, in (0, 100]
 //! edge_limit = 240                     # spatial sampling cap
 //! seed = 7
 //! due_slack = 2000
 //! orace = false                        # also compute OrDelayAVF
 //! threads = 0                          # campaign workers, 0 = one per core
-//! collapse = true                      # equivalence-class replay collapsing
-//! lanes = 512                          # bit-parallel replay lanes, 1-512
-//! timing_lanes = 512                   # timing-aware replay lanes, 1-512
 //! checkpoint_dir = ckpt                # crash-safe campaign checkpoints
 //! checkpoint_every = 1                 # work units between flushes
 //! resume = false                       # resume from an existing checkpoint
@@ -38,7 +35,6 @@ use std::path::PathBuf;
 use delayavf::{prepare_golden_percent, sample_edges, CampaignConfig};
 use delayavf_netlist::Topology;
 use delayavf_rvcore::{build_core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
-use delayavf_sim::{MAX_LANES, MAX_TIMING_LANES};
 use delayavf_timing::{TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
 
@@ -71,19 +67,6 @@ pub struct ExperimentSpec {
     pub orace: bool,
     /// Campaign worker threads (`0` = one per available core).
     pub threads: usize,
-    /// Bit-parallel replay lanes per batch (1–512; widths above 64 ride
-    /// the 256/512-bit wide-word carriers). AVF numbers are identical for
-    /// every value; `1` replays every scenario in a one-lane batch.
-    pub lanes: usize,
-    /// Lane-packed timing-aware replay lanes per batch (1–512; widths
-    /// above 64 ride the 256/512-bit wide-word carriers). AVF numbers are
-    /// identical for every value; `1` runs the exact scalar baseline.
-    pub timing_lanes: usize,
-    /// Collapse equivalent injection sites into one representative replay
-    /// and discharge provably masked flip groups without simulation
-    /// (`false` runs the exact per-edge baseline; results are identical
-    /// either way).
-    pub collapse: bool,
     /// Crash-safe campaign checkpoint directory (`None` disables).
     pub checkpoint_dir: Option<PathBuf>,
     /// Work units between checkpoint flushes.
@@ -116,9 +99,6 @@ impl Default for ExperimentSpec {
             due_slack: 2_000,
             orace: false,
             threads: 0,
-            lanes: MAX_LANES,
-            timing_lanes: MAX_TIMING_LANES,
-            collapse: true,
             checkpoint_dir: None,
             checkpoint_every: 1,
             resume: false,
@@ -128,6 +108,11 @@ impl Default for ExperimentSpec {
         }
     }
 }
+
+/// Most delay fractions one `delay_range` may sweep (the paper sweeps 9).
+/// Checked before the fractions are allocated, so a huge step count is a
+/// parse error rather than an allocation failure.
+pub const MAX_DELAY_STEPS: usize = 1_000;
 
 fn parse_delay_range(text: &str) -> Result<Vec<f64>, String> {
     let parts: Vec<&str> = text.split(':').collect();
@@ -146,6 +131,11 @@ fn parse_delay_range(text: &str) -> Result<Vec<f64>, String> {
         .trim()
         .parse()
         .map_err(|e| format!("delay_range steps: {e}"))?;
+    if steps > MAX_DELAY_STEPS {
+        return Err(format!(
+            "delay_range steps must be at most {MAX_DELAY_STEPS}, got `{steps}`"
+        ));
+    }
     if steps == 0 || !(0.0..=1.0).contains(&lo) || !(0.0..=1.0).contains(&hi) || hi < lo {
         return Err(format!(
             "delay_range out of order or out of [0,1]: `{text}`"
@@ -211,27 +201,6 @@ impl ExperimentSpec {
                 "orace" => spec.orace = parse_bool(value).map_err(bad)?,
                 "threads" => {
                     spec.threads = value.parse().map_err(|e| bad(format!("threads: {e}")))?;
-                }
-                "collapse" => spec.collapse = parse_bool(value).map_err(bad)?,
-                "lanes" => {
-                    let lanes: usize = value.parse().map_err(|e| bad(format!("lanes: {e}")))?;
-                    if !(1..=MAX_LANES).contains(&lanes) {
-                        return Err(bad(format!(
-                            "lanes must be in 1..={MAX_LANES}, got `{value}`"
-                        )));
-                    }
-                    spec.lanes = lanes;
-                }
-                "timing_lanes" => {
-                    let lanes: usize = value
-                        .parse()
-                        .map_err(|e| bad(format!("timing_lanes: {e}")))?;
-                    if !(1..=MAX_TIMING_LANES).contains(&lanes) {
-                        return Err(bad(format!(
-                            "timing_lanes must be in 1..={MAX_TIMING_LANES}, got `{value}`"
-                        )));
-                    }
-                    spec.timing_lanes = lanes;
                 }
                 "checkpoint_dir" => spec.checkpoint_dir = Some(PathBuf::from(value)),
                 "checkpoint_every" => {
@@ -301,9 +270,6 @@ impl ExperimentSpec {
             compute_orace: self.orace,
             due_slack: self.due_slack,
             threads: self.threads,
-            lanes: self.lanes,
-            timing_lanes: self.timing_lanes,
-            collapse: self.collapse,
             ci_target: self.ci_target,
             strata: self.strata,
             sample_seed: self.seed,
@@ -397,6 +363,74 @@ fn parse_bool(v: &str) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Every key [`ExperimentSpec::parse`] accepts.
+    const KEYS: [&str; 18] = [
+        "benchmark",
+        "structure",
+        "ecc",
+        "fast_adder",
+        "scale",
+        "delay_range",
+        "percent_sampled_cycles_delay",
+        "edge_limit",
+        "seed",
+        "due_slack",
+        "orace",
+        "threads",
+        "checkpoint_dir",
+        "checkpoint_every",
+        "resume",
+        "telemetry",
+        "ci_target",
+        "strata",
+    ];
+
+    /// Values near and far from every key's valid range: raw bytes,
+    /// integers of any size and sign, `lo:hi:steps` triples and the
+    /// special tokens the number parsers know.
+    fn any_value() -> impl Strategy<Value = String> {
+        let special = [
+            "", "true", "off", "tiny", "md5", "NaN", "inf", "-inf", "-0", "1e308", "0.5", ":", "::",
+        ];
+        prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..24)
+                .prop_map(|b| String::from_utf8_lossy(&b).into_owned()),
+            any::<u64>().prop_map(|v| v.to_string()),
+            any::<i64>().prop_map(|v| v.to_string()),
+            (any::<u8>(), any::<u8>(), any::<usize>())
+                .prop_map(|(lo, hi, steps)| format!("0.{lo}:0.{hi}:{steps}")),
+            (any::<u8>(), any::<u8>(), 0..MAX_DELAY_STEPS + 2)
+                .prop_map(|(lo, hi, steps)| format!("{lo}e-3:{hi}e-3:{steps}")),
+            (0..special.len()).prop_map(move |i| special[i].to_owned()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes parse to a spec or an error, never a panic.
+        #[test]
+        fn arbitrary_text_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            let _ = ExperimentSpec::parse(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Lines of known keys with arbitrary values parse to a spec or a
+        /// `line N: ...` error, never a panic.
+        #[test]
+        fn known_keys_with_arbitrary_values_never_panic(
+            lines in prop::collection::vec((0..KEYS.len(), any_value()), 1..8)
+        ) {
+            let text: String = lines
+                .iter()
+                .map(|(k, v)| format!("{} = {v}\n", KEYS[*k]))
+                .collect();
+            if let Err(e) = ExperimentSpec::parse(&text) {
+                prop_assert!(e.starts_with("line "), "{e}");
+            }
+        }
+    }
 
     #[test]
     fn parses_a_full_config() {
@@ -412,9 +446,6 @@ mod tests {
             seed = 42
             orace = true
             threads = 3
-            collapse = off
-            lanes = 16
-            timing_lanes = 128
             checkpoint_dir = ckpt
             checkpoint_every = 3
             resume = true
@@ -432,9 +463,6 @@ mod tests {
         assert_eq!(spec.seed, 42);
         assert!(spec.orace);
         assert_eq!(spec.threads, 3);
-        assert!(!spec.collapse);
-        assert_eq!(spec.lanes, 16);
-        assert_eq!(spec.timing_lanes, 128);
         assert_eq!(spec.checkpoint_dir, Some(PathBuf::from("ckpt")));
         assert_eq!(spec.checkpoint_every, 3);
         assert!(spec.resume);
@@ -461,31 +489,21 @@ mod tests {
     }
 
     #[test]
-    fn rejects_out_of_range_lane_widths() {
+    fn oversized_delay_step_counts_are_errors() {
         assert_eq!(
-            ExperimentSpec::parse("lanes = 0\n").unwrap_err(),
-            "line 1: lanes must be in 1..=512, got `0`"
+            ExperimentSpec::parse(&format!("delay_range = 0.1:0.9:{}\n", usize::MAX)).unwrap_err(),
+            format!(
+                "line 1: delay_range steps must be at most 1000, got `{}`",
+                usize::MAX
+            )
         );
         assert_eq!(
-            ExperimentSpec::parse("lanes = 513\n").unwrap_err(),
-            "line 1: lanes must be in 1..=512, got `513`"
-        );
-        assert_eq!(
-            ExperimentSpec::parse("timing_lanes = 0\n").unwrap_err(),
-            "line 1: timing_lanes must be in 1..=512, got `0`"
-        );
-        assert_eq!(
-            ExperimentSpec::parse("timing_lanes = 513\n").unwrap_err(),
-            "line 1: timing_lanes must be in 1..=512, got `513`"
-        );
-        // The full valid ranges parse.
-        assert_eq!(ExperimentSpec::parse("lanes = 1\n").unwrap().lanes, 1);
-        assert_eq!(ExperimentSpec::parse("lanes = 512\n").unwrap().lanes, 512);
-        assert_eq!(
-            ExperimentSpec::parse("timing_lanes = 512\n")
-                .unwrap()
-                .timing_lanes,
-            512
+            ExperimentSpec::parse(&format!(
+                "# comment\ndelay_range = 0.1:0.9:{}\n",
+                MAX_DELAY_STEPS + 1
+            ))
+            .unwrap_err(),
+            "line 2: delay_range steps must be at most 1000, got `1001`"
         );
     }
 
@@ -517,7 +535,13 @@ mod tests {
 
     #[test]
     fn removed_engine_knobs_are_unknown_keys() {
-        for line in ["incremental = true\n", "delta_timing = off\n"] {
+        for line in [
+            "incremental = true\n",
+            "delta_timing = off\n",
+            "collapse = on\n",
+            "lanes = 512\n",
+            "timing_lanes = 1\n",
+        ] {
             assert!(
                 ExperimentSpec::parse(line)
                     .unwrap_err()

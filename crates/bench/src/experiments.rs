@@ -86,9 +86,6 @@ fn sweep(
         compute_orace: orace,
         due_slack: opts.due_slack,
         threads: opts.threads,
-        lanes: opts.lanes,
-        timing_lanes: opts.timing_lanes,
-        collapse: opts.collapse,
         ci_target: opts.ci_target,
         strata: opts.strata,
         sample_seed: opts.seed,
@@ -621,9 +618,6 @@ pub fn variance(h: &mut Harness, opts: &Opts) -> Result<Experiment, String> {
                 compute_orace: false,
                 due_slack: seeded.due_slack,
                 threads: seeded.threads,
-                lanes: seeded.lanes,
-                timing_lanes: seeded.timing_lanes,
-                collapse: seeded.collapse,
                 ci_target: seeded.ci_target,
                 strata: seeded.strata,
                 sample_seed: seeded.seed,

@@ -12,7 +12,7 @@ use delayavf::{
 };
 use delayavf_netlist::{Circuit, DffId, EdgeId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
-use delayavf_sim::{Environment, MAX_LANES, MAX_TIMING_LANES};
+use delayavf_sim::Environment;
 use delayavf_timing::{TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
 
@@ -35,22 +35,6 @@ pub struct Opts {
     /// Campaign worker threads (`0` = one per available core). Results are
     /// identical for every value — see the determinism tests.
     pub threads: usize,
-    /// Bit-parallel replay lanes per batch (1–512; widths above 64 ride
-    /// the 256/512-bit wide-word carriers). AVF numbers are identical for
-    /// every value; `1` replays every scenario in a one-lane batch
-    /// (`--lanes 1`).
-    pub lanes: usize,
-    /// Lane-packed timing-aware replay lanes per batch (1–512; widths
-    /// above 64 ride the 256/512-bit wide-word carriers). AVF numbers are
-    /// identical for every value; `1` runs the exact scalar baseline (the
-    /// `--timing-lanes 1` escape hatch).
-    pub timing_lanes: usize,
-    /// Use the pre-simulation collapsing layer — injection-site equivalence
-    /// classes, the quiet-source certificate and the semi-formal masking
-    /// discharge of flip groups no output observes (the default). AVF numbers are bit-for-bit identical either
-    /// way; `false` runs the exact per-site baseline (the `--no-collapse`
-    /// escape hatch).
-    pub collapse: bool,
     /// Directory for crash-safe campaign checkpoints (`--checkpoint-dir`).
     /// `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
@@ -83,9 +67,6 @@ impl Default for Opts {
             scale: Scale::Paper,
             due_slack: 2_000,
             threads: 0,
-            lanes: MAX_LANES,
-            timing_lanes: MAX_TIMING_LANES,
-            collapse: true,
             checkpoint_dir: None,
             checkpoint_every: 1,
             resume: false,
@@ -101,9 +82,6 @@ impl Opts {
     /// options.
     pub fn replay_options(&self) -> delayavf::ReplayOptions {
         delayavf::ReplayOptions::new(self.due_slack, self.threads)
-            .with_lanes(self.lanes)
-            .with_timing_lanes(self.timing_lanes)
-            .with_collapse(self.collapse)
             .with_ci_target(self.ci_target)
             .with_strata(self.strata)
             .with_sample_seed(self.seed)

@@ -36,7 +36,7 @@
 //! keeps one private [`Injector`] for every unit it pulls, whose
 //! fan-in/replay caches and cycle reconstruction are per-run mutable
 //! state. A round's workers hand their injectors on to the next round's,
-//! so an adaptive campaign builds its collapse plan and fan-in cones once
+//! so an adaptive sweep builds its collapse plan and fan-in cones once
 //! per worker, not once per round.
 //!
 //! **Determinism:** parallel results are bit-for-bit identical to serial
@@ -73,12 +73,11 @@
 //!
 //! Within a unit, every campaign groups the replays of its latch boundary
 //! into bit-parallel batches ([`Injector::prefill_failures`], up to
-//! [`ReplayOptions::lanes`] scenarios per pass over the netlist) before
+//! [`delayavf_sim::MAX_LANES`] scenarios per pass over the netlist) before
 //! running its unchanged scalar loop against the warmed cache — so tally
-//! and record order are exactly the sequential engine's, and `lanes = 1`
-//! (which turns prefilling into a no-op) reproduces its reports
-//! byte-identically. A unit's batches never leave its worker, so the batch
-//! counters in [`InjectorStats`] merge schedule-invariantly.
+//! and record order are exactly the sequential engine's. A unit's batches
+//! never leave its worker, so the batch counters in [`InjectorStats`]
+//! merge schedule-invariantly.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -87,7 +86,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use delayavf_netlist::{Circuit, DffId, EdgeId, Topology};
-use delayavf_sim::{Environment, MAX_LANES, MAX_TIMING_LANES};
+use delayavf_sim::Environment;
 use delayavf_timing::{Picos, TimingModel};
 
 use crate::checkpoint::{
@@ -113,25 +112,6 @@ pub struct ReplayOptions {
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
-    /// Lane width for bit-parallel batch replays (default
-    /// [`delayavf_sim::MAX_LANES`]). Results are identical for every
-    /// width; `1` disables batching and reproduces the sequential
-    /// engine's reports byte-identically (the `--lanes 1` escape hatch).
-    pub lanes: usize,
-    /// Lane width for lane-packed timing-aware batch replays (default
-    /// [`delayavf_sim::MAX_TIMING_LANES`]; widths above 64 take the
-    /// 256-bit wide-word path and widths above 256 the 512-bit one).
-    /// Results are identical for every width; `1` disables timing batching
-    /// and reproduces the scalar [`delayavf_sim::DeltaEventSim`] engine's
-    /// reports byte-identically (the `--timing-lanes 1` escape hatch).
-    pub timing_lanes: usize,
-    /// Use the pre-simulation collapsing layer — injection-site
-    /// equivalence classes, the quiet-source certificate and the
-    /// semi-formal masking discharge of flip groups no output ever
-    /// observes (the default). Results are
-    /// bit-for-bit identical either way; `false` runs the exact per-site
-    /// baseline (the `--no-collapse` escape hatch).
-    pub collapse: bool,
     /// Target Wilson half-width for adaptive stratified sampling. `None`
     /// (the default) samples uniformly: every site, in one round;
     /// `Some(t)` stratifies the injection sites, allocates replay budget
@@ -153,9 +133,6 @@ impl Default for ReplayOptions {
         ReplayOptions {
             due_slack: 2_000,
             threads: 0,
-            lanes: MAX_LANES,
-            timing_lanes: MAX_TIMING_LANES,
-            collapse: true,
             ci_target: None,
             strata: crate::sampling::DEFAULT_STRATA,
             sample_seed: 7,
@@ -177,26 +154,6 @@ impl ReplayOptions {
     /// Builder-style override of the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style override of the batch lane width (`1` = scalar
-    /// baseline, `0` = maximum width).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Builder-style override of the timing batch lane width (`1` =
-    /// scalar baseline, `0` = maximum width).
-    pub fn with_timing_lanes(mut self, timing_lanes: usize) -> Self {
-        self.timing_lanes = timing_lanes;
-        self
-    }
-
-    /// Builder-style toggle of the pre-simulation collapsing layer.
-    pub fn with_collapse(mut self, enabled: bool) -> Self {
-        self.collapse = enabled;
         self
     }
 
@@ -236,15 +193,6 @@ pub struct CampaignConfig {
     /// to [`std::thread::available_parallelism`]. Results are identical
     /// for every value; only wall-clock time changes.
     pub threads: usize,
-    /// Lane width for bit-parallel batch replays; see
-    /// [`ReplayOptions::lanes`].
-    pub lanes: usize,
-    /// Lane width for lane-packed timing-aware batch replays; see
-    /// [`ReplayOptions::timing_lanes`].
-    pub timing_lanes: usize,
-    /// Use the pre-simulation collapsing layer; see
-    /// [`ReplayOptions::collapse`].
-    pub collapse: bool,
     /// Adaptive-sampling CI target; see [`ReplayOptions::ci_target`].
     pub ci_target: Option<f64>,
     /// Buckets per stratification axis; see [`ReplayOptions::strata`].
@@ -260,9 +208,6 @@ impl Default for CampaignConfig {
             compute_orace: false,
             due_slack: 2_000,
             threads: 0,
-            lanes: MAX_LANES,
-            timing_lanes: MAX_TIMING_LANES,
-            collapse: true,
             ci_target: None,
             strata: crate::sampling::DEFAULT_STRATA,
             sample_seed: 7,
@@ -283,26 +228,6 @@ impl CampaignConfig {
     /// available core).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Builder-style override of the batch lane width (`1` = scalar
-    /// baseline, `0` = maximum width).
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes;
-        self
-    }
-
-    /// Builder-style override of the timing batch lane width (`1` =
-    /// scalar baseline, `0` = maximum width).
-    pub fn with_timing_lanes(mut self, timing_lanes: usize) -> Self {
-        self.timing_lanes = timing_lanes;
-        self
-    }
-
-    /// Builder-style toggle of the pre-simulation collapsing layer.
-    pub fn with_collapse(mut self, enabled: bool) -> Self {
-        self.collapse = enabled;
         self
     }
 
@@ -330,26 +255,11 @@ impl CampaignConfig {
         ReplayOptions {
             due_slack: self.due_slack,
             threads: self.threads,
-            lanes: self.lanes,
-            timing_lanes: self.timing_lanes,
-            collapse: self.collapse,
             ci_target: self.ci_target,
             strata: self.strata,
             sample_seed: self.sample_seed,
         }
     }
-}
-
-/// A worker's private injector, with the schedule-invariant knobs applied.
-fn worker_injector<'g, E: Environment + Clone>(
-    t: &Target<'g, E>,
-    opts: &ReplayOptions,
-) -> Injector<'g, E> {
-    let mut injector = Injector::new(t.circuit, t.topo, t.timing, t.golden, opts.due_slack);
-    injector.set_lanes(opts.lanes);
-    injector.set_timing_lanes(opts.timing_lanes);
-    injector.set_collapse(opts.collapse);
-    injector
 }
 
 /// One queue worker's state: a private injector kept for every unit the
@@ -593,13 +503,10 @@ fn campaign_fingerprint<E: Environment + Clone>(
     f.finish()
 }
 
-/// Digest of the engine knobs that shape the *counters* without changing
-/// results: `lanes`, `timing_lanes` and `collapse` all leave reports
-/// byte-identical but move work between counters, so a checkpoint written
-/// under one knob set cannot be merged under another without breaking the
-/// stats-identity guarantee. `threads` is
-/// deliberately absent — every counter is thread-count invariant, which is
-/// exactly what lets an interrupted 8-thread campaign resume on 2 threads.
+/// Digest of the options a checkpoint must agree on beyond the campaign
+/// fingerprint. `threads` is deliberately absent — every counter is
+/// thread-count invariant, which is exactly what lets an interrupted
+/// 8-thread campaign resume on 2 threads.
 ///
 /// The adaptive sampling policy (`ci_target`, `strata`, `sample_seed`)
 /// hashes in only when adaptive sampling is **on**: the policy then
@@ -609,9 +516,6 @@ fn campaign_fingerprint<E: Environment + Clone>(
 /// not invalidate a uniform run's checkpoint.
 fn knob_hash(opts: &ReplayOptions) -> u64 {
     let mut f = Fingerprint::new();
-    f.write_usize(opts.lanes);
-    f.write_usize(opts.timing_lanes);
-    f.write_bool(opts.collapse);
     match opts.ci_target {
         None => f.write_bool(false),
         Some(target) => {
@@ -1055,7 +959,9 @@ fn drive<C: Campaign, E: Environment + Clone, S: TelemetrySink>(
                 &units,
                 &queue_order(&costs),
                 |id| Worker {
-                    injector: pooled().pop().unwrap_or_else(|| worker_injector(t, opts)),
+                    injector: pooled().pop().unwrap_or_else(|| {
+                        Injector::new(t.circuit, t.topo, t.timing, t.golden, opts.due_slack)
+                    }),
                     obs: WorkerObserver::new(ctx.telemetry, store, progress, id),
                 },
                 |w: &mut Worker<'_, '_, E, S>, (pos, items)| {
@@ -1206,8 +1112,7 @@ impl Extend<Step1Entry> for Step1Map {
 /// rounds there start from.
 #[derive(Debug, Default)]
 struct Settled {
-    /// Failure classes by flip set, settled by replay or by formal
-    /// discharge.
+    /// Failure classes by flip set, settled by replay.
     classes: HashMap<Vec<DffId>, FailureClass>,
     /// The sweep's step-1 results at the boundary's cycle.
     step1: Step1Map,
@@ -1470,13 +1375,12 @@ impl Campaign for Sweep<'_> {
         // store, so no later adaptive round replays here. A unit that built
         // the waveform times the other edges on it as well, so their sets
         // reach the step-1 store and no later round builds it again.
-        // Uniform units already hold the whole cycle, and at `lanes = 1`
-        // prefilling is a no-op, so the extra timing would batch nothing.
+        // Uniform units already hold the whole cycle.
         let boundary = cycle + 1;
         let orace = config.compute_orace;
         let mut rest = Vec::new();
         let mut rest_parts = Vec::new();
-        if config.lanes != 1 && selected.len() < self.edges.len() {
+        if selected.len() < self.edges.len() {
             let unsettled =
                 flip_sets(parts.iter(), orace).any(|set| !injector.failure_settled(boundary, &set));
             if unsettled || injector.holds_golden_wave(cycle) {
@@ -1957,10 +1861,8 @@ pub fn delay_avf_campaign_with_stats<E: Environment + Clone>(
 /// structured telemetry stream and, when a checkpoint is configured,
 /// periodically snapshots completed units and/or resumes from a previous
 /// snapshot. Resumed runs produce byte-identical reports and identical
-/// merged stats to uninterrupted ones for any `threads × lanes ×
-/// timing_lanes` combination (the knob hash rejects resumes across
-/// `lanes`/`timing_lanes`/`collapse` changes, which would silently break
-/// the *stats* identity; `threads` may change freely).
+/// merged stats to uninterrupted ones at any thread count (`threads` may
+/// change between the interrupted run and the resume).
 ///
 /// # Errors
 ///
@@ -2294,9 +2196,6 @@ mod tests {
             compute_orace: false,
             due_slack: 30,
             threads: 1,
-            lanes: 64,
-            timing_lanes: 64,
-            collapse: true,
             ci_target: None,
             strata: 4,
             sample_seed: 7,
@@ -2328,9 +2227,6 @@ mod tests {
             compute_orace: true,
             due_slack: 30,
             threads: 1,
-            lanes: 64,
-            timing_lanes: 64,
-            collapse: true,
             ci_target: None,
             strata: 4,
             sample_seed: 7,
@@ -2418,9 +2314,6 @@ mod tests {
             compute_orace: true,
             due_slack: 30,
             threads: 1,
-            lanes: 64,
-            timing_lanes: 64,
-            collapse: true,
             ci_target: None,
             strata: 4,
             sample_seed: 7,
@@ -2501,15 +2394,12 @@ mod tests {
         let golden = prepare_golden(&c, &topo, &env, 100, 16);
         let edges = topo.structure_edges(&c, "adder").unwrap();
         let dffs: Vec<DffId> = c.dffs().map(|(d, _)| d).collect();
-        let run = |threads: usize, ci_target: Option<f64>, collapse: bool| {
+        let run = |threads: usize, ci_target: Option<f64>| {
             let config = CampaignConfig {
                 delay_fractions: vec![0.3, 0.9],
                 compute_orace: true,
                 due_slack: 30,
                 threads,
-                lanes: 64,
-                timing_lanes: 64,
-                collapse,
                 ci_target,
                 strata: 2,
                 sample_seed: 7,
@@ -2523,25 +2413,17 @@ mod tests {
                 spatial_double_strike_campaign(&c, &topo, &timing, &golden, &dffs, opts),
             )
         };
-        // Every bit of this fixture's accumulator reaches its output, so the
-        // masking discharge settles only flips at the trace's last boundary
-        // and the strikes replay with collapsing on or off. A target no
-        // stratum meets walks every site over several rounds that split
+        // A target no stratum meets walks every site over several rounds that split
         // each cycle's edges, so later rounds start from the classes
         // earlier rounds settled at the same boundary: the sweep then
         // replays exactly the uniform sweep's distinct flip sets, no more.
         // Later rounds also start from the step-1 results earlier rounds
         // kept, so every run times at most the uniform sweep's pairs and
         // builds at most one golden waveform per cycle.
-        let uniform = run(1, None, false).0 .1;
+        let uniform = run(1, None).0 .1;
         let cycles = valid_cycles(&golden).len() as u64;
-        for (ci_target, collapse) in [
-            (None, true),
-            (None, false),
-            (Some(0.2), false),
-            (Some(1e-9), false),
-        ] {
-            let serial = run(1, ci_target, collapse);
+        for ci_target in [None, Some(0.2), Some(1e-9)] {
+            let serial = run(1, ci_target);
             assert!(serial.1 .1.replays > 0, "the strikes replay");
             if ci_target == Some(1e-9) {
                 assert_eq!(serial.0 .1.replays, uniform.replays, "carried classes");
@@ -2563,10 +2445,10 @@ mod tests {
                 Schedule::Shuffled(11),
             ] {
                 for threads in [1, 3] {
-                    let got = schedule::with(s, || run(threads, ci_target, collapse));
+                    let got = schedule::with(s, || run(threads, ci_target));
                     assert_eq!(
                         got, serial,
-                        "{s:?}, {threads} threads, ci_target {ci_target:?}, collapse {collapse}"
+                        "{s:?}, {threads} threads, ci_target {ci_target:?}"
                     );
                 }
             }

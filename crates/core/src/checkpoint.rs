@@ -11,15 +11,14 @@
 //! A checkpoint is therefore just the set of completed units with their
 //! serialized contributions: resuming replays the stored contributions for
 //! completed units and computes the rest, and the merged report is
-//! bit-for-bit the uninterrupted run's under any `threads × lanes ×
-//! timing_lanes` combination.
+//! bit-for-bit the uninterrupted run's at any thread count.
 //!
 //! # File format
 //!
 //! A plain-text, line-oriented format (the workspace is offline; no serde):
 //!
 //! ```text
-//! delayavf-checkpoint v6 <kind>
+//! delayavf-checkpoint v7 <kind>
 //! fingerprint <hex16>
 //! knobs <hex16>
 //! unit <key> <payload tokens...>
@@ -28,12 +27,14 @@
 //!
 //! `kind` names the campaign flavor, `fingerprint` pins everything that
 //! determines the results (netlist + timing digest, golden trace, item
-//! list, fractions, DUE slack), and `knobs` pins the engine knobs that
-//! shape the *counters* without changing results (`lanes`, `timing_lanes`,
-//! `collapse` — but **not** `threads`, which the stats are invariant to).
-//! Resuming against a file whose kind, fingerprint or knob hash differs
-//! fails with a pinned `checkpoint mismatch` error instead of silently
-//! merging foreign tallies.
+//! list, fractions, DUE slack), and `knobs` pins the adaptive sampling
+//! policy (`ci_target`, `strata`, `sample_seed`) when one is set — but
+//! **not** `threads`, which the stats are invariant to. Version 7 dropped
+//! the replay lane widths and the collapse switch from the knob hash, so
+//! v6 files, whose units may also count masking discharges, are rejected
+//! by version. Resuming against a file whose version, kind, fingerprint or
+//! knob hash differs fails with a pinned `checkpoint mismatch` error
+//! instead of silently merging foreign tallies.
 //!
 //! A unit's key is `round << 44 | cycle` (so a uniform campaign's keys are
 //! its cycles) and its payload is a `UnitPayload`: the tagged sections
@@ -80,7 +81,7 @@ use crate::result::{DelayAvfResult, OraceStats};
 
 /// Checkpoint file format version; bumped on any layout change. A version
 /// mismatch on resume is rejected like any other stale checkpoint.
-pub const CHECKPOINT_FORMAT_VERSION: u64 = 6;
+pub const CHECKPOINT_FORMAT_VERSION: u64 = 7;
 
 const MAGIC: &str = "delayavf-checkpoint";
 

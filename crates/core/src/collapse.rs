@@ -1,5 +1,5 @@
 //! Pre-simulation fault collapsing: equivalence classes over injection
-//! sites plus the output-influence table of the semi-formal masking check.
+//! sites.
 //!
 //! Campaigns inject one small delay fault per (edge, cycle, delay) triple,
 //! but many edges are *provably interchangeable*: an extra delay `d` on the
@@ -18,25 +18,18 @@
 //!    its single fanout feeds, certifying that no value change can bypass
 //!    the downstream edge on its way to a latch or output.
 //!
-//! The plan also precomputes the ingredient of the *semi-formal masking
-//! check*: which flip-flops can ever (transitively, across cycles)
-//! influence a primary output ([`CollapsePlan::influences_output`]). A flip
-//! group none of whose bits can is discharged as Masked without invoking
-//! any replay engine; every other group is replayed.
+//! The plan serves step 1 only: every flip group, however it arose, is
+//! classified by a replay.
 
-use delayavf_netlist::{
-    Circuit, Consumer, DffId, Driver, EdgeId, GateId, GateKind, NetId, Topology,
-};
+use delayavf_netlist::{Circuit, Consumer, Driver, EdgeId, GateId, GateKind, NetId, Topology};
 use delayavf_timing::TimingModel;
 
-/// The precomputed fault-collapsing partition of a circuit's edges, plus
-/// the reachability table used by the semi-formal masking check. Built
-/// once per [`crate::Injector`] (lazily, only when collapsing is enabled);
-/// depends solely on the circuit, topology and timing model, never on the
-/// golden trace — so every worker derives the identical plan. Apart from
-/// the timing model's shared slack table, which it reads, the build is
-/// linear in the circuit: one pass over the edges and one reverse pass
-/// over the nets.
+/// The precomputed fault-collapsing partition of a circuit's edges. Built
+/// once per [`crate::Injector`], on its first step-1 query; depends solely
+/// on the circuit, topology and timing model, never on the golden trace —
+/// so every worker derives the identical plan. Apart from the timing
+/// model's shared slack table, which it reads, the build is linear in the
+/// circuit: one pass over the edges.
 pub struct CollapsePlan {
     /// Per edge: the representative of its equivalence class (itself for
     /// singleton classes). Chains are path-compressed, so a member points
@@ -46,15 +39,11 @@ pub struct CollapsePlan {
     is_rep: Vec<bool>,
     /// Number of edges with a representative other than themselves.
     num_members: usize,
-    /// Per flip-flop: whether a flip can ever — through any number of
-    /// cycles of state propagation — influence a primary-output bit.
-    influences: Vec<bool>,
 }
 
 impl CollapsePlan {
     /// Builds the plan: chain-collapses edges under the same-slack +
-    /// structural-dominator criterion and precomputes the output
-    /// reachability table.
+    /// structural-dominator criterion.
     pub fn build(c: &Circuit, topo: &Topology, timing: &TimingModel) -> Self {
         let pdom = topo.post_dominators(c);
         let n_edges = topo.edges().len();
@@ -97,14 +86,10 @@ impl CollapsePlan {
                 num_members += 1;
             }
         }
-
-        let output_net = output_net_table(c, topo);
-        let influences = influence_closure(c, &output_net);
         CollapsePlan {
             rep,
             is_rep,
             num_members,
-            influences,
         }
     }
 
@@ -126,14 +111,6 @@ impl CollapsePlan {
     #[inline]
     pub fn num_members(&self) -> usize {
         self.num_members
-    }
-
-    /// Whether a flip of `dff` can ever influence a primary output, through
-    /// any number of cycles of sequential propagation. `false` certifies
-    /// the flip is architecturally invisible forever.
-    #[inline]
-    pub fn influences_output(&self, dff: DffId) -> bool {
-        self.influences[dff.index()]
     }
 }
 
@@ -222,48 +199,6 @@ fn effectively_unary(c: &Circuit, gate: GateId, pin: u8) -> bool {
             _ => false,
         },
     }
-}
-
-/// Per net: whether it directly feeds a primary-output bit.
-fn output_net_table(c: &Circuit, topo: &Topology) -> Vec<bool> {
-    let mut out = vec![false; c.num_nets()];
-    for (i, net) in out.iter_mut().enumerate() {
-        *net = topo
-            .fanouts(NetId::from_index(i))
-            .iter()
-            .any(|e| matches!(e.consumer, Consumer::OutputBit { .. }));
-    }
-    out
-}
-
-/// Per flip-flop: whether a flip can ever reach a primary output — the
-/// transitive closure of "my Q cone touches an output net or the D pin of
-/// an influencing flip-flop" over the sequential dependence graph.
-///
-/// Computed as one reverse reachability pass over nets, seeded with every
-/// output net: a gate output's inputs reach whatever it reaches, and a
-/// flip-flop's D net reaches whatever its Q net reaches one cycle later.
-/// Each net is visited once, so the cost is linear in nets plus edges.
-fn influence_closure(c: &Circuit, output_net: &[bool]) -> Vec<bool> {
-    let mut seen = output_net.to_vec();
-    let mut stack: Vec<NetId> = (0..c.num_nets())
-        .map(NetId::from_index)
-        .filter(|n| seen[n.index()])
-        .collect();
-    while let Some(net) = stack.pop() {
-        let mut visit = |n: NetId| {
-            if !seen[n.index()] {
-                seen[n.index()] = true;
-                stack.push(n);
-            }
-        };
-        match c.net(net).driver() {
-            Driver::Gate(g) => c.gate(g).inputs().iter().copied().for_each(&mut visit),
-            Driver::Dff(d) => visit(c.dff(d).d()),
-            Driver::Input(_) | Driver::Const(_) => {}
-        }
-    }
-    c.dffs().map(|(_, dff)| seen[dff.q().index()]).collect()
 }
 
 #[cfg(test)]
@@ -369,27 +304,5 @@ mod tests {
         // The constant pin itself never joins a class.
         let const_edge = topo.fanout_ids(one).next().unwrap();
         assert_eq!(plan.representative(const_edge), const_edge);
-    }
-
-    #[test]
-    fn influence_closure_sees_through_state_chains() {
-        // r1 -> r2 -> output: r1 influences the output only transitively;
-        // r3 is a sink nobody reads.
-        let mut b = CircuitBuilder::new();
-        let a = b.input("a");
-        let r1 = b.reg("r1", false);
-        let r2 = b.reg("r2", false);
-        let r3 = b.reg("r3", false);
-        b.drive(r1, a);
-        b.drive(r2, r1.q());
-        b.drive(r3, r2.q());
-        b.output("o", r2.q());
-        let c = b.finish().unwrap();
-        let (topo, timing) = analyzed(&c);
-        let plan = CollapsePlan::build(&c, &topo, &timing);
-        let by_name = |name: &str| c.dffs().find(|(_, d)| d.name() == name).unwrap().0;
-        assert!(plan.influences_output(by_name("r1")));
-        assert!(plan.influences_output(by_name("r2")));
-        assert!(!plan.influences_output(by_name("r3")));
     }
 }

@@ -147,12 +147,8 @@ pub struct Injector<'a, E: Environment + Clone> {
     failure_cache: HashMap<u64, HashMap<Vec<DffId>, FailureClass>>,
     /// For each input net: (port index, bit) to look values up in the trace.
     input_net_pos: HashMap<NetId, (usize, usize)>,
-    /// Whether the pre-simulation collapsing layer (equivalence classes,
-    /// quiet-source certificate, masking discharge of flip groups no output
-    /// ever observes) is enabled.
-    collapse: bool,
-    /// The collapsing plan, built lazily on the first collapsed query so
-    /// `--no-collapse` campaigns never pay for it.
+    /// The collapsing plan, built on the first step-1 query, so injectors
+    /// that only replay flip sets (the strike campaigns) never build one.
     plan: Option<CollapsePlan>,
     /// Dynamic sets known at `step1_cycle`, keyed `(edge, extra)`: every
     /// class representative's, computed once per cycle and served to each
@@ -163,9 +159,6 @@ pub struct Injector<'a, E: Environment + Clone> {
     step1_cycle: Option<u64>,
     /// Whether plain pairs' sets are kept in `step1_cache` too.
     keep_step1: bool,
-    /// Memoized [`Injector::golden_identical_class`] (outer `None` = not
-    /// yet computed, inner `None` = not establishable).
-    golden_class: Option<Option<FailureClass>>,
     /// Counters for reporting/debugging.
     pub stats: InjectorStats,
 }
@@ -247,9 +240,11 @@ injector_stats! {
     /// Gate-word evaluations of the batch replay engine: the gates its
     /// divergence-cone path visited plus every gate of each full sweep,
     /// which counts the whole netlist although a straight-line gate-word
-    /// costs about an eighth of a cone visit (the engine picks the path
-    /// per step by that ratio). So this is a work count, not a cost, and
-    /// fewer evaluations need not mean less time. One evaluation covers
+    /// costs far less than a cone visit. The engine picks the path per step
+    /// by the fixed ratio `SPARSE_VISIT_COST` (8 gate-words per visit, in
+    /// `delayavf_sim::batch`); timed on the perfbench replay workloads a
+    /// visit costs 12–17 gate-words. So this is a work count, not a cost,
+    /// and fewer evaluations need not mean less time. One evaluation covers
     /// every lane of its batch, so the count depends on the lane width and
     /// on how batches are composed, but it is a pure function of the
     /// batches run and therefore thread-count invariant for cycle-unit
@@ -321,25 +316,19 @@ injector_stats! {
     /// faulty run is provably identical). Collapse classes and quiescence
     /// are properties of the plan and the golden trace alone, so the count
     /// is thread-count and lane-width invariant for cycle-unit
-    /// campaigns. Zero when collapsing is disabled.
+    /// campaigns.
     collapsed_edges,
     /// Representative simulations actually run on behalf of an equivalence
     /// class (one per distinct `(representative, extra)` pair per cycle).
     /// Thread-count and lane-width invariant like
-    /// [`InjectorStats::collapsed_edges`]. Zero when collapsing is
-    /// disabled.
+    /// [`InjectorStats::collapsed_edges`].
     class_representatives,
-    /// Always 0: the masking check never classifies a flip group as a
-    /// failure, so every visible class comes from a replay. Kept only
+    /// Always 0: every failure class comes from a replay. Kept only
     /// because the performance harness reads it and the checkpoint and
     /// telemetry layouts list it.
     formally_discharged_ace,
-    /// Flip groups the semi-formal masking check classified as Masked
-    /// without any replay: none of the flipped bits can ever reach a
-    /// primary output, or the flips land at or past the trace's last
-    /// observed boundary. One count per distinct `(boundary, flip set)`
-    /// discharged, so the total is thread-count and lane-width invariant
-    /// for cycle-unit campaigns. Zero when collapsing is disabled.
+    /// Always 0: every Masked class comes from a replay too. Kept for the
+    /// same reasons as [`InjectorStats::formally_discharged_ace`].
     formally_discharged_unace,
     /// Strata with at least one injection site in the adaptive sampling
     /// plan. Stratification is a pure function of the golden trace and the
@@ -491,12 +480,10 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             fanin_cache: HashMap::new(),
             failure_cache: HashMap::new(),
             input_net_pos,
-            collapse: true,
             plan: None,
             step1_cache: HashMap::new(),
             step1_cycle: None,
             keep_step1: false,
-            golden_class: None,
             stats: InjectorStats::default(),
         }
     }
@@ -504,6 +491,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// Disables (or re-enables) the toggle pre-filter (§V-C). The filter
     /// never changes results — a fidelity property the test suite checks —
     /// it only skips timing-aware simulations that provably see no events.
+    /// For tests and the components bench only; campaigns always filter.
+    #[doc(hidden)]
     pub fn set_toggle_filter(&mut self, enabled: bool) {
         self.toggle_filter = enabled;
     }
@@ -515,7 +504,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// benchmarked against (it never changes results, only cost). The
     /// convergence test is "divergence set empty" (plus fingerprint and
     /// pending-output equality) instead of a full packed state comparison —
-    /// the same predicate, computed for free.
+    /// the same predicate, computed for free. For tests and the components
+    /// bench only; campaigns always exit early.
+    #[doc(hidden)]
     pub fn set_early_exit(&mut self, enabled: bool) {
         self.early_exit = enabled;
     }
@@ -525,6 +516,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// [`delayavf_sim::MAX_LANES`]. Batching never changes campaign results
     /// — a fidelity property the differential test suites check — it only
     /// lets up to `lanes` pending replays share each pass over the netlist.
+    /// For tests and the components bench only; campaigns always run at
+    /// the maximum width.
+    #[doc(hidden)]
     pub fn set_lanes(&mut self, lanes: usize) {
         self.lanes = if lanes == 0 {
             MAX_LANES
@@ -540,25 +534,15 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     /// batching never changes campaign results — a fidelity property the
     /// differential test suites check — it only lets up to `timing_lanes`
     /// injections at one trace cycle share each pass over the fault cone.
+    /// For tests and the components bench only; campaigns always run at
+    /// the maximum width.
+    #[doc(hidden)]
     pub fn set_timing_lanes(&mut self, timing_lanes: usize) {
         self.timing_lanes = if timing_lanes == 0 {
             MAX_TIMING_LANES
         } else {
             timing_lanes.min(MAX_TIMING_LANES)
         };
-    }
-
-    /// Disables (or re-enables) the pre-simulation collapsing layer: the
-    /// same-slack + structural-dominator equivalence classes over injection
-    /// sites, the quiet-source certificate, and the semi-formal masking
-    /// discharge of flip groups. Collapsing never changes results — a
-    /// fidelity property the differential and property test suites check —
-    /// it only serves provably identical injections from one representative
-    /// simulation and classifies flip groups no output ever observes as
-    /// Masked without replay. Disable it to run the exact per-site baseline
-    /// (the `--no-collapse` escape hatch).
-    pub fn set_collapse(&mut self, enabled: bool) {
-        self.collapse = enabled;
     }
 
     /// Full two-step evaluation: is edge `edge` DelayACE in `cycle` under an
@@ -629,15 +613,13 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         // criterion includes slack-table equality, so the representative's
         // would pass identically.
         self.refresh_step1_cycle(cycle);
-        if self.collapse {
-            let rep = self.plan().representative(edge);
-            if rep != edge {
-                self.stats.collapsed_edges += 1;
-                return (static_count, self.collapse_rep_set(cycle, rep, extra));
-            }
-            if self.plan().is_representative(edge) {
-                return (static_count, self.collapse_rep_set(cycle, edge, extra));
-            }
+        let rep = self.plan().representative(edge);
+        if rep != edge {
+            self.stats.collapsed_edges += 1;
+            return (static_count, self.collapse_rep_set(cycle, rep, extra));
+        }
+        if self.plan().is_representative(edge) {
+            return (static_count, self.collapse_rep_set(cycle, edge, extra));
         }
 
         let dynamic = self.timed_dynamic_set(cycle, edge, extra);
@@ -646,8 +628,8 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
 
     /// The toggle pre-filter, quiet-source certificate and timing-aware
     /// simulation of one injection that already passed the static filter
-    /// (and, when collapsing, was already resolved to a class
-    /// representative or a singleton). A kept set is served without the
+    /// and was already resolved to a class representative or a
+    /// singleton. A kept set is served without the
     /// waveform, and counts nothing.
     fn timed_dynamic_set(&mut self, cycle: u64, edge: EdgeId, extra: Picos) -> Vec<DffId> {
         // Pre-filter 2 (§V-C): if no source feeding the faulted edge
@@ -659,7 +641,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
         if let Some(set) = self.kept_set(edge, extra) {
             return set;
         }
-        let set = if self.collapse && self.quiet_source(cycle, edge) {
+        let set = if self.quiet_source(cycle, edge) {
             Vec::new()
         } else {
             // Timing-aware simulation of the one faulty cycle, as a delta
@@ -774,14 +756,9 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
     }
 
     /// The key `edge`'s step-1 sets are kept under: its class
-    /// representative when collapsing (every member's set is the
-    /// representative's), else the edge itself.
+    /// representative (every member's set is the representative's).
     fn step1_key(&mut self, edge: EdgeId) -> EdgeId {
-        if self.collapse {
-            self.plan().representative(edge)
-        } else {
-            edge
-        }
+        self.plan().representative(edge)
     }
 
     /// Seeds `cycle`'s step-1 sets with `(edge, extra, dynamic set)`
@@ -881,19 +858,17 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                 results.push((0, Vec::new()));
                 continue;
             }
-            if self.collapse {
-                let rep = self.plan().representative(edge);
-                if rep != edge {
-                    self.stats.collapsed_edges += 1;
-                    let set = self.collapse_rep_set(cycle, rep, extra);
-                    results.push((static_count, set));
-                    continue;
-                }
-                if self.plan().is_representative(edge) {
-                    let set = self.collapse_rep_set(cycle, edge, extra);
-                    results.push((static_count, set));
-                    continue;
-                }
+            let rep = self.plan().representative(edge);
+            if rep != edge {
+                self.stats.collapsed_edges += 1;
+                let set = self.collapse_rep_set(cycle, rep, extra);
+                results.push((static_count, set));
+                continue;
+            }
+            if self.plan().is_representative(edge) {
+                let set = self.collapse_rep_set(cycle, edge, extra);
+                results.push((static_count, set));
+                continue;
             }
             if self.toggle_filter && !self.edge_sources_toggle(cycle, edge) {
                 self.stats.toggle_filtered += 1;
@@ -904,7 +879,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
                 results.push((static_count, set));
                 continue;
             }
-            if self.collapse && self.quiet_source(cycle, edge) {
+            if self.quiet_source(cycle, edge) {
                 self.keep_set(edge, extra, &[]);
                 results.push((static_count, Vec::new()));
                 continue;
@@ -1048,74 +1023,7 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             self.stats.replay_cache_hits += 1;
             return hit;
         }
-        if self.collapse {
-            if let Some(class) = self.try_discharge(boundary, &flips) {
-                self.failure_cache
-                    .entry(boundary)
-                    .or_default()
-                    .insert(flips, class);
-                return class;
-            }
-        }
         self.batch_replay(boundary, std::slice::from_ref(&flips))[0]
-    }
-
-    /// The semi-formal masking check: classifies the flip group as Masked
-    /// without any replay when the plan or the trace's length proves the
-    /// environment never observes it. Returns `None` otherwise — the caller
-    /// replays the set, so a `None` never changes results.
-    ///
-    /// Both rules rest on the environment observing only *golden* output
-    /// words (environments are deterministic in what they observe), and on
-    /// [`Injector::golden_identical_class`] certifying that such a
-    /// golden-trajectory run classifies as Masked.
-    fn try_discharge(&mut self, boundary: u64, flips: &[DffId]) -> Option<FailureClass> {
-        if !self.golden.trace.halted() {
-            return None;
-        }
-        // End of trace: the environment's step for cycle `t` observes the
-        // outputs settled at `t - 1` and its last step is for cycle
-        // `n - 1`, so flips at boundary `n - 1` or later are never observed.
-        let past_the_end = boundary >= self.golden.trace.num_cycles().saturating_sub(1);
-        // Rule 1: no flipped bit can ever (through any number of cycles of
-        // sequential propagation) influence a primary output, so the
-        // environment observes the golden trajectory forever.
-        let fires = past_the_end || {
-            let plan = self.plan();
-            flips.iter().all(|&d| !plan.influences_output(d))
-        };
-        // The golden-trajectory classification costs an environment run
-        // over the whole trace, so it is computed only when a rule fires.
-        if !fires || self.golden_identical_class()? != FailureClass::Masked {
-            return None;
-        }
-        self.stats.formally_discharged_unace += 1;
-        Some(FailureClass::Masked)
-    }
-
-    /// The classification a faulty run would receive if its environment
-    /// observed exactly the golden output words until the end of the trace:
-    /// advance the latest checkpoint's environment clone along the recorded
-    /// outputs and classify it as a halted run. `None` when no usable
-    /// checkpoint exists (a cycle-0 checkpoint cannot be advanced — the
-    /// trace has no outputs before cycle 0). Memoized per injector.
-    fn golden_identical_class(&mut self) -> Option<FailureClass> {
-        if let Some(class) = self.golden_class {
-            return class;
-        }
-        let golden = self.golden;
-        let computed = golden
-            .checkpoints
-            .iter()
-            .next_back()
-            .filter(|(_, cp)| cp.cycle >= 1)
-            .map(|(_, cp)| (cp.cycle, cp.env.clone()));
-        let computed = computed.map(|(mut env_at, mut env)| {
-            self.advance_env(&mut env, &mut env_at, golden.trace.num_cycles());
-            self.classify_halted(&env)
-        });
-        self.golden_class = Some(computed);
-        computed
     }
 
     /// Classification when the faulty run has halted on its own.
@@ -1206,25 +1114,6 @@ impl<'a, E: Environment + Clone> Injector<'a, E> {
             if seen.insert(key.clone()) {
                 pending.push(key);
             }
-        }
-        // Masking discharges run before lane chunking, so discharged sets
-        // never occupy lanes — exactly the sets a query-by-query run
-        // discharges, which keeps every counter lane-width invariant. Every
-        // other set goes straight to the batch replay.
-        if self.collapse {
-            let mut kept = Vec::with_capacity(pending.len());
-            for set in pending {
-                match self.try_discharge(boundary, &set) {
-                    Some(class) => {
-                        self.failure_cache
-                            .entry(boundary)
-                            .or_default()
-                            .insert(set, class);
-                    }
-                    None => kept.push(set),
-                }
-            }
-            pending = kept;
         }
         for chunk in pending.chunks(self.lanes) {
             self.batch_replay(boundary, chunk);
@@ -1746,43 +1635,32 @@ mod tests {
         (c, topo, timing)
     }
 
-    /// The masking discharge's two rules on a halted run. A flip outside
-    /// the output-influence closure is Masked with no replay (Rule 1), the
-    /// class a replay with collapsing off gives it too. A flip at the
-    /// trace's last boundary is Masked by the end-of-trace rule although
-    /// its bit reaches the output, which the same flip earlier shows.
+    /// Flips no output observes classify as Masked by replay alone, on a
+    /// halted run: a flip of the unread shadow register, and a flip of an
+    /// accumulator bit at the trace's last boundary, although the same
+    /// flip earlier is visible. Each class costs exactly one replay.
     #[test]
-    fn masking_discharge_settles_unobservable_flips_without_replay() {
+    fn unobservable_flips_replay_to_masked() {
         let (c, topo, timing) = shadowed_fixture();
         let env = ObservingEnv::new(3, 14);
         let golden = prepare_golden(&c, &topo, &env, 100, 6);
-        assert!(golden.trace.halted(), "the rules need a halted golden run");
+        assert!(golden.trace.halted(), "the cases need a halted golden run");
         let by_name = |name: &str| c.dffs().find(|(_, d)| d.name() == name).unwrap().0;
         let shadow = by_name("shadow");
         let boundary = golden.sampled_cycles[1];
 
         let mut inj = Injector::new(&c, &topo, &timing, &golden, 20);
         assert_eq!(inj.group_failure(boundary, &[shadow]), FailureClass::Masked);
-        assert_eq!(inj.stats.formally_discharged_unace, 1);
-        assert_eq!(inj.stats.replays, 0, "Rule 1 runs no replay");
-
-        let mut plain = Injector::new(&c, &topo, &timing, &golden, 20);
-        plain.set_collapse(false);
-        assert_eq!(
-            plain.group_failure(boundary, &[shadow]),
-            FailureClass::Masked
-        );
-        assert_eq!(plain.stats.replays, 1, "collapse off replays the set");
-        assert_eq!(plain.stats.formally_discharged_unace, 0);
+        assert_eq!(inj.stats.replays, 1);
 
         let acc0 = c.dffs().next().unwrap().0;
         assert_ne!(acc0, shadow);
         assert!(inj.group_failure(boundary, &[acc0]).is_visible());
-        assert_eq!(inj.stats.replays, 1, "an observed flip is replayed");
+        assert_eq!(inj.stats.replays, 2);
         let last = golden.trace.num_cycles() - 1;
         assert_eq!(inj.group_failure(last, &[acc0]), FailureClass::Masked);
-        assert_eq!(inj.stats.formally_discharged_unace, 2);
-        assert_eq!(inj.stats.replays, 1, "the end-of-trace rule runs no replay");
+        assert_eq!(inj.stats.replays, 3);
+        assert_eq!(inj.stats.formally_discharged_unace, 0);
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //!
 //! Batches of at most 64 lanes ride plain `u64` words; wider batches step
 //! up to a 4×`u64` ([`W256`]) or 8×`u64` ([`W512`]) carrier (up to
-//! [`MAX_TIMING_LANES`]) selected per batch from the campaign-level
-//! `timing_lanes` knob. Gate evaluation walks the netlist's levelized
+//! [`MAX_TIMING_LANES`]) selected per batch from its lane count. Gate
+//! evaluation walks the netlist's levelized
 //! struct-of-arrays [`EvalPlan`](delayavf_netlist::EvalPlan) so the hot
 //! loop reads packed opcode/operand tables instead of per-gate structs.
 

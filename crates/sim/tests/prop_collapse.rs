@@ -11,17 +11,15 @@
 //! 2. the contrapositive: whenever a delay fault changes what latches, the
 //!    faulted edge's source net transitioned in the fault-free cycle;
 //! 3. edges sourced by constant nets are quiet in every cycle, whatever
-//!    the inputs and state do;
-//! 4. the collapse plan's influence closure (which flip-flops can ever
-//!    reach a primary output) equals a per-flip-flop forward-search oracle,
-//!    on random circuits and on both variants of the studied core.
-
-use std::collections::{HashSet, VecDeque};
+//!    the inputs and state do.
+//!
+//! The collapse plan's chain classes on both variants of the studied core
+//! keep their pinned sizes.
 
 use delayavf::CollapsePlan;
-use delayavf_netlist::{Circuit, Consumer, Driver, EdgeId, Topology};
+use delayavf_netlist::{Circuit, Driver, EdgeId, Topology};
 use delayavf_rvcore::{build_core, CoreConfig};
-use delayavf_sim::testutil::{random_circuit, random_observed_circuit, GateSpec};
+use delayavf_sim::testutil::{random_circuit, GateSpec};
 use delayavf_sim::{settle, DeltaEventSim, EventSim, FaultSpec, GoldenWave};
 use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use proptest::prelude::*;
@@ -57,57 +55,9 @@ fn probe_extras(timing: &TimingModel) -> [Picos; 4] {
     [1, clock / 2, clock, 2 * clock]
 }
 
-/// Oracle for [`CollapsePlan::influences_output`]: a forward search over
-/// each flip-flop's Q cone marks the flip-flops whose cone touches an
-/// output, records which D pins each cone reaches, and closes "reaches the
-/// D pin of an influencing flip-flop" over that sequential graph.
-fn influence_oracle(c: &Circuit, topo: &Topology) -> Vec<bool> {
-    let n = c.num_dffs();
-    let mut influences = vec![false; n];
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (did, dff) in c.dffs() {
-        let mut touches_output = false;
-        let mut seen = HashSet::from([dff.q()]);
-        let mut nets = VecDeque::from([dff.q()]);
-        while let Some(net) = nets.pop_front() {
-            for e in topo.fanouts(net) {
-                match e.consumer {
-                    Consumer::GatePin { gate, .. } => {
-                        let out = c.gate(gate).output();
-                        if seen.insert(out) {
-                            nets.push_back(out);
-                        }
-                    }
-                    Consumer::DffD(d2) => preds[d2.index()].push(did.index()),
-                    Consumer::OutputBit { .. } => touches_output = true,
-                }
-            }
-        }
-        if touches_output {
-            influences[did.index()] = true;
-            queue.push_back(did.index());
-        }
-    }
-    while let Some(d) = queue.pop_front() {
-        for &p in &preds[d] {
-            if !influences[p] {
-                influences[p] = true;
-                queue.push_back(p);
-            }
-        }
-    }
-    influences
-}
-
-fn plan_influences(c: &Circuit, plan: &CollapsePlan) -> Vec<bool> {
-    c.dffs().map(|(d, _)| plan.influences_output(d)).collect()
-}
-
-/// Both core variants: the closure matches the oracle, and the chain
-/// classes keep their pinned sizes.
+/// Both core variants: the chain classes keep their pinned sizes.
 #[test]
-fn core_influence_closure_matches_the_oracle() {
+fn core_collapse_classes_keep_their_pinned_sizes() {
     for (config, members) in [
         (CoreConfig::default(), 109),
         (
@@ -123,32 +73,12 @@ fn core_influence_closure_matches_the_oracle() {
         let topo = Topology::new(c);
         let timing = TimingModel::analyze(c, &topo, &TechLibrary::nangate45_like());
         let plan = CollapsePlan::build(c, &topo, &timing);
-        assert_eq!(
-            plan_influences(c, &plan),
-            influence_oracle(c, &topo),
-            "{config:?}"
-        );
         assert_eq!(plan.num_members(), members, "{config:?}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn influence_closure_matches_the_oracle(
-        gates in prop::collection::vec(any::<GateSpec>(), 1..60),
-        outputs in prop::collection::vec(any::<u16>(), 1..4),
-        n_regs in 1usize..10,
-    ) {
-        // Registers feed back into the gate pool, so the sequential graph
-        // is cyclic; reconvergent gates come from the generator.
-        let c = random_observed_circuit(4, n_regs, &gates, &outputs);
-        let topo = Topology::new(&c);
-        let timing = TimingModel::analyze(&c, &topo, &TechLibrary::nangate45_like());
-        let plan = CollapsePlan::build(&c, &topo, &timing);
-        prop_assert_eq!(plan_influences(&c, &plan), influence_oracle(&c, &topo));
-    }
 
     #[test]
     fn a_quiet_source_silences_every_delay_fault(

@@ -73,9 +73,6 @@ fn config(ci_target: Option<f64>, threads: usize) -> CampaignConfig {
         compute_orace: false,
         due_slack: 30,
         threads,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
         ci_target,
         strata: 4,
         sample_seed: 7,
@@ -345,40 +342,6 @@ fn adaptive_replays_never_exceed_the_uniform_sweeps() {
     }
 }
 
-/// A round whose classes are unsettled at a boundary times the rest of the
-/// cycle so one batch set replays it whole. At `lanes = 1` prefilling is a
-/// no-op and those replays would never batch, so there the sweep must time
-/// only the sites the plan sampled: each timing simulation serves one
-/// sampled injection. At the default width the whole cycles are timed.
-#[test]
-fn one_lane_adaptive_sweeps_time_only_the_sampled_sites() {
-    let f = fixture(48);
-    let run = |lanes: usize| {
-        let cfg = CampaignConfig {
-            lanes,
-            ..config(Some(0.01), 0)
-        };
-        delay_avf_campaign_with_stats(&f.circuit, &f.topo, &f.timing, &f.golden, &f.edges, &cfg)
-    };
-    let (rows, one_lane) = run(1);
-    let est = rows[0].adaptive.expect("adaptive estimate present");
-    assert!(est.sampled < est.population, "the plan skips sites");
-    let sampled = (est.sampled * rows.len()) as u64;
-    assert!(
-        one_lane.event_sims <= sampled,
-        "{} timing simulations for {sampled} sampled injections",
-        one_lane.event_sims
-    );
-    let (wide_rows, wide) = run(64);
-    assert_eq!(rows, wide_rows);
-    assert!(
-        wide.event_sims > one_lane.event_sims,
-        "the default width times whole cycles ({} vs {} simulations)",
-        wide.event_sims,
-        one_lane.event_sims
-    );
-}
-
 /// Each cycle's step-1 results are kept with its classes, so a round that
 /// revisits a cycle times nothing an earlier round timed there and builds
 /// no second golden waveform: an adaptive sweep runs at most the uniform
@@ -447,44 +410,23 @@ fn revisited_cycles_time_nothing_twice() {
 
 /// The adaptive report is a pure function of the knobs: worker threads
 /// must not change a single bit anywhere (results, estimate, every merged
-/// counter), and lane widths must not change any result or any adaptive
-/// counter (lane packing legitimately shifts engine-internal cache
-/// counters, exactly as on the uniform path).
+/// counter).
 #[test]
-fn adaptive_reports_are_thread_and_lane_invariant() {
+fn adaptive_reports_are_thread_invariant() {
     let f = fixture(24);
-    let run = |threads: usize, lanes: usize, timing_lanes: usize| {
-        let cfg = CampaignConfig {
-            lanes,
-            timing_lanes,
-            ..config(Some(0.08), threads)
-        };
+    let run = |threads: usize| {
+        let cfg = config(Some(0.08), threads);
         let sweep = delay_avf_campaign_with_stats(
             &f.circuit, &f.topo, &f.timing, &f.golden, &f.edges, &cfg,
         );
-        let opts = replay_opts(Some(0.08))
-            .with_threads(threads)
-            .with_lanes(lanes)
-            .with_timing_lanes(timing_lanes);
+        let opts = replay_opts(Some(0.08)).with_threads(threads);
         let savf =
             savf_campaign_with_stats(&f.circuit, &f.topo, &f.timing, &f.golden, &f.dffs, opts);
         (sweep, savf)
     };
-    let ((rows, stats), (savf, savf_stats)) = run(1, 64, 64);
+    let serial = run(1);
     for threads in [2usize, 4] {
-        let ((t_rows, t_stats), (t_savf, t_savf_stats)) = run(threads, 64, 64);
-        assert_eq!(rows, t_rows, "threads={threads}");
-        assert_eq!(stats, t_stats, "threads={threads}");
-        assert_eq!(savf, t_savf, "threads={threads}");
-        assert_eq!(savf_stats, t_savf_stats, "threads={threads}");
-    }
-    for (lanes, timing_lanes) in [(1usize, 64usize), (64, 1)] {
-        let ((l_rows, l_stats), (l_savf, _)) = run(1, lanes, timing_lanes);
-        assert_eq!(rows, l_rows, "lanes={lanes} timing_lanes={timing_lanes}");
-        assert_eq!(savf, l_savf, "lanes={lanes} timing_lanes={timing_lanes}");
-        assert_eq!(stats.strata_active, l_stats.strata_active);
-        assert_eq!(stats.strata_retired_early, l_stats.strata_retired_early);
-        assert_eq!(stats.adaptive_replays_saved, l_stats.adaptive_replays_saved);
+        assert_eq!(run(threads), serial, "threads={threads}");
     }
 }
 

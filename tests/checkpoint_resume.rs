@@ -2,7 +2,7 @@
 //! gate-level core for all five campaigns: a run that is interrupted at a
 //! checkpoint boundary and resumed produces a report **byte-identical** to
 //! the uninterrupted run — same result rows, same merged injector
-//! counters — under every `threads × lanes` combination, and a checkpoint
+//! counters — at every thread count, and a checkpoint
 //! written by a different campaign (different inputs, knobs or kind) is
 //! rejected with the pinned `checkpoint mismatch` error instead of being
 //! silently merged.
@@ -132,7 +132,7 @@ fn keep_rounds(path: &Path, keep: impl Fn(u64) -> bool) -> usize {
 }
 
 #[test]
-fn resumed_reports_are_byte_identical_across_the_threads_by_lanes_grid() {
+fn resumed_reports_are_byte_identical_at_every_thread_count() {
     let s = setup();
     let dir = tmpdir();
     let edges = sample_edges(
@@ -155,18 +155,15 @@ fn resumed_reports_are_byte_identical_across_the_threads_by_lanes_grid() {
         compute_orace: true,
         due_slack: 500,
         threads: 1,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
         ci_target: None,
         strata: 4,
         sample_seed: 7,
     };
 
-    for (threads, lanes) in [(1usize, 64usize), (2, 1), (4, 64)] {
-        let config = base_config.clone().with_threads(threads).with_lanes(lanes);
-        let opts = ReplayOptions::new(500, threads).with_lanes(lanes);
-        let tag = format!("t{threads}-l{lanes}");
+    for threads in [1usize, 2, 4] {
+        let config = base_config.clone().with_threads(threads);
+        let opts = ReplayOptions::new(500, threads);
+        let tag = format!("t{threads}");
 
         // ---- Delay sweep ----------------------------------------------
         let want = delay_avf_campaign_with_stats(
@@ -376,9 +373,6 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
         compute_orace: false,
         due_slack: 500,
         threads: 2,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
         ci_target: Some(0.15),
         strata: 4,
         sample_seed: 7,
@@ -565,8 +559,8 @@ fn adaptive_checkpoints_resume_byte_identical_and_reject_knob_drift() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// An 8-bit accumulator that never halts, so no flip set is discharged
-/// and every class is a replay; its adder edges are the sweep's sites.
+/// An 8-bit accumulator that never halts; its adder edges are the
+/// sweep's sites.
 struct Accumulator {
     circuit: Circuit,
     topo: Topology,
@@ -601,9 +595,7 @@ fn accumulator() -> Accumulator {
 /// feed theirs back from their payloads. A sweep resumed with only its
 /// first round stored, or with every round but the first, must rebuild
 /// both exactly: same rows, same counters, the timing counters included,
-/// so no stored pair is timed again. The accumulator never halts, so no
-/// flip set is discharged and every class is a replay that later rounds
-/// reuse.
+/// so no stored pair is timed again.
 #[test]
 fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
     let Accumulator {
@@ -699,8 +691,9 @@ fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
         }
     }
 
-    // A checkpoint of the previous format (v5, whose adaptive sweep units
-    // had no step-1 section) is rejected before any unit is parsed.
+    // A checkpoint of the previous format (v6, whose knob hash covered the
+    // deleted lane-width and collapse options) is rejected before any unit
+    // is parsed.
     delay_avf_campaign_observed(
         &circuit,
         &topo,
@@ -712,9 +705,9 @@ fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
     )
     .unwrap();
     let current = fs::read_to_string(&path).unwrap();
-    let v5 = current.replacen(&format!(" v{CHECKPOINT_FORMAT_VERSION} "), " v5 ", 1);
-    assert_ne!(v5, current, "the header names the format version");
-    fs::write(&path, v5).unwrap();
+    let v6 = current.replacen(&format!(" v{CHECKPOINT_FORMAT_VERSION} "), " v6 ", 1);
+    assert_ne!(v6, current, "the header names the format version");
+    fs::write(&path, v6).unwrap();
     let err = delay_avf_campaign_observed(
         &circuit,
         &topo,
@@ -726,8 +719,8 @@ fn adaptive_round_cuts_resume_with_the_same_settled_classes() {
     )
     .unwrap_err();
     assert!(
-        err.contains("checkpoint mismatch") && err.contains("format version v5"),
-        "v5 checkpoint not pinned: {err}"
+        err.contains("checkpoint mismatch") && err.contains("format version v6"),
+        "v6 checkpoint not pinned: {err}"
     );
     fs::remove_dir_all(dir).unwrap();
 }
@@ -834,8 +827,8 @@ fn adaptive_sweeps_settle_each_boundary_in_one_unit() {
 }
 
 /// A checkpoint written under one campaign identity must never be merged
-/// into another: different inputs (fingerprint), different engine knobs,
-/// and a different campaign kind are all pinned `checkpoint mismatch`
+/// into another: different inputs (fingerprint), a different campaign
+/// kind and an older format version are all pinned `checkpoint mismatch`
 /// errors, and a torn file is a `checkpoint parse error`.
 #[test]
 fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
@@ -861,9 +854,6 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
         compute_orace: false,
         due_slack: 500,
         threads: 2,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
         ci_target: None,
         strata: 4,
         sample_seed: 7,
@@ -898,42 +888,6 @@ fn stale_or_foreign_checkpoints_are_rejected_not_merged() {
     assert!(
         err.contains("checkpoint mismatch"),
         "fraction drift not pinned: {err}"
-    );
-
-    // Different counter-shaping knobs (lane width) → different knob hash.
-    let other = config.clone().with_lanes(1);
-    let err = delay_avf_campaign_observed(
-        &s.core.circuit,
-        &s.topo,
-        &s.timing,
-        &s.golden,
-        &edges,
-        &other,
-        &ctx(&path, 1, true),
-    )
-    .unwrap_err();
-    assert!(
-        err.contains("checkpoint mismatch"),
-        "knob drift not pinned: {err}"
-    );
-
-    // The collapse knob also shapes the counters (collapsed_edges and the
-    // discharge counters are zero with collapse off), so a checkpoint
-    // written with collapse on must not resume with it off.
-    let other = config.clone().with_collapse(false);
-    let err = delay_avf_campaign_observed(
-        &s.core.circuit,
-        &s.topo,
-        &s.timing,
-        &s.golden,
-        &edges,
-        &other,
-        &ctx(&path, 1, true),
-    )
-    .unwrap_err();
-    assert!(
-        err.contains("checkpoint mismatch"),
-        "collapse drift not pinned: {err}"
     );
 
     // A sweep checkpoint resumed by the sAVF campaign → kind mismatch.

@@ -1,17 +1,23 @@
 //! The collapse criterion's ground truth, checked on the real gate-level
-//! core *without* the collapse machinery in the loop: every member of an
-//! equivalence class — an edge whose [`delayavf::CollapsePlan`] representative
-//! is a different edge — produces the exact same dynamically reachable set
-//! and the exact same [`delayavf::InjectionOutcome`] as its representative,
-//! at every sampled cycle, for every extra delay probed, with and without
-//! the toggle pre-filter. The collapse layer never has to guess: redirecting a member to
-//! its representative returns the answer the member would have computed.
+//! core against the plain reference in `tests/support`, which simulates
+//! every edge's own faulty cycle in full and never collapses: every member
+//! of an equivalence class — an edge whose [`delayavf::CollapsePlan`]
+//! representative is a different edge — gets from the collapsing
+//! [`Injector`] exactly the dynamically reachable set and the
+//! [`delayavf::InjectionOutcome`] the reference computes for the member
+//! itself, at every sampled cycle, for every extra delay probed, under
+//! every setting of the injector's test-only overrides. The collapse layer
+//! never has to guess: redirecting a member to its representative returns
+//! the answer the member would have computed.
 
-use delayavf::{prepare_golden_seeded, CollapsePlan, Injector};
+mod support;
+
+use delayavf::{prepare_golden_seeded, CollapsePlan, InjectionOutcome, Injector};
 use delayavf_netlist::{EdgeId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
 use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
+use support::Reference;
 
 struct Setup {
     core: Core,
@@ -58,67 +64,70 @@ fn member_pairs(s: &Setup, cap: usize) -> Vec<(EdgeId, EdgeId)> {
     pairs
 }
 
+/// The injection cycles: sampled cycles with a successor boundary inside
+/// the trace.
+fn cycles(s: &Setup) -> impl Iterator<Item = u64> + '_ {
+    s.golden
+        .sampled_cycles
+        .iter()
+        .copied()
+        .filter(|&cycle| cycle + 1 < s.golden.trace.num_cycles())
+}
+
 #[test]
 fn every_class_member_matches_its_representative_under_every_knob() {
     let s = setup();
     let pairs = member_pairs(&s, 24);
     let clock = s.timing.clock_period();
-    let extras: Vec<Picos> = vec![clock / 2, clock * 9 / 10];
+    let faults: Vec<(EdgeId, Picos)> = pairs
+        .iter()
+        .flat_map(|&(member, _)| [(member, clock / 2), (member, clock * 9 / 10)])
+        .collect();
+    let mut reference = Reference::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
+    let want: Vec<InjectionOutcome> = cycles(&s)
+        .flat_map(|cycle| faults.iter().map(move |&f| (cycle, f)))
+        .map(|(cycle, (edge, extra))| reference.inject(cycle, edge, extra))
+        .collect();
+    assert!(
+        want.iter().any(|o| !o.dynamic_set.is_empty()),
+        "some member faults latch wrong values"
+    );
 
     for toggle_filter in [true, false] {
-        // Collapse stays OFF on both injectors: this test validates the
-        // criterion itself, so the member's answer must come from a real
-        // per-edge replay, not from the redirect whose soundness is under
-        // test.
-        let mut member_inj = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
-        let mut rep_inj = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
-        for inj in [&mut member_inj, &mut rep_inj] {
-            inj.set_collapse(false);
+        for timing_lanes in [1, 64] {
+            let mut inj = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
             inj.set_toggle_filter(toggle_filter);
-        }
-        for &cycle in &s.golden.sampled_cycles {
-            if cycle + 1 >= s.golden.trace.num_cycles() {
-                continue;
+            inj.set_timing_lanes(timing_lanes);
+            let got: Vec<InjectionOutcome> = cycles(&s)
+                .flat_map(|cycle| inj.inject_batch(cycle, &faults))
+                .collect();
+            assert!(inj.stats.collapsed_edges > 0, "members are redirected");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let (member, extra) = faults[i % faults.len()];
+                assert_eq!(
+                    g, w,
+                    "member {member} extra {extra}, injection {i} \
+                     (toggle={toggle_filter}, timing_lanes={timing_lanes})"
+                );
             }
-            for &(member, rep) in &pairs {
-                for &extra in &extras {
-                    let m = member_inj.dynamically_reachable(cycle, member, extra);
-                    let r = rep_inj.dynamically_reachable(cycle, rep, extra);
-                    assert_eq!(
-                        m, r,
-                        "dynamic set, member {member} vs rep {rep} at cycle {cycle} \
-                         extra {extra} (toggle={toggle_filter})"
-                    );
-                    let mo = member_inj.inject(cycle, member, extra);
-                    let ro = rep_inj.inject(cycle, rep, extra);
-                    assert_eq!(
-                        mo, ro,
-                        "outcome, member {member} vs rep {rep} at cycle {cycle} \
-                         extra {extra} (toggle={toggle_filter})"
-                    );
-                }
-            }
+            assert_eq!(got.len(), want.len());
         }
     }
 }
 
-/// With collapse ON, a member's served outcome is byte-identical to the
-/// per-edge baseline, and serving it costs no event simulation beyond the
-/// one its representative already paid for.
+/// A member's served set is the one the reference simulates for the
+/// member itself, and serving it costs no event simulation beyond the one
+/// its representative already paid for.
 #[test]
 fn redirected_members_are_served_from_the_representative_replay() {
     let s = setup();
     let pairs = member_pairs(&s, 24);
     let extra = s.timing.clock_period() * 9 / 10;
 
-    let mut baseline = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
-    baseline.set_collapse(false);
+    let mut reference = Reference::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
     let mut collapsed = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
 
-    for &cycle in &s.golden.sampled_cycles {
-        if cycle + 1 >= s.golden.trace.num_cycles() {
-            continue;
-        }
+    for cycle in cycles(&s) {
         for &(member, rep) in &pairs {
             // Representative first, member second: the member's query must
             // hit the per-cycle representative cache.
@@ -131,10 +140,10 @@ fn redirected_members_are_served_from_the_representative_replay() {
                 "the member ran its own simulation (cycle {cycle}, member {member})"
             );
             assert!(sims_after_rep >= sims_before, "counters only grow");
-            let want = baseline.dynamically_reachable(cycle, member, extra);
+            let want = reference.dynamically_reachable(cycle, member, extra);
             assert_eq!(
                 m, want,
-                "served set differs from the baseline (cycle {cycle}, member {member} rep {rep})"
+                "served set differs from the reference (cycle {cycle}, member {member} rep {rep})"
             );
         }
     }

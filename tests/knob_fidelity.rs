@@ -1,7 +1,7 @@
-//! The fidelity regression matrix: every combination of the engine's
-//! performance knobs — toggle pre-filter, convergence early-exit,
-//! equivalence-class collapse, the replay batch lane width and the
-//! timing-aware batch lane width — produces exactly the per-injection
+//! The fidelity regression matrix: every combination of the injector's
+//! test-only performance overrides — toggle pre-filter, convergence
+//! early-exit, the replay batch lane width and the timing-aware batch lane
+//! width — produces exactly the per-injection
 //! outcomes of the plain reference in `tests/support` (a full event
 //! simulation of the faulty cycle, then a plain cycle-by-cycle replay to
 //! program end). The knobs change only the cost of the answer, never the
@@ -48,7 +48,6 @@ fn setup() -> Setup {
 struct Knobs {
     toggle_filter: bool,
     early_exit: bool,
-    collapse: bool,
     lanes: usize,
     timing_lanes: usize,
 }
@@ -76,7 +75,6 @@ fn run_matrix_point(s: &Setup, k: Knobs) -> Vec<InjectionOutcome> {
     let mut inj = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
     inj.set_toggle_filter(k.toggle_filter);
     inj.set_early_exit(k.early_exit);
-    inj.set_collapse(k.collapse);
     inj.set_lanes(k.lanes);
     inj.set_timing_lanes(k.timing_lanes);
     let extra = s.timing.clock_period() * 9 / 10;
@@ -109,22 +107,19 @@ fn every_knob_combination_yields_identical_outcomes() {
     );
     for toggle_filter in [true, false] {
         for early_exit in [true, false] {
-            for collapse in [true, false] {
-                for lanes in [1, 64] {
-                    for timing_lanes in [1, 64] {
-                        let k = Knobs {
-                            toggle_filter,
-                            early_exit,
-                            collapse,
-                            lanes,
-                            timing_lanes,
-                        };
-                        let outcomes = run_matrix_point(&s, k);
-                        assert_eq!(
-                            outcomes, reference,
-                            "outcomes differ from the reference with {k:?}"
-                        );
-                    }
+            for lanes in [1, 64] {
+                for timing_lanes in [1, 64] {
+                    let k = Knobs {
+                        toggle_filter,
+                        early_exit,
+                        lanes,
+                        timing_lanes,
+                    };
+                    let outcomes = run_matrix_point(&s, k);
+                    assert_eq!(
+                        outcomes, reference,
+                        "outcomes differ from the reference with {k:?}"
+                    );
                 }
             }
         }
@@ -133,7 +128,7 @@ fn every_knob_combination_yields_identical_outcomes() {
 
 /// The timing_lanes axis in isolation, against the other batching contract:
 /// a scalar [`Injector::inject`] loop, the batched entry point at
-/// `timing_lanes = 1` (the escape hatch), the 64-lane `u64` path and the
+/// `timing_lanes = 1` (the scalar path), the 64-lane `u64` path and the
 /// 256- and 512-lane wide-word paths all return identical outcomes in
 /// identical order.
 #[test]

@@ -10,12 +10,14 @@ mod support;
 
 use delayavf::{
     delay_avf_campaign_records, savf_campaign_with_stats, savf_per_bit_campaign,
-    spatial_double_strike_campaign, valid_cycles, Injector, ReplayOptions,
+    spatial_double_strike_campaign, valid_cycles, GoldenRun, Injector, ReplayOptions,
 };
 use delayavf_bench::{Harness, Opts, StructureSel};
 use delayavf_netlist::DffId;
+use delayavf_rvcore::{MemEnv, DEFAULT_RAM_BYTES};
+use delayavf_sim::GoldenTrace;
 use delayavf_timing::Picos;
-use delayavf_workloads::Kernel;
+use delayavf_workloads::{Kernel, Scale};
 use support::Reference;
 
 #[test]
@@ -86,11 +88,6 @@ fn strike_flips_match_the_reference_and_savf_is_thread_invariant() {
     assert_eq!(one, four, "sAVF result, 1 vs 4 threads");
     assert_eq!(one_stats, four_stats, "sAVF counters, 1 vs 4 threads");
     assert!(one_stats.replays > 0, "the campaign did real work");
-    let (scalar, scalar_stats) = run(ReplayOptions::new(opts.due_slack, 1).with_lanes(1));
-    assert_eq!(scalar, one, "sAVF result, lanes 1 vs default");
-    // At one lane every replay is its own one-lane batch.
-    assert_eq!(scalar_stats.lane_slots, scalar_stats.batched_replays);
-    assert_eq!(scalar_stats.lanes_occupied, scalar_stats.replays);
     // The batch engine's divergence-cone path does far fewer gate
     // evaluations than a full replay's every-gate-every-cycle schedule.
     let full_work = one_stats.replay_cycles * circuit.num_gates() as u64;
@@ -162,4 +159,52 @@ fn double_strikes_match_the_reference_and_strike_campaigns_are_thread_invariant(
             );
         }
     }
+}
+
+/// The last two boundaries a campaign can query on a halted run of `n`
+/// cycles: a strike at the last valid cycle `n - 1` classifies at `n - 1`,
+/// a delay fault there at `n`. Single-bit flips at both classify exactly as
+/// the reference replay does.
+#[test]
+fn flips_at_the_last_two_boundaries_match_the_reference() {
+    let mut h = Harness::build();
+    let opts = Opts::quick();
+    let variant = h.variant_mut(StructureSel::Plain("alu"));
+    let (circuit, topo, timing) = (&variant.core.circuit, &variant.topo, &variant.timing);
+    let w = Kernel::Libfibcall.build(Scale::Tiny);
+    let program = w.assemble().expect("workload assembles");
+    let env = MemEnv::new(circuit, DEFAULT_RAM_BYTES, &program);
+    let trace = GoldenTrace::record(circuit, topo, &mut env.clone(), w.max_cycles);
+    assert!(trace.halted(), "the cases need a halted golden run");
+    let n = trace.num_cycles();
+    let sampled_cycles = vec![n - 1];
+    let checkpoints = trace
+        .checkpoints(&env, &sampled_cycles)
+        .into_iter()
+        .map(|cp| (cp.cycle, cp))
+        .collect();
+    let golden = GoldenRun {
+        trace,
+        checkpoints,
+        sampled_cycles,
+    };
+    assert_eq!(valid_cycles(&golden), vec![n - 1]);
+
+    let mut dffs = variant.dffs("lsu", &opts);
+    dffs.extend(variant.dffs("control", &opts));
+    let mut injector = Injector::new(circuit, topo, timing, &golden, opts.due_slack);
+    let mut reference = Reference::new(circuit, topo, timing, &golden, opts.due_slack);
+    for boundary in [n - 1, n] {
+        for &d in &dffs {
+            assert_eq!(
+                injector.group_failure(boundary, &[d]),
+                reference.failure(boundary, &[d]),
+                "bit {d} flipped at boundary {boundary} of {n}"
+            );
+        }
+    }
+    assert_eq!(
+        injector.stats.formally_discharged_unace, 0,
+        "every class is replayed"
+    );
 }

@@ -7,11 +7,12 @@
 use delayavf::{
     delay_avf_campaign_records, delay_avf_campaign_with_stats, prepare_golden_seeded, sample_edges,
     savf_campaign_with_stats, savf_per_bit_campaign, spatial_double_strike_campaign, valid_cycles,
-    CampaignConfig, ReplayOptions,
+    CampaignConfig, InjectionOutcome, Injector, InjectorStats, ReplayOptions,
 };
-use delayavf_netlist::{DffId, Topology};
+use delayavf_netlist::{DffId, EdgeId, Topology};
 use delayavf_rvcore::{Core, CoreConfig, MemEnv, DEFAULT_RAM_BYTES};
-use delayavf_timing::{TechLibrary, TimingModel};
+use delayavf_sim::{MAX_LANES, MAX_TIMING_LANES};
+use delayavf_timing::{Picos, TechLibrary, TimingModel};
 use delayavf_workloads::{Kernel, Scale};
 
 struct Setup {
@@ -101,9 +102,6 @@ fn all_campaigns_are_thread_count_invariant_on_the_real_core() {
         compute_orace: true,
         due_slack: 500,
         threads: 1,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
         ci_target: None,
         strata: 4,
         sample_seed: 7,
@@ -212,23 +210,22 @@ fn all_campaigns_are_thread_count_invariant_on_the_real_core() {
     }
 }
 
-/// The bit-parallel batching layer's guarantee, on a threads × lanes grid:
-/// every lane width returns the same campaign rows, and at a fixed lane
-/// width every counter — including the new batch counters — is
-/// thread-count invariant.
-#[test]
-fn batch_counters_are_thread_invariant_at_every_lane_width() {
-    use std::collections::HashMap;
-
-    let s = setup();
-    // Decoder edges at fractions near the full clock period: these latch
-    // wrong values on this workload, so the sweep actually replays (and
-    // therefore batches); ALU faults are fully masked here.
-    let edges = sample_edges(
+/// Decoder edges at fractions near the full clock period: these latch
+/// wrong values on this workload, so both campaigns replay in batches, and
+/// the decoder has real collapse classes (buffer-like chains) on the core.
+fn decoder_edges(s: &Setup) -> Vec<EdgeId> {
+    sample_edges(
         &s.topo.structure_edges(&s.core.circuit, "decoder").unwrap(),
         30,
         17,
-    );
+    )
+}
+
+/// The decoder delay sweep and an LSU strike campaign at 1, 2 and 4
+/// threads: rows and every counter are identical to the serial run's.
+/// Returns the serial counters of the sweep and of the strike campaign.
+fn thread_invariant_counters(s: &Setup) -> (InjectorStats, InjectorStats) {
+    let edges = decoder_edges(s);
     let dffs: Vec<DffId> = s
         .core
         .circuit
@@ -243,342 +240,189 @@ fn batch_counters_are_thread_invariant_at_every_lane_width() {
         delay_fractions: vec![0.9, 1.0],
         compute_orace: true,
         due_slack: 500,
-        threads: 1,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+        ..CampaignConfig::default()
     };
-    let (base_rows, _) = delay_avf_campaign_with_stats(
-        &s.core.circuit,
-        &s.topo,
-        &s.timing,
-        &s.golden,
-        &edges,
-        &config,
-    );
-    let (base_savf, _) = savf_campaign_with_stats(
-        &s.core.circuit,
-        &s.topo,
-        &s.timing,
-        &s.golden,
-        &dffs,
-        ReplayOptions::new(500, 1),
-    );
+    let run = |threads: usize| {
+        let sweep = delay_avf_campaign_with_stats(
+            &s.core.circuit,
+            &s.topo,
+            &s.timing,
+            &s.golden,
+            &edges,
+            &config.clone().with_threads(threads),
+        );
+        let opts = ReplayOptions::new(500, threads);
+        let savf =
+            savf_campaign_with_stats(&s.core.circuit, &s.topo, &s.timing, &s.golden, &dffs, opts);
+        (sweep, savf)
+    };
+    let serial = run(1);
+    for threads in [2, 4] {
+        assert_eq!(run(threads), serial, "{threads} threads");
+    }
+    let ((_, sweep), (_, savf)) = serial;
+    (sweep, savf)
+}
 
-    let mut sweep_stats_by_lanes = HashMap::new();
-    let mut savf_stats_by_lanes = HashMap::new();
-    for lanes in [1usize, 2, 64, 256] {
-        for threads in [1usize, 2, 4] {
-            let cfg = config.clone().with_threads(threads).with_lanes(lanes);
-            let (rows, stats) = delay_avf_campaign_with_stats(
-                &s.core.circuit,
-                &s.topo,
-                &s.timing,
-                &s.golden,
-                &edges,
-                &cfg,
-            );
-            assert_eq!(
-                rows, base_rows,
-                "sweep rows, lanes={lanes} threads={threads}"
-            );
-            let first = *sweep_stats_by_lanes.entry(lanes).or_insert(stats);
-            assert_eq!(
-                stats, first,
-                "sweep counters thread-invariant at lanes={lanes} (threads={threads})"
-            );
-
-            let opts = ReplayOptions::new(500, threads).with_lanes(lanes);
-            let (savf, savf_stats) = savf_campaign_with_stats(
-                &s.core.circuit,
-                &s.topo,
-                &s.timing,
-                &s.golden,
-                &dffs,
-                opts,
-            );
-            assert_eq!(savf, base_savf, "sAVF, lanes={lanes} threads={threads}");
-            let first = *savf_stats_by_lanes.entry(lanes).or_insert(savf_stats);
-            assert_eq!(
-                savf_stats, first,
-                "sAVF counters thread-invariant at lanes={lanes} (threads={threads})"
-            );
+/// Runs the decoder sample at 0.9 and 1.0 clock periods through one
+/// injector at the given replay and timing lane widths, over every sampled
+/// cycle with a successor boundary, the way the campaign driver does: step
+/// 1 for the whole cycle, the replays batched through `prefill_failures`,
+/// then each injection classified.
+fn run_at_widths(
+    s: &Setup,
+    lanes: usize,
+    timing_lanes: usize,
+) -> (Vec<InjectionOutcome>, InjectorStats) {
+    let period = s.timing.clock_period();
+    let pairs: Vec<(EdgeId, Picos)> = decoder_edges(s)
+        .into_iter()
+        .flat_map(|e| [(e, period * 9 / 10), (e, period)])
+        .collect();
+    let mut inj = Injector::new(&s.core.circuit, &s.topo, &s.timing, &s.golden, 500);
+    inj.set_lanes(lanes);
+    inj.set_timing_lanes(timing_lanes);
+    let mut outcomes = Vec::new();
+    for &cycle in &s.golden.sampled_cycles {
+        if cycle + 1 >= s.golden.trace.num_cycles() {
+            continue;
         }
+        let parts = inj.dynamically_reachable_batch(cycle, &pairs);
+        inj.prefill_failures(cycle + 1, parts.iter().map(|(_, set)| set.clone()));
+        outcomes.extend(
+            parts
+                .into_iter()
+                .map(|(reached, set)| inj.classify_injection(cycle, reached, set)),
+        );
+    }
+    (outcomes, inj.stats)
+}
+
+/// The bit-parallel batching layer's guarantee. Campaigns run at the one
+/// production width, where every counter is thread-count invariant and
+/// lane slots count scheduled lanes, not the carrier width, so lane
+/// utilization reads exactly 1.0. Below the campaign, the injector's
+/// replay width (1, 2, the `u64` word and the 256-lane word) changes
+/// neither the outcomes nor the number of scenarios replayed.
+#[test]
+fn batch_counters_are_thread_invariant_at_every_lane_width() {
+    let s = setup();
+    let (sweep, savf) = thread_invariant_counters(&s);
+    for stats in [&sweep, &savf] {
+        assert!(stats.batched_replays > 0, "{stats:?}");
+        assert_eq!(stats.lane_utilization(), 1.0, "{stats:?}");
     }
 
-    // lanes = 1 replays every scenario in its own one-lane batch; wide
-    // configurations pack them.
-    for stats_by_lanes in [&sweep_stats_by_lanes, &savf_stats_by_lanes] {
-        let scalar = &stats_by_lanes[&1];
-        assert_eq!(
-            scalar.lane_slots, scalar.batched_replays,
-            "one lane per batch at lanes = 1"
-        );
-        assert_eq!(
-            scalar.lanes_occupied, scalar.replays,
-            "every replay occupies a lane at lanes = 1"
-        );
-        let wide = &stats_by_lanes[&64];
-        assert!(wide.batched_replays > 0, "wide config batches: {wide:?}");
-        assert!(wide.lanes_occupied > 0, "wide config occupies lanes");
-        // The number of distinct scenarios replayed through the batch engine
-        // does not depend on the lane width, only on the workload.
-        assert_eq!(
-            stats_by_lanes[&2].lanes_occupied, wide.lanes_occupied,
-            "scenario count is lane-width invariant"
-        );
-        assert_eq!(
-            stats_by_lanes[&256].lanes_occupied, wide.lanes_occupied,
-            "the 256-lane word path replays the same scenarios"
-        );
-        // Lane slots count scheduled lanes, not allocated carrier width:
-        // whenever batches ran at all, utilization is exactly 1.0 — a
-        // partially-filled final chunk contributes only the slots it
-        // actually carries.
-        for (&lanes, stats) in stats_by_lanes {
-            if lanes > 1 {
-                assert_eq!(
-                    stats.lane_utilization(),
-                    1.0,
-                    "lane accounting at lanes={lanes}: {stats:?}"
-                );
-            }
-        }
+    let (base, scalar) = run_at_widths(&s, 1, MAX_TIMING_LANES);
+    // One lane per batch: every scenario is replayed in its own batch.
+    assert_eq!(scalar.lane_slots, scalar.batched_replays, "{scalar:?}");
+    assert_eq!(scalar.lanes_occupied, scalar.replays, "{scalar:?}");
+    let mut occupied = None;
+    for lanes in [2, 64, 256] {
+        let (outcomes, stats) = run_at_widths(&s, lanes, MAX_TIMING_LANES);
+        assert_eq!(outcomes, base, "outcomes at lanes={lanes}");
+        assert!(stats.batched_replays > 0, "lanes={lanes}: {stats:?}");
+        assert_eq!(stats.lane_utilization(), 1.0, "lanes={lanes}: {stats:?}");
+        // The scenarios replayed depend on the workload, not the width.
+        let first = *occupied.get_or_insert(stats.lanes_occupied);
+        assert_eq!(stats.lanes_occupied, first, "lanes={lanes}");
     }
 }
 
-/// The equivalence-class collapse layer's guarantee, on a collapse ×
-/// threads × lanes grid: collapse on and off return identical delay-sweep
-/// rows at every thread count and lane width, and the four collapse
-/// counters — `collapsed_edges`, `class_representatives`,
-/// `formally_discharged_ace`, `formally_discharged_unace` — are invariant
-/// across both the thread count and the lane width (they count class
-/// structure and certificates, not batching), and exactly zero with
-/// collapse off.
+/// The equivalence-class collapse layer's guarantee: its counters count
+/// class structure and quiet-source certificates, not batching, so they
+/// are thread-count invariant in campaigns and identical at every replay
+/// and timing lane width of the injector. No class member of the campaign
+/// sample passes the static filter, so every collapse there is a
+/// quiet-source certificate; the representative path is pinned by
+/// `a_sweep_builds_one_golden_waveform_per_injection_cycle` and
+/// `tests/collapse_equivalence.rs`. Every failure class comes from a
+/// replay, so the discharge counters stay 0.
 #[test]
 fn collapse_counters_are_thread_and_lane_invariant() {
-    use std::collections::HashMap;
-
-    let s = setup();
-    // Decoder edges: this structure has real collapse classes (buffer-like
-    // chains) on the core, so the member-redirect path is exercised.
-    let edges = sample_edges(
-        &s.topo.structure_edges(&s.core.circuit, "decoder").unwrap(),
-        30,
-        17,
-    );
-    let config = CampaignConfig {
-        delay_fractions: vec![0.9, 1.0],
-        compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
+    let quad = |stats: &InjectorStats| {
+        (
+            stats.collapsed_edges,
+            stats.class_representatives,
+            stats.formally_discharged_ace,
+            stats.formally_discharged_unace,
+        )
     };
-    let (base_rows, base_stats) = delay_avf_campaign_with_stats(
-        &s.core.circuit,
-        &s.topo,
-        &s.timing,
-        &s.golden,
-        &edges,
-        &config,
+    let s = setup();
+    let (sweep, _) = thread_invariant_counters(&s);
+    assert!(sweep.collapsed_edges > 0, "{sweep:?}");
+    assert_eq!(
+        (
+            sweep.formally_discharged_ace,
+            sweep.formally_discharged_unace
+        ),
+        (0, 0),
+        "{sweep:?}"
     );
-    assert!(
-        base_stats.collapsed_edges > 0,
-        "the collapse layer fires on decoder edges: {base_stats:?}"
-    );
-    // No class member of this sample passes the static filter, so every
-    // collapse here is a quiet-source certificate and
-    // `class_representatives` stays 0; the representative path is pinned by
-    // `a_sweep_builds_one_golden_waveform_per_injection_cycle` and
-    // `tests/collapse_equivalence.rs`.
 
-    let mut stats_by_point = HashMap::new();
-    let mut collapse_counters = HashMap::new();
-    for collapse in [true, false] {
-        for threads in [1usize, 2, 4] {
-            for lanes in [1usize, 64] {
-                let cfg = config
-                    .clone()
-                    .with_collapse(collapse)
-                    .with_threads(threads)
-                    .with_lanes(lanes);
-                let (rows, stats) = delay_avf_campaign_with_stats(
-                    &s.core.circuit,
-                    &s.topo,
-                    &s.timing,
-                    &s.golden,
-                    &edges,
-                    &cfg,
-                );
-                assert_eq!(
-                    rows, base_rows,
-                    "sweep rows, collapse={collapse} threads={threads} lanes={lanes}"
-                );
-                // Full counter set is thread-invariant at a fixed
-                // (collapse, lanes) point ...
-                let first = *stats_by_point.entry((collapse, lanes)).or_insert(stats);
-                assert_eq!(
-                    stats, first,
-                    "counters thread-invariant at collapse={collapse} lanes={lanes} \
-                     (threads={threads})"
-                );
-                // ... and the collapse counters are additionally lane-width
-                // invariant: members and certificates are discharged before
-                // any batch is formed.
-                let quad = (
-                    stats.collapsed_edges,
-                    stats.class_representatives,
-                    stats.formally_discharged_ace,
-                    stats.formally_discharged_unace,
-                );
-                let first_quad = *collapse_counters.entry(collapse).or_insert(quad);
-                assert_eq!(
-                    quad, first_quad,
-                    "collapse counters lane/thread-invariant at collapse={collapse} \
-                     (threads={threads}, lanes={lanes})"
-                );
-                if !collapse {
-                    assert_eq!(
-                        quad,
-                        (0, 0, 0, 0),
-                        "collapse off runs the exact per-edge baseline"
-                    );
-                }
-            }
-        }
+    let (base, base_stats) = run_at_widths(&s, MAX_LANES, MAX_TIMING_LANES);
+    assert!(base_stats.collapsed_edges > 0, "{base_stats:?}");
+    for (lanes, timing_lanes) in [(1, 1), (1, 64), (64, 1), (2, 2), (256, 512)] {
+        let (outcomes, stats) = run_at_widths(&s, lanes, timing_lanes);
+        assert_eq!(outcomes, base, "lanes={lanes} timing_lanes={timing_lanes}");
+        assert_eq!(
+            quad(&stats),
+            quad(&base_stats),
+            "collapse counters at lanes={lanes} timing_lanes={timing_lanes}"
+        );
     }
 }
 
-/// The timing-aware batching layer's guarantee, on a threads × timing_lanes
-/// grid: every timing lane width (scalar, narrow u64, the 256- and 512-lane
-/// wide words) returns the same delay-sweep rows, and at a fixed width every
-/// counter — including the batched timing-replay counters — is thread-count
-/// invariant.
+/// The timing-aware batching layer's guarantee. Campaigns batch their
+/// timing replays at the one production width, with thread-count
+/// invariant counters and timing lane utilization exactly 1.0. Below the
+/// campaign, every timing width of the injector (the scalar engine, 2, the
+/// `u64` word and the 256- and 512-lane words) returns the same outcomes
+/// from the same timing scenarios; wider words pack them into no more
+/// batches.
 #[test]
 fn timing_batch_counters_are_thread_invariant_at_every_lane_width() {
-    use std::collections::HashMap;
-
     let s = setup();
-    let edges = sample_edges(
-        &s.topo.structure_edges(&s.core.circuit, "decoder").unwrap(),
-        30,
-        17,
-    );
-    let config = CampaignConfig {
-        delay_fractions: vec![0.9, 1.0],
-        compute_orace: true,
-        due_slack: 500,
-        threads: 1,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
-        ci_target: None,
-        strata: 4,
-        sample_seed: 7,
-    };
-    let (base_rows, _) = delay_avf_campaign_with_stats(
-        &s.core.circuit,
-        &s.topo,
-        &s.timing,
-        &s.golden,
-        &edges,
-        &config,
-    );
+    let (sweep, _) = thread_invariant_counters(&s);
+    assert!(sweep.batched_timing_replays > 0, "{sweep:?}");
+    assert_eq!(sweep.timing_lane_utilization(), 1.0, "{sweep:?}");
 
-    let mut stats_by_width = HashMap::new();
-    for timing_lanes in [1usize, 2, 64, 256, 512] {
-        for threads in [1usize, 2, 4] {
-            let cfg = config
-                .clone()
-                .with_threads(threads)
-                .with_timing_lanes(timing_lanes);
-            let (rows, stats) = delay_avf_campaign_with_stats(
-                &s.core.circuit,
-                &s.topo,
-                &s.timing,
-                &s.golden,
-                &edges,
-                &cfg,
-            );
-            assert_eq!(
-                rows, base_rows,
-                "sweep rows, timing_lanes={timing_lanes} threads={threads}"
-            );
-            let first = *stats_by_width.entry(timing_lanes).or_insert(stats);
-            assert_eq!(
-                stats, first,
-                "counters thread-invariant at timing_lanes={timing_lanes} (threads={threads})"
-            );
-        }
+    let (base, scalar) = run_at_widths(&s, MAX_LANES, 1);
+    // Width 1 routes every timing replay to the scalar delta engine.
+    assert_eq!(scalar.batched_timing_replays, 0, "{scalar:?}");
+    assert_eq!(scalar.timing_lanes_occupied, 0, "{scalar:?}");
+    let mut by_width = Vec::new();
+    for timing_lanes in [2, 64, 256, 512] {
+        let (outcomes, stats) = run_at_widths(&s, MAX_LANES, timing_lanes);
+        assert_eq!(outcomes, base, "outcomes at timing_lanes={timing_lanes}");
+        assert!(
+            stats.batched_timing_replays > 0,
+            "timing_lanes={timing_lanes}: {stats:?}"
+        );
+        assert_eq!(
+            stats.timing_lane_utilization(),
+            1.0,
+            "timing_lanes={timing_lanes}: {stats:?}"
+        );
+        by_width.push((timing_lanes, stats));
     }
-
-    // timing_lanes = 1 routes every timing replay to the scalar delta
-    // engine; wider configurations batch.
-    let scalar = &stats_by_width[&1];
-    assert_eq!(
-        scalar.batched_timing_replays, 0,
-        "no timing batches at timing_lanes = 1"
-    );
-    assert_eq!(
-        scalar.timing_lanes_occupied, 0,
-        "no timing lanes at timing_lanes = 1"
-    );
-    let wide = &stats_by_width[&64];
-    assert!(
-        wide.batched_timing_replays > 0,
-        "wide config batches timing replays: {wide:?}"
-    );
-    assert!(
-        wide.timing_lanes_occupied > 0,
-        "wide config occupies timing lanes"
-    );
-    // The number of distinct timing scenarios replayed through the batch
-    // engine does not depend on the lane width, only on the workload.
-    assert_eq!(
-        stats_by_width[&2].timing_lanes_occupied, wide.timing_lanes_occupied,
-        "timing scenario count is lane-width invariant"
-    );
-    assert_eq!(
-        stats_by_width[&256].timing_lanes_occupied, wide.timing_lanes_occupied,
-        "the 256-lane word path replays the same scenarios"
-    );
-    assert_eq!(
-        stats_by_width[&512].timing_lanes_occupied, wide.timing_lanes_occupied,
-        "the 512-lane word path replays the same scenarios"
-    );
-    // Wider words pack the same scenarios into fewer batches.
-    assert!(
-        stats_by_width[&256].batched_timing_replays <= stats_by_width[&2].batched_timing_replays,
-        "wider words never need more batches"
-    );
-    assert!(
-        stats_by_width[&512].batched_timing_replays <= stats_by_width[&256].batched_timing_replays,
-        "512-lane words never need more batches than 256-lane words"
-    );
-    // Timing lane slots count scheduled lanes, not allocated carrier width:
-    // the 32-edge warm-ALU shape that used to read 0.5 at timing_lanes = 64
-    // now reads exactly 1.0, and so does every other width that batches.
-    for (&width, stats) in &stats_by_width {
-        if width > 1 {
-            assert_eq!(
-                stats.timing_lane_utilization(),
-                1.0,
-                "timing lane accounting at timing_lanes={width}: {stats:?}"
-            );
-        }
+    let (_, narrow) = by_width[0];
+    for &(timing_lanes, stats) in &by_width {
+        assert_eq!(
+            stats.timing_lanes_occupied, narrow.timing_lanes_occupied,
+            "timing scenario count at timing_lanes={timing_lanes}"
+        );
     }
-    // Every scenario that the scalar engine replays timing-aware is
-    // accounted for: the total of event simulations is width-invariant.
+    for pair in by_width.windows(2) {
+        let ((narrower, a), (wider, b)) = (pair[0], pair[1]);
+        assert!(
+            b.batched_timing_replays <= a.batched_timing_replays,
+            "{wider} lanes need no more batches than {narrower}"
+        );
+    }
+    let (_, word) = by_width[1];
     assert_eq!(
-        scalar.event_sims, wide.event_sims,
-        "timing replay count is width-invariant"
+        scalar.event_sims, word.event_sims,
+        "every timing replay is accounted for at any width"
     );
 }

@@ -6,7 +6,7 @@
 //!   cycle, its latched values compared with the golden trace's next state.
 //! * Step 2 (timing-agnostic): a plain [`CycleSim`] replay from the golden
 //!   checkpoint to the end of the program or the DUE budget — no early
-//!   exit, no caches, no formal discharge, no batching.
+//!   exit, no caches, no batching.
 //!
 //! [`Injector`]: delayavf::Injector
 

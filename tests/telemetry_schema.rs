@@ -93,9 +93,6 @@ fn campaign_telemetry_validates_and_never_changes_results() {
         compute_orace: true,
         due_slack: 500,
         threads: 2,
-        lanes: 64,
-        timing_lanes: 64,
-        collapse: true,
         ci_target: None,
         strata: 4,
         sample_seed: 7,
